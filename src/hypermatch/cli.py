@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matchpoly", help="matching polynomial of a hypergraph JSON file")
     p.add_argument("file")
-    p.add_argument("--oracle", action="store_true", help="use brute-force enumeration")
+    p.add_argument("--oracle", action="store_true", help="use brute-force enumeration (also for hypergraphs with cycles)")
     p.add_argument("-o", "--output", default=None)
 
     for name, help_text in (

@@ -281,10 +281,15 @@ def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHyper
     num_edges - 1 pendant edges at uniformly random existing vertices."""
     if num_edges < 1:
         raise HypergraphError("need at least one edge")
-    hg = loose_path(r, 1).hg
+    if r < 2:
+        raise HypergraphError("edge size r must be >= 2")
+    edges = [tuple(range(r))]
+    n = r
     for _ in range(num_edges - 1):
-        hg = attach_pendant(hg, rng.randrange(hg.n))
-    return hg
+        # the same pendant edge attach_pendant adds, without rebuilding
+        edges.append((rng.randrange(n), *range(n, n + r - 1)))
+        n += r - 1
+    return UniformHypergraph(r, n, tuple(edges))
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
-matching-count recurrences, plus supertree validation and small-instance
-isomorphism testing.
+matching-polynomial identities, plus supertree validation and
+small-instance isomorphism testing.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the

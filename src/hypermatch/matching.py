@@ -5,11 +5,20 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
 
 * `matching_polynomial_oracle` enumerates every matching by backtracking
   over edges in sorted order. Slow but unarguable; it is the reference
-  for everything else.
-* `matching_polynomial` uses the deletion recurrence
-  phi(H) = x * phi(H - u) - sum over edges e at u of phi(H - V(e)),
-  splits into connected components (phi multiplies over components),
-  and memoizes components under their exact labeled form.
+  for everything else, and the only route for hypergraphs with cycles.
+* `matching_polynomial` needs a superforest (no cycles; it raises
+  `HypergraphError` otherwise) and computes phi in one bottom-up pass,
+  with each component rooted at its lowest vertex. For the subtree T_w
+  below a vertex w it keeps A_w = phi(T_w) and B_w = phi(T_w - w):
+  deleting w leaves every vertex u of a child edge e as the root of its
+  own subtree, so
+
+      B_w = prod_e P_e,   A_w = x B_w - sum_e Q_e prod_{e' != e} P_e',
+
+  with P_e = prod_{u in e - w} A_u and Q_e = prod_{u in e - w} B_u (the
+  hypertree form of Godsil's tree recurrence). The polynomials are dense
+  integer lists indexed by the matching size k. Results are memoized
+  under the whole input hypergraph.
 
 The reduction phi(x) = x^z * q(x^r) with z = n - r*nu(H) is what the
 numeric layer consumes: root-finding on the degree-nu q is far better
@@ -20,10 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph
+from .hypergraph import HypergraphError, UniformHypergraph
 from .polynomial import PolynomialShapeError, SparsePolynomial
-
-_X = SparsePolynomial.x_power(1)
 
 
 def _edge_masks(hg: UniformHypergraph) -> list[int]:
@@ -111,9 +118,9 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     )
 
 
-# Shared component cache. CPython dict get/set is atomic, so concurrent
-# insert-or-get of these immutable values is safe; callers needing full
-# isolation can clear or ignore it.
+# Shared cache of whole inputs. CPython dict get/set is atomic, so
+# concurrent insert-or-get of these immutable values is safe; callers
+# needing full isolation can clear or ignore it.
 _PHI_CACHE: dict[UniformHypergraph, SparsePolynomial] = {}
 
 
@@ -122,30 +129,107 @@ def clear_polynomial_cache():
 
 
 def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
-    """phi via the deletion recurrence, component splitting, and memoization.
+    """phi of a superforest by one rooted-tree pass, memoized per input.
 
-    Agrees exactly with matching_polynomial_oracle on every input.
+    Raises HypergraphError if hg has a cycle. Agrees exactly with
+    matching_polynomial_oracle on every superforest.
     """
-    out = SparsePolynomial.one()
-    for comp in hg.components():
-        out = out * _phi_connected(comp)
+    phi = _PHI_CACHE.get(hg)
+    if phi is None:
+        phi = _phi_superforest(hg)
+        _PHI_CACHE[hg] = phi
+    return phi
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two coefficient lists; [] is the zero polynomial.
+
+    May return one of its arguments, so no list is changed in place."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return []
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else [c * v for v in a]
+    size = len(a)
+    out = [0] * (size + len(b) - 1)
+    for j, c in enumerate(b):
+        out[j : j + size] = [o + c * v for o, v in zip(out[j : j + size], a)]
     return out
 
 
-def _phi_connected(comp: UniformHypergraph) -> SparsePolynomial:
-    if not comp.edges:
-        return SparsePolynomial.x_power(comp.n)
-    cached = _PHI_CACHE.get(comp)
-    if cached is not None:
-        return cached
-    # Pivot on a maximum-degree vertex (lowest index on ties): it removes
-    # the most edges per step on the caterpillar-like families.
-    u = max(range(comp.n), key=lambda v: (comp.degree(v), -v))
-    phi = _X * matching_polynomial(comp.delete_vertex(u))
-    for e in comp.incident_edges(u):
-        phi = phi - matching_polynomial(comp.delete_closed_edge(e))
-    _PHI_CACHE[comp] = phi
-    return phi
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [v + w for v, w in zip(a, b)] + a[len(b) :]
+
+
+def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
+    # Breadth-first order from the lowest vertex of each component; every
+    # edge is entered from the first of its vertices reached, and the
+    # others become that vertex's children. Reaching a vertex twice means
+    # a cycle.
+    edges = hg.edges
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    seen = [False] * hg.n
+    taken = [False] * len(edges)
+    child_edges: list[list[list[int]]] = [[] for _ in range(hg.n)]
+    order: list[int] = []
+    roots: list[int] = []
+    head = 0
+    for root in range(hg.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        order.append(root)
+        while head < len(order):
+            w = order[head]
+            head += 1
+            for i in incident[w]:
+                if taken[i]:
+                    continue
+                taken[i] = True
+                below = [u for u in edges[i] if u != w]
+                for u in below:
+                    if seen[u]:
+                        raise HypergraphError(
+                            f"matching_polynomial needs a superforest, but {hg} has a "
+                            "cycle; use matching_polynomial_oracle "
+                            "(hypermatch matchpoly --oracle) for general hypergraphs"
+                        )
+                    seen[u] = True
+                order.extend(below)
+                child_edges[w].append(below)
+
+    # Bottom-up, on coefficient lists indexed by the matching size k (the
+    # vertex count fixes the exponents). x * B_w keeps B_w's list, and each
+    # Q_e prod_{e' != e} P_e' covers r vertices fewer, so it enters A_w
+    # one k further down: A_w[k] = B_w[k] - total[k - 1].
+    a: list = [None] * hg.n
+    b: list = [None] * hg.n
+    for w in reversed(order):
+        prod_p = [1]  # prod of P_e over the edges so far
+        total = []  # sum_e Q_e prod_{e' != e} P_e' over the edges so far
+        for below in child_edges[w]:
+            p = q = [1]
+            for u in below:
+                p = _mul(p, a[u])
+                q = _mul(q, b[u])
+                a[u] = b[u] = None
+            total = _add(_mul(total, p), _mul(prod_p, q))
+            prod_p = _mul(prod_p, p)
+        a[w] = _add(prod_p, [0] + [-c for c in total])
+        b[w] = prod_p
+
+    coeffs = [1]
+    for root in roots:
+        coeffs = _mul(coeffs, a[root])
+    return SparsePolynomial({hg.n - k * hg.r: c for k, c in enumerate(coeffs)})
 
 
 @dataclass(frozen=True)

@@ -233,26 +233,26 @@ def spectral_summary(hg: UniformHypergraph, tol: float | None = None) -> Spectra
 # -- exact characteristic polynomial for ordinary forests -----------------
 
 
-def _char_poly_exact(adj: list[list[int]]) -> SparsePolynomial:
-    """Characteristic polynomial of an integer matrix via the
-    Faddeev-LeVerrier recurrence; all divisions are exact over the
-    integers, so the result is exact."""
-    n = len(adj)
+def _char_poly_exact(neighbours: list[list[int]]) -> SparsePolynomial:
+    """Characteristic polynomial of a 0/1 adjacency matrix, given as
+    neighbour lists, via the Faddeev-LeVerrier recurrence; all divisions
+    are exact over the integers, so the result is exact. Row i of A.M is
+    the sum of the rows of M at the neighbours of i, so each step costs
+    O(n * sum of degrees), which is O(n^2) on a forest."""
+    n = len(neighbours)
     coeffs = {n: 1}
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        prod = [
-            [sum(adj[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
+        m = [
+            [sum(col) for col in zip(*(m[t] for t in nbrs))] if nbrs else [0] * n
+            for nbrs in neighbours
         ]
-        trace = sum(prod[i][i] for i in range(n))
+        trace = sum(m[i][i] for i in range(n))
         assert trace % k == 0
         ck = -(trace // k)
         coeffs[n - k] = ck
-        m = [
-            [prod[i][j] + (ck if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
+        for i in range(n):
+            m[i][i] += ck
     return SparsePolynomial(coeffs)
 
 
@@ -268,9 +268,9 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     for comp in hg.components():
         if comp.num_edges != comp.n - 1:
             raise HypergraphError("not a forest: a component has a cycle")
-        adj = [[0] * comp.n for _ in range(comp.n)]
+        neighbours: list[list[int]] = [[] for _ in range(comp.n)]
         for a, b in comp.edges:
-            adj[a][b] = 1
-            adj[b][a] = 1
-        out = out * _char_poly_exact(adj)
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        out = out * _char_poly_exact(neighbours)
     return out

@@ -82,6 +82,24 @@ class TestMatchpoly:
         bad.write_text(json.dumps({"r": 3, "n": 2, "edges": [[0, 1, 1]]}))
         assert run(capsys, "matchpoly", str(bad))[0] == 2
 
+    def test_cyclic_input_exits_2_and_names_the_oracle(self, tmp_path, capsys):
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps({"r": 2, "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        code, out, err = run(capsys, "matchpoly", str(triangle))
+        assert code == 2
+        assert out == ""
+        assert "superforest" in err and "--oracle" in err
+
+    def test_oracle_flag_prints_phi_of_cyclic_input(self, tmp_path, capsys):
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps({"r": 2, "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        code, out, _ = run(capsys, "matchpoly", str(triangle), "--oracle")
+        assert code == 0
+        assert json.loads(out)["terms"] == [
+            {"exp": 3, "coef": "1"},
+            {"exp": 1, "coef": "-3"},
+        ]
+
 
 class TestScalars:
     def test_rho_of_single_edge(self, tmp_path, capsys):

@@ -280,6 +280,19 @@ class TestRandomSupertree:
             again.append(random_supertree(3, rng.randint(1, 6), rng))
         assert seen == again
 
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_same_draws_as_pendant_by_pendant(self, r):
+        # the edge-list build must make the same rng draws and return the
+        # same value as attaching one pendant edge at a time
+        for seed in range(4):
+            for m in (1, 2, 7, 40):
+                rng_old, rng_new = random.Random(seed), random.Random(seed)
+                old = loose_path(r, 1).hg
+                for _ in range(m - 1):
+                    old = attach_pendant(old, rng_old.randrange(old.n))
+                assert random_supertree(r, m, rng_new) == old
+                assert rng_new.getstate() == rng_old.getstate()
+
 
 def test_constructed_families_are_supertrees():
     rng = random.Random(1)

@@ -11,14 +11,23 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import seeded_supertree_corpus, supertrees, supertrees_with_vertex
+from conftest import (
+    seeded_supertree_corpus,
+    small_hypergraphs,
+    supertrees,
+    supertrees_with_vertex,
+)
 from hypermatch import (
+    HypergraphError,
     MatchingTable,
     PolynomialShapeError,
     SparsePolynomial,
+    bridge,
+    build,
     coalesce,
     count_matchings,
     disjoint_union,
+    family_r,
     family_w,
     family_z,
     isolated,
@@ -29,6 +38,7 @@ from hypermatch import (
     random_supertree,
     reduce_polynomial,
 )
+from hypermatch.suites import _bridged_closed_form
 
 
 def phi_p1(r):
@@ -130,6 +140,19 @@ class TestOracleEquivalence:
     def test_property(self, hg):
         assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
 
+    def test_relabelled_forests_with_isolated_vertices(self):
+        # components in any order, rooted at whatever vertex is lowest
+        rng = random.Random(5)
+        for _ in range(60):
+            r = rng.choice([2, 3, 4, 5])
+            hg = isolated(rng.randint(0, 2), r)
+            for _ in range(rng.randint(1, 3)):
+                hg = disjoint_union(hg, random_supertree(r, rng.randint(1, 5), rng))
+            perm = list(range(hg.n))
+            rng.shuffle(perm)
+            hg = build(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
+            assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
+
     @settings(max_examples=40)
     @given(supertrees(max_edges=5))
     def test_shape(self, hg):
@@ -140,6 +163,51 @@ class TestOracleEquivalence:
             k = (hg.n - e) // hg.r
             assert (hg.n - e) % hg.r == 0
             assert c == (-1) ** k * count_matchings(hg, k)
+
+
+class TestSuperforestRequirement:
+    @pytest.mark.parametrize(
+        "r, n, edges",
+        [
+            (2, 3, [(0, 1), (1, 2), (0, 2)]),  # triangle
+            (3, 4, [(0, 1, 2), (1, 2, 3)]),  # two edges sharing two vertices
+            (3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),  # loose cycle
+            (2, 6, [(0, 1), (3, 4), (4, 5), (3, 5)]),  # a tree next to a cycle
+        ],
+    )
+    def test_cycle_raises_and_names_the_oracle(self, r, n, edges):
+        hg = build(r, n, edges)
+        with pytest.raises(HypergraphError, match="matching_polynomial_oracle"):
+            matching_polynomial(hg)
+        # a cyclic input is never cached, so it raises every time
+        with pytest.raises(HypergraphError):
+            matching_polynomial(hg)
+        assert matching_polynomial_oracle(hg).degree() == n
+
+    @settings(max_examples=60)
+    @given(small_hypergraphs())
+    def test_raises_exactly_on_cycles(self, hg):
+        acyclic = hg.num_edges * (hg.r - 1) == hg.n - len(hg.component_vertex_sets())
+        if acyclic:
+            assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
+        else:
+            with pytest.raises(HypergraphError):
+                matching_polynomial(hg)
+
+
+class TestLargeInputs:
+    """Sizes far beyond the reach of brute force, checked against a
+    closed form."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_bridge_of_premise_pair_matches_closed_form(self, r):
+        g, h = family_r(r, 1, 1, 2, 4), family_r(r, 1, 3, 1, 3)
+        u, v = g.anchors["p2"], h.anchors["p3"]
+        m = 20
+        padded = bridge(g.hg, u, h.hg, v, m)
+        for _ in range(m - 1):
+            padded = disjoint_union(padded, g.hg)
+        assert matching_polynomial(padded) == _bridged_closed_form(g.hg, u, h.hg, v, m)
 
 
 class TestRecurrenceIdentities:
@@ -218,7 +286,7 @@ class TestRecurrenceIdentities:
     def test_loose_path_three_term_recurrence(self, r):
         # phi(P_t) = x^(r-2) [x phi(P_{t-1}) - phi(P_{t-2})]
         x = SparsePolynomial.x_power(1)
-        for t in range(2, 9):
+        for t in range(2, 201):
             lhs = matching_polynomial(loose_path(r, t).hg)
             rhs = (
                 x * matching_polynomial(loose_path(r, t - 1).hg)

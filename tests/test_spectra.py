@@ -197,6 +197,9 @@ class TestTreeCharPoly:
         for _ in range(40):
             tree = random_supertree(2, rng.randint(1, 11), rng)
             assert tree_char_poly(tree) == matching_polynomial(tree)
+        for _ in range(3):
+            tree = random_supertree(2, rng.randint(95, 105), rng)
+            assert tree_char_poly(tree) == matching_polynomial(tree)
 
     def test_matches_on_forests(self):
         rng = random.Random(7)
