@@ -15,7 +15,7 @@ from .families import ConstructionSpec
 from .hypergraph import HypergraphError, UniformHypergraph
 from .matching import matching_polynomial, matching_polynomial_oracle
 from .polynomial import PolynomialShapeError
-from .spectra import default_tol, spectral_summary
+from .spectra import default_tol, matching_energy, spectral_radius, spectral_summary
 from .suites import SUITES, run_suite
 
 
@@ -119,11 +119,10 @@ def _cmd_matchpoly(args) -> int:
 def _cmd_scalar(args, which: str) -> int:
     hg = _load_hypergraph(args.file)
     tol = args.tol if args.tol is not None else default_tol()
-    summary = spectral_summary(hg, tol)
     if args.summary:
-        print(json.dumps(summary.to_json_dict(), indent=2))
+        print(json.dumps(spectral_summary(hg, tol).to_json_dict(), indent=2))
     else:
-        value = summary.rho if which == "rho" else summary.me
+        value = (spectral_radius if which == "rho" else matching_energy)(hg, tol)
         print(f"{value:.15g}")
     return 0
 

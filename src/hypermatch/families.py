@@ -189,10 +189,6 @@ class ConstructionSpec:
         return family_z(self.r, *p)
 
 
-def build_spec(spec: ConstructionSpec) -> Anchored:
-    return spec.build()
-
-
 # -- gluing operations -----------------------------------------------------
 
 
@@ -297,7 +293,6 @@ __all__ = [
     "ConstructionSpec",
     "attach_pendant",
     "bridge",
-    "build_spec",
     "coalesce",
     "coalesce_mixed",
     "coalesce_power",

@@ -43,34 +43,13 @@ def _edge_masks(hg: UniformHypergraph) -> list[int]:
     return masks
 
 
-def count_matchings(hg: UniformHypergraph, k: int) -> int:
-    """Number of k-sets of pairwise disjoint edges (1 when k = 0).
-
-    Backtracking enumeration over edges in sorted order; this is the
-    oracle the polynomial code is checked against.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    masks = _edge_masks(hg)
-
-    def rec(start: int, used: int, need: int) -> int:
-        if need == 0:
-            return 1
-        if len(masks) - start < need:
-            return 0
-        total = 0
-        for j in range(start, len(masks)):
-            if not masks[j] & used:
-                total += rec(j + 1, used | masks[j], need - 1)
-        return total
-
-    return rec(0, 0, k)
-
-
 def matching_counts(hg: UniformHypergraph) -> list[int]:
-    """All counts m(H,0..nu) at once, by enumerating every matching."""
+    """The counts m(H,0..nu): entry k is the number of k-sets of pairwise
+    disjoint edges (m(H,0) = 1, and no entry follows nu).
+
+    Backtracking enumeration of every matching over edges in sorted
+    order; this is the oracle the polynomial code is checked against.
+    """
     masks = _edge_masks(hg)
     counts = [0] * (len(masks) + 1)
     counts[0] = 1
@@ -165,11 +144,15 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     return [v + w for v, w in zip(a, b)] + a[len(b) :]
 
 
-def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
-    # Breadth-first order from the lowest vertex of each component; every
-    # edge is entered from the first of its vertices reached, and the
-    # others become that vertex's children. Reaching a vertex twice means
-    # a cycle.
+def rooted_superforest(hg: UniformHypergraph):
+    """Root every component of a superforest at its lowest vertex.
+
+    Returns (roots, order, child_edges): `order` lists every vertex after
+    its parent, breadth first, and child_edges[w] holds, for each edge
+    hanging below w, the list of its other vertices. Every edge is
+    entered from the first of its vertices reached; reaching a vertex
+    twice means a cycle, and raises HypergraphError.
+    """
     edges = hg.edges
     incident: list[list[int]] = [[] for _ in range(hg.n)]
     for i, e in enumerate(edges):
@@ -198,13 +181,19 @@ def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
                 for u in below:
                     if seen[u]:
                         raise HypergraphError(
-                            f"matching_polynomial needs a superforest, but {hg} has a "
-                            "cycle; use matching_polynomial_oracle "
-                            "(hypermatch matchpoly --oracle) for general hypergraphs"
+                            f"{hg} has a cycle, but matching_polynomial and "
+                            "spectral_radius need a superforest; use "
+                            "matching_polynomial_oracle (hypermatch matchpoly "
+                            "--oracle) for general hypergraphs"
                         )
                     seen[u] = True
                 order.extend(below)
                 child_edges[w].append(below)
+    return roots, order, child_edges
+
+
+def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
+    roots, order, child_edges = rooted_superforest(hg)
 
     # Bottom-up, on coefficient lists indexed by the matching size k (the
     # vertex count fixes the exponents). x * B_w keeps B_w's list, and each

@@ -1,23 +1,30 @@
-"""Numeric layer: polynomial roots, spectral radius, matching energy,
+"""Numeric layer: spectral radius, matching energy, polynomial roots,
 and the exact characteristic-polynomial bridge for ordinary forests.
 
-The spectral radius of a superforest is the largest root of its matching
-polynomial, reached here through the reduced polynomial q: if y* is the
-largest real root of q then rho = y***(1/r). The matching energy is the
-sum of |x_i| over all roots of phi; each nonzero root mu of q yields
-exactly r roots of phi of modulus |mu|**(1/r) and the zero root adds
-nothing, hence ME = r * sum |mu|**(1/r).
+The spectral radius rho of a superforest is the largest root of its
+matching polynomial phi. It comes from the tree recursion, with no
+polynomial at all: root every component, and for each vertex w let
+R_w(x) = phi(T_w)/phi(T_w - w) for the subtree T_w below w. Then
+R_w = x - sum_{child edges e} prod_{u in e - w} 1/R_u, and x > rho
+exactly when every R_w(x) > 0. A safeguarded Newton search over float
+passes of the recursion brackets rho between adjacent floats.
+
+The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
+matching energy, the sum of |x_i| over all roots of phi: each nonzero
+root mu of q yields exactly r roots of phi of modulus |mu|**(1/r) and
+the zero root adds nothing, hence ME = r * sum |mu|**(1/r).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hypergraph import HypergraphError, UniformHypergraph
-from .matching import matching_polynomial, reduce_polynomial
+from .matching import matching_polynomial, reduce_polynomial, rooted_superforest
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -97,6 +104,9 @@ def _cauchy_bound(q: SparsePolynomial) -> float:
 def largest_real_root(q: SparsePolynomial, tol: float | None = None) -> float:
     """Largest real root of q, to relative tolerance tol.
 
+    Not on the path of spectral_radius, which needs no roots; it inherits
+    the accuracy limits of roots() on q of high degree.
+
     Companion-matrix candidates locate it inside [0, 1 + max|coef|]; a
     sign-change bracket around the candidate is then shrunk by a
     bisection-safeguarded Newton iteration. Without a local sign change
@@ -151,26 +161,127 @@ def largest_real_root(q: SparsePolynomial, tol: float | None = None) -> float:
     return 0.5 * (lo + hi)
 
 
-def spectral_radius(hg: UniformHypergraph, tol: float | None = None) -> float:
-    """Largest root of the matching polynomial, as a real number.
+# Passes of the safeguarded Newton search before plain bisection takes
+# over; about a dozen suffice on small supertrees, thirty on a loose path
+# of a thousand edges.
+_MAX_PASSES = 100
 
-    Defined on superforests as the maximum over connected components
-    (each component's reduced polynomial has a simple, well-conditioned
-    top root); an edgeless hypergraph has spectral radius 0.
+
+def _tree_pass(x: float, post: list[int], child_edges: list[list[list[int]]], is_root: list[bool]):
+    """One bottom-up pass of R_w = x - sum_e prod_{u in e - w} 1/R_u,
+    with its derivative D_w = 1 + sum_e (prod_u 1/R_u) sum_u D_u/R_u.
+
+    Returns None if R_w <= 0 at a vertex that is not a component root:
+    then x <= rho and nothing more is known. Otherwise returns
+    (above, lower, upper):
+
+    * above: every R_w > 0, which holds exactly when x > rho.
+    * lower: the largest Newton step x - R_c/D_c on the root R_c of a
+      component. Where the other R_w of its component are positive, R_c
+      is increasing and concave (each 1/R_u is positive, decreasing and
+      convex, and so are their products), so this step lands at or
+      below the top root of that component, from either side: lower is
+      at most rho.
+    * upper (None unless above): the largest Newton step on phi of a
+      component, x - 1/sum_w D_w/R_w over its vertices (phi of a
+      component is the product of its R_w). From above it lands near
+      rho, and quadratically close once x is; it is a guess, not a
+      bound.
     """
-    tol = default_tol() if tol is None else tol
+    n = len(post)
+    big_r = [0.0] * n
+    ratio = [0.0] * n  # D_w / R_w
+    above = True
+    lower = upper = total = 0.0
+    for w in post:  # the vertices of a component, then its root
+        s = x
+        d = 1.0
+        for below in child_edges[w]:
+            p = 1.0
+            t = 0.0
+            for u in below:
+                p /= big_r[u]
+                t += ratio[u]
+            s -= p
+            d += p * t
+        if not is_root[w]:
+            if s <= 0.0:
+                return None
+            big_r[w] = s
+            ratio[w] = d / s
+            total += ratio[w]
+            continue
+        lower = max(lower, x - s / d)
+        if s <= 0.0:
+            above = False
+        else:
+            upper = max(upper, x - 1.0 / (total + d / s))
+        total = 0.0
+    return above, lower, upper if above else None
+
+
+def spectral_radius(hg: UniformHypergraph, tol: float | None = None) -> float:
+    """Largest root of the matching polynomial of a superforest.
+
+    x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
+    rooted superforest is positive (Heilmann-Lieb, Godsil), so each pass
+    of _tree_pass certifies x as an upper bound or refutes it. The
+    bracket [refuted, certified] shrinks by Newton steps on phi from
+    above and on the root's R from below, capped at the midpoint between
+    the certified end and the best lower estimate, until its ends are
+    adjacent floats; the certified end is returned. One pass covers every
+    component. An edgeless hypergraph has spectral radius 0; a
+    hypergraph with a cycle raises HypergraphError. tol is accepted for a
+    uniform signature: the result is accurate to the last bits of a
+    float.
+    """
     if not hg.edges:
         return 0.0
-    best = None
-    for comp in hg.components():
-        if not comp.edges:
-            continue
-        red = reduce_polynomial(matching_polynomial(comp), comp.r, comp.n)
-        y = largest_real_root(red.q, tol)
-        best = y if best is None else max(best, y)
-    if best is None or best <= 0:
-        raise RootFindingError(f"no positive real root for {hg}")
-    return best ** (1.0 / hg.r)
+    roots, order, child_edges = rooted_superforest(hg)
+    post = order[::-1]
+    is_root = [False] * hg.n
+    for root in roots:
+        is_root[root] = True
+    # With every R_u >= c, R_w >= x - k / c^(r-1) for k child edges, so
+    # x = c + k_max / c^(r-1), smallest at c^r = (r-1) k_max, is above rho.
+    r = hg.r
+    k_max = max(len(below) for below in child_edges)
+    c = ((r - 1) * k_max) ** (1.0 / r)
+    hi = c + k_max / c ** (r - 1)
+    res = _tree_pass(hi, post, child_edges, is_root)
+    while res is None or not res[0]:  # only if rounding spoils the bound
+        hi *= 2.0
+        res = _tree_pass(hi, post, child_edges, is_root)
+    above, lower, upper = res
+    lo = 0.0  # a leaf has R = x, so 0 is never above rho
+    floor = 0.0  # the best lower estimate, not certified
+    step = 0.0
+    passes = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if passes >= _MAX_PASSES:  # plain bisection, should the steps stall
+            x = mid
+        elif above:
+            floor = max(floor, lower)
+            x = math.nextafter(hi, lo) if upper >= hi else min(upper, 0.5 * (max(lo, floor) + hi))
+        elif lower is not None and lower > lo:
+            x = lower
+        elif lower is not None:  # R_c converged from below: step up from lo
+            step = 2.0 * step if step else math.ulp(lo)
+            x = min(lo + step, mid)
+        else:
+            x = mid
+        if not lo < x < hi:
+            x = mid
+            if not lo < x < hi:
+                return hi
+        res = _tree_pass(x, post, child_edges, is_root)
+        passes += 1
+        above, lower, upper = res if res is not None else (False, None, None)
+        if above:
+            hi = x
+        else:
+            lo = x
 
 
 def matching_energy(hg: UniformHypergraph, tol: float | None = None) -> float:
@@ -220,14 +331,14 @@ class SpectralSummary:
 
 
 def spectral_summary(hg: UniformHypergraph, tol: float | None = None) -> SpectralSummary:
+    """rho from the tree recursion; phi, q and the roots of q once, for ME."""
     tol = default_tol() if tol is None else tol
     if not hg.edges:
         return SpectralSummary(rho=0.0, me=0.0, q_roots=(), tol=tol)
     red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
     q_roots = tuple(roots(red.q, tol))
-    rho = spectral_radius(hg, tol)
     me = hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
-    return SpectralSummary(rho=rho, me=me, q_roots=q_roots, tol=tol)
+    return SpectralSummary(rho=spectral_radius(hg, tol), me=me, q_roots=q_roots, tol=tol)
 
 
 # -- exact characteristic polynomial for ordinary forests -----------------

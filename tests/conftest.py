@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 
@@ -12,7 +13,9 @@ from hypermatch import (
     attach_pendant,
     build,
     loose_path,
+    matching_polynomial,
     random_supertree,
+    reduce_polynomial,
 )
 
 
@@ -59,3 +62,38 @@ def seeded_supertree_corpus(seed: int, count: int, rs=(2, 3, 4), max_n: int = 16
 def pendant_edges(hg: UniformHypergraph):
     """Edges with at most one vertex of degree >= 2."""
     return [e for e in hg.edges if sum(1 for v in e if hg.degree(v) >= 2) <= 1]
+
+
+def _scaled_shift(q: list[int], y: Fraction) -> list[int]:
+    """Coefficients in s of D^d q((N + s)/D), lowest first, for y = N/D and
+    q of degree d (lowest first). They have the signs of the coefficients
+    of q(y + t), and the first is D^d q(y)."""
+    num, den = y.numerator, y.denominator
+    out = [q[-1]]
+    scale = 1
+    for c in reversed(q[:-1]):
+        scale *= den
+        # out * (num + s) + c * den^(d - k)
+        out = [num * a + b for a, b in zip(out + [0], [0] + out)]
+        out[0] += c * scale
+    return out
+
+
+def assert_top_root_exact(hg: UniformHypergraph, rho: float, tol: float):
+    """Check in exact rational arithmetic that rho is the largest root of
+    phi to relative tolerance tol, for a superforest with r >= 2 whose
+    reduced q has a top root of odd multiplicity: q changes sign across
+    [(rho (1 - tol))^r, (rho (1 + tol))^r], and q(y_hi + t) has no sign
+    change in its coefficients, so by Descartes' rule q has no root above
+    y_hi. q comes from the exact integer phi; no float code is involved.
+    """
+    red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
+    q = [red.q.coefficient(e) for e in range(red.q.degree() + 1)]
+    y_lo = (Fraction(rho) * (1 - Fraction(tol))) ** hg.r
+    y_hi = (Fraction(rho) * (1 + Fraction(tol))) ** hg.r
+    at_lo = _scaled_shift(q, y_lo)[0]
+    shifted = _scaled_shift(q, y_hi)
+    sign_lo, sign_hi = (at_lo > 0) - (at_lo < 0), (shifted[0] > 0) - (shifted[0] < 0)
+    assert sign_lo * sign_hi <= 0, f"q has no sign change around {rho}**{hg.r}"
+    signs = {c > 0 for c in shifted if c}
+    assert len(signs) == 1, f"q has a root above ({rho} (1 + {tol}))**{hg.r}"

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import json
+import math
 
 import pytest
 
@@ -112,6 +113,13 @@ class TestScalars:
         path = construct_file(tmp_path, capsys, "p1.json", "LoosePath", 4, "1")
         code, out, _ = run(capsys, "me", str(path))
         assert abs(float(out.strip()) - 4.0) < 1e-10
+
+    @pytest.mark.parametrize("t", [40, 1000])
+    def test_rho_of_long_ordinary_path(self, tmp_path, capsys, t):
+        path = construct_file(tmp_path, capsys, "path.json", "LoosePath", 2, str(t))
+        code, out, err = run(capsys, "rho", str(path))
+        assert code == 0, err
+        assert float(out) == pytest.approx(2 * math.cos(math.pi / (t + 2)), rel=1e-10)
 
     def test_summary_json(self, tmp_path, capsys):
         path = construct_file(tmp_path, capsys, "w5.json", "W", 3, "5")

@@ -12,7 +12,6 @@ from hypermatch import (
     are_isomorphic,
     attach_pendant,
     bridge,
-    build_spec,
     coalesce,
     coalesce_mixed,
     coalesce_power,
@@ -150,7 +149,7 @@ class TestNamedFamilies:
 class TestConstructionSpec:
     def test_build_matches_direct(self):
         spec = ConstructionSpec("R", 3, (1, 1, 2, 4))
-        assert build_spec(spec).hg == family_r(3, 1, 1, 2, 4).hg
+        assert spec.build().hg == family_r(3, 1, 1, 2, 4).hg
 
     def test_json_round_trip(self):
         spec = ConstructionSpec("W", 4, (6,))

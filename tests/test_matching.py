@@ -25,7 +25,6 @@ from hypermatch import (
     bridge,
     build,
     coalesce,
-    count_matchings,
     disjoint_union,
     family_r,
     family_w,
@@ -37,6 +36,8 @@ from hypermatch import (
     matching_polynomial_oracle,
     random_supertree,
     reduce_polynomial,
+    spectral_radius,
+    spectral_summary,
 )
 from hypermatch.suites import _bridged_closed_form
 
@@ -60,31 +61,33 @@ def phi_w6(r):
 class TestCounting:
     def test_zero_matching_count_is_one(self):
         for hg in (isolated(0), isolated(4), loose_path(3, 2).hg, family_w(4, 6).hg):
-            assert count_matchings(hg, 0) == 1
+            assert matching_counts(hg)[0] == 1
 
     def test_two_edge_path_has_two_single_matchings(self):
         for r in (2, 3, 5):
             hg = loose_path(r, 2).hg
-            assert count_matchings(hg, 1) == 2
-            assert count_matchings(hg, 2) == 0
+            assert matching_counts(hg) == [1, 2]
 
     def test_double_pendant_family_pair_count(self):
-        assert count_matchings(family_w(3, 6).hg, 2) == 8
+        assert matching_counts(family_w(3, 6).hg)[2] == 8
 
     def test_exhaustive_cross_check_small(self):
         # independent subset filter over all edge pairs/triples
         hg = family_w(2, 5).hg
         edges = [set(e) for e in hg.edges]
+        counts = matching_counts(hg) + [0] * 3  # zeros beyond nu
         for k in (1, 2, 3):
             manual = sum(
                 1
                 for combo in itertools.combinations(edges, k)
                 if all(a.isdisjoint(b) for a, b in itertools.combinations(combo, 2))
             )
-            assert count_matchings(hg, k) == manual
+            assert counts[k] == manual
 
     def test_counts_beyond_nu_are_zero(self):
-        assert count_matchings(loose_path(3, 1).hg, 2) == 0
+        # the list stops at nu, so every count beyond it is zero
+        assert matching_counts(loose_path(3, 1).hg) == [1, 1]
+        assert len(matching_counts(family_w(3, 6).hg)) == 3
 
     def test_table_invariants(self):
         hg = family_w(3, 7).hg
@@ -162,7 +165,7 @@ class TestOracleEquivalence:
         for e, c in phi.terms():
             k = (hg.n - e) // hg.r
             assert (hg.n - e) % hg.r == 0
-            assert c == (-1) ** k * count_matchings(hg, k)
+            assert c == (-1) ** k * matching_counts(hg)[k]
 
 
 class TestSuperforestRequirement:
@@ -177,8 +180,10 @@ class TestSuperforestRequirement:
     )
     def test_cycle_raises_and_names_the_oracle(self, r, n, edges):
         hg = build(r, n, edges)
-        with pytest.raises(HypergraphError, match="matching_polynomial_oracle"):
-            matching_polynomial(hg)
+        # the spectral radius has its own pass, with the same rule
+        for compute in (matching_polynomial, spectral_radius, spectral_summary):
+            with pytest.raises(HypergraphError, match="matching_polynomial_oracle"):
+                compute(hg)
         # a cyclic input is never cached, so it raises every time
         with pytest.raises(HypergraphError):
             matching_polynomial(hg)

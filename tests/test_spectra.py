@@ -3,13 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import pendant_edges, supertrees
+from conftest import assert_top_root_exact, pendant_edges, supertrees
 from hypermatch import (
     HypergraphError,
     SparsePolynomial,
+    default_tol,
     disjoint_union,
     family_w,
     isolated,
@@ -98,6 +100,9 @@ class TestSpectralRadius:
         assert spectral_radius(u) == pytest.approx(
             max(spectral_radius(g), spectral_radius(h)), abs=TOL
         )
+        # three identical copies: a triple top root
+        triple = disjoint_union(disjoint_union(h, h), h)
+        assert spectral_radius(triple) == pytest.approx(spectral_radius(h), abs=TOL)
 
     def test_union_of_equal_components(self):
         g = family_w(3, 5).hg
@@ -113,6 +118,41 @@ class TestSpectralRadius:
         e = pendant_edges(hg)[0]
         smaller = hg.delete_edges([e])
         assert spectral_radius(smaller) < spectral_radius(hg) - 1e-9
+
+
+def _eigvalsh_rho(hg):
+    adj = np.zeros((hg.n, hg.n))
+    for a, b in hg.edges:
+        adj[a, b] = adj[b, a] = 1.0
+    return float(np.linalg.eigvalsh(adj).max())
+
+
+class TestSpectralRadiusAtScale:
+    """Inputs where rho from the roots of q came back silently wrong,
+    against references apart from hypermatch's float code."""
+
+    @pytest.mark.parametrize("t", [40, 60, 200, 1000])
+    def test_ordinary_loose_path_closed_form(self, t):
+        expected = 2 * math.cos(math.pi / (t + 2))
+        assert spectral_radius(loose_path(2, t).hg) == pytest.approx(expected, rel=default_tol())
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_long_loose_path_exact_top_root(self, r):
+        hg = loose_path(r, 200).hg
+        rho = spectral_radius(hg)
+        assert rho < 4 ** (1 / r)  # every r-uniform loose path stays below it
+        assert_top_root_exact(hg, rho, default_tol())
+
+    def test_random_supertree_probe(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            r = rng.choice([2, 3, 4, 5])
+            hg = random_supertree(r, rng.randint(20, 120), rng)
+            rho = spectral_radius(hg)
+            if r == 2:
+                assert rho == pytest.approx(_eigvalsh_rho(hg), rel=default_tol()), seed
+            else:
+                assert_top_root_exact(hg, rho, default_tol())
 
 
 class TestMatchingEnergy:
