@@ -2,7 +2,8 @@
 
 Subcommands: construct | matchpoly | rho | me | cospectral | suite.
 Exit codes: 0 success (for `cospectral`: the polynomials are equal),
-1 checked-and-unequal / suite failure, 2 usage or input error.
+1 checked-and-unequal / suite failure, 2 usage or input error, or a
+root-finding failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .families import ConstructionSpec
 from .hypergraph import HypergraphError, UniformHypergraph
 from .matching import matching_polynomial, matching_polynomial_oracle
 from .polynomial import PolynomialShapeError
-from .spectra import default_tol, matching_energy, spectral_radius, spectral_summary
+from .spectra import RootFindingError, default_tol, matching_energy, spectral_radius, spectral_summary
 from .suites import SUITES, run_suite
 
 
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
-        p.add_argument("--tol", type=float, default=None, help="override tolerance (default: HG_TOL or 1e-10)")
+        p.add_argument("--tol", type=float, default=None, help="root-finding tolerance for me and --summary (default: HG_TOL or 1e-10)")
         p.add_argument("--summary", action="store_true", help="print the full spectral summary JSON")
 
     p = sub.add_parser("cospectral", help="compare matching polynomials of two files")
@@ -122,7 +123,7 @@ def _cmd_scalar(args, which: str) -> int:
     if args.summary:
         print(json.dumps(spectral_summary(hg, tol).to_json_dict(), indent=2))
     else:
-        value = (spectral_radius if which == "rho" else matching_energy)(hg, tol)
+        value = spectral_radius(hg) if which == "rho" else matching_energy(hg, tol)
         print(f"{value:.15g}")
     return 0
 
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "cospectral":
             return _cmd_cospectral(args)
         return _cmd_suite(args)
-    except (HypergraphError, PolynomialShapeError, ValueError, OSError) as exc:
+    except (HypergraphError, PolynomialShapeError, RootFindingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,7 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
-matching-polynomial identities, plus supertree validation and
-small-instance isomorphism testing.
+matching-polynomial identities, plus supertree validation, the rooting
+of a superforest that phi and the spectral radius share, and superforest
+isomorphism by a canonical label per component.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -217,177 +218,114 @@ def disjoint_union(g: UniformHypergraph, h: UniformHypergraph) -> UniformHypergr
     return UniformHypergraph(r, g.n + h.n, tuple(edges))
 
 
-# -- isomorphism ---------------------------------------------------------
+# -- superforests ---------------------------------------------------------
 
 
-def _joint_refine(g: UniformHypergraph, h: UniformHypergraph):
-    """Iterative color refinement run jointly on both hypergraphs.
-
-    Returns (colors_g, colors_h) with comparable color ids, or None as
-    soon as the color multisets diverge (a cheap non-isomorphism proof).
-    """
-    table: dict = {}
-
-    def norm(sig):
-        if sig not in table:
-            table[sig] = len(table)
-        return table[sig]
-
-    cg = [norm(("deg", g.degree(v))) for v in range(g.n)]
-    ch = [norm(("deg", h.degree(v))) for v in range(h.n)]
-    if sorted(cg) != sorted(ch):
-        return None
-
-    def step(hg, colors):
-        new = []
-        for v in range(hg.n):
-            edge_sigs = sorted(
-                tuple(sorted(colors[w] for w in e)) for e in hg.incident_edges(v)
-            )
-            new.append((colors[v], tuple(edge_sigs)))
-        return new
-
-    for _ in range(max(g.n, 1)):
-        ng = [norm(s) for s in step(g, cg)]
-        nh = [norm(s) for s in step(h, ch)]
-        if sorted(ng) != sorted(nh):
-            return None
-        stable = len(set(ng)) == len(set(cg))
-        cg, ch = ng, nh
-        if stable:
-            break
-    return cg, ch
-
-
-def _connected_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
-    """Backtracking isomorphism test for connected hypergraphs.
-
-    Candidates are restricted to matching refinement colors and the
-    search order follows a BFS from the rarest color class, so mapped
-    regions stay connected and dead branches are cut early.
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if g.edges and h.edges and g.r != h.r:
-        return False
-    if g.edges == h.edges:
-        return True
-    refined = _joint_refine(g, h)
-    if refined is None:
-        return False
-    cg, ch = refined
-
-    sizes = Counter(cg)
-    start = min(range(g.n), key=lambda v: (sizes[cg[v]], cg[v], v))
-    adj = g._vertex_adjacency()
-    order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(set(adj[v]), key=lambda w: (sizes[cg[w]], cg[w], w)):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    # connected input: BFS reaches everything
-
-    h_edge_set = set(h.edges)
-    g_incident = [g.incident_edges(v) for v in range(g.n)]
-    mapping = [-1] * g.n
-    used = [False] * h.n
-    h_candidates: dict[int, list[int]] = {}
-    for w in range(h.n):
-        h_candidates.setdefault(ch[w], []).append(w)
-
-    def image_consistent(v: int) -> bool:
-        mapped_edges = 0
-        image = {w for w in mapping if w != -1}
-        for e in g.edges:
-            if all(mapping[x] != -1 for x in e):
-                mapped_edges += 1
-                if tuple(sorted(mapping[x] for x in e)) not in h_edge_set:
-                    return False
-        inside = sum(1 for e in h.edges if all(x in image for x in e))
-        return inside == mapped_edges
-
-    def assign(idx: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        for w in h_candidates.get(cg[v], ()):
-            if used[w]:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if image_consistent(v) and assign(idx + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return assign(0)
-
-
-def _component_profile(c: UniformHypergraph):
-    return (
-        c.n,
-        c.num_edges,
-        tuple(sorted(c.degree(v) for v in range(c.n))),
-        tuple(sorted(tuple(sorted(c.degree(v) for v in e)) for e in c.edges)),
+def _cycle_error(hg: UniformHypergraph) -> HypergraphError:
+    return HypergraphError(
+        f"{hg} has a cycle, but matching_polynomial, spectral_radius and "
+        "are_isomorphic need a superforest; use matching_polynomial_oracle "
+        "(hypermatch matchpoly --oracle) for phi of general hypergraphs"
     )
 
 
-def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
-    """Edge-preserving vertex bijection test.
+def rooted_superforest(hg: UniformHypergraph):
+    """Root every component of a superforest at its lowest vertex.
 
-    Intended for small instances (roughly n <= 20 per component beyond
-    the cheap invariant screens); this is not enforced, just slow above
-    that. Components are matched within invariant classes first, so
-    unions reject quickly on component-profile mismatches.
+    Returns (roots, order, child_edges): `order` lists every vertex after
+    its parent, breadth first, and child_edges[w] holds, for each edge
+    hanging below w, the list of its other vertices. Every edge is
+    entered from the first of its vertices reached; reaching a vertex
+    twice means a cycle, and raises HypergraphError.
+    """
+    edges = hg.edges
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v].append(i)
+    seen = [False] * hg.n
+    taken = [False] * len(edges)
+    child_edges: list[list[list[int]]] = [[] for _ in range(hg.n)]
+    order: list[int] = []
+    roots: list[int] = []
+    head = 0
+    for root in range(hg.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        order.append(root)
+        while head < len(order):
+            w = order[head]
+            head += 1
+            for i in incident[w]:
+                if taken[i]:
+                    continue
+                taken[i] = True
+                below = [u for u in edges[i] if u != w]
+                for u in below:
+                    if seen[u]:
+                        raise _cycle_error(hg)
+                    seen[u] = True
+                order.extend(below)
+                child_edges[w].append(below)
+    return roots, order, child_edges
+
+
+# -- isomorphism ---------------------------------------------------------
+
+
+def _centre_codes(hg: UniformHypergraph, table: dict) -> list[int]:
+    """One Aho-Hopcroft-Ullman label per component of the vertex-edge
+    incidence forest (nodes 0..n-1 are vertices, n + i is edge i), rooted
+    at the component's centre. Labels from one table are equal exactly
+    when the rooted components are isomorphic.
+
+    Peeling all leaves layer by layer reaches each centre last. Every
+    leaf is a vertex (an edge node has r >= 2 neighbours), so each
+    component has even diameter and exactly one centre. Nodes on a cycle
+    are never peeled, which raises HypergraphError.
+    """
+    n = hg.n
+    adj: list = [[] for _ in range(n)] + list(hg.edges)
+    for i, e in enumerate(hg.edges, n):
+        for v in e:
+            adj[v].append(i)
+    left = [len(a) for a in adj]  # neighbours not yet peeled
+    kids: list[list[int]] = [[] for _ in adj]  # labels of peeled neighbours
+    layer = [x for x, d in enumerate(left) if d <= 1]
+    codes = []
+    while layer:
+        nxt = []
+        for x in layer:
+            label = table.setdefault((x >= n, tuple(sorted(kids[x]))), len(table))
+            left[x] = -1
+            parent = [y for y in adj[x] if left[y] >= 0]
+            if not parent:  # the centre
+                codes.append(label)
+            for y in parent:  # at most one
+                kids[y].append(label)
+                left[y] -= 1
+                if left[y] == 1:
+                    nxt.append(y)
+        layer = nxt
+    if any(d >= 0 for d in left):
+        raise _cycle_error(hg)
+    return codes
+
+
+def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
+    """Edge-preserving vertex bijection test for superforests.
+
+    Linear apart from sorting: each component's incidence tree gets a
+    canonical label, and the sorted labels of g and h are compared.
+    Edgeless hypergraphs with the same n are isomorphic whatever their r.
+    Raises HypergraphError if g or h has a cycle, unless n, m or r
+    already tell them apart.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return False
     if g.edges and h.edges and g.r != h.r:
         return False
-    comps_g = g.components()
-    comps_h = h.components()
-    if len(comps_g) != len(comps_h):
-        return False
-
-    groups_g: dict = {}
-    groups_h: dict = {}
-    for c in comps_g:
-        groups_g.setdefault(_component_profile(c), []).append(c)
-    for c in comps_h:
-        groups_h.setdefault(_component_profile(c), []).append(c)
-    if set(groups_g) != set(groups_h):
-        return False
-
-    for key, left in groups_g.items():
-        right = groups_h[key]
-        if len(left) != len(right):
-            return False
-        pair_cache: dict[tuple[int, int], bool] = {}
-
-        def pair_iso(i: int, j: int) -> bool:
-            if (i, j) not in pair_cache:
-                pair_cache[(i, j)] = _connected_isomorphic(left[i], right[j])
-            return pair_cache[(i, j)]
-
-        taken = [False] * len(right)
-
-        def match(i: int) -> bool:
-            if i == len(left):
-                return True
-            for j in range(len(right)):
-                if not taken[j] and pair_iso(i, j):
-                    taken[j] = True
-                    if match(i + 1):
-                        return True
-                    taken[j] = False
-            return False
-
-        if not match(0):
-            return False
-    return True
+    table: dict = {}
+    return sorted(_centre_codes(g, table)) == sorted(_centre_codes(h, table))

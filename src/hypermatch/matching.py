@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import HypergraphError, UniformHypergraph
+from .hypergraph import UniformHypergraph, rooted_superforest
 from .polynomial import PolynomialShapeError, SparsePolynomial
 
 
@@ -142,54 +142,6 @@ def _add(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     return [v + w for v, w in zip(a, b)] + a[len(b) :]
-
-
-def rooted_superforest(hg: UniformHypergraph):
-    """Root every component of a superforest at its lowest vertex.
-
-    Returns (roots, order, child_edges): `order` lists every vertex after
-    its parent, breadth first, and child_edges[w] holds, for each edge
-    hanging below w, the list of its other vertices. Every edge is
-    entered from the first of its vertices reached; reaching a vertex
-    twice means a cycle, and raises HypergraphError.
-    """
-    edges = hg.edges
-    incident: list[list[int]] = [[] for _ in range(hg.n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            incident[v].append(i)
-    seen = [False] * hg.n
-    taken = [False] * len(edges)
-    child_edges: list[list[list[int]]] = [[] for _ in range(hg.n)]
-    order: list[int] = []
-    roots: list[int] = []
-    head = 0
-    for root in range(hg.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        roots.append(root)
-        order.append(root)
-        while head < len(order):
-            w = order[head]
-            head += 1
-            for i in incident[w]:
-                if taken[i]:
-                    continue
-                taken[i] = True
-                below = [u for u in edges[i] if u != w]
-                for u in below:
-                    if seen[u]:
-                        raise HypergraphError(
-                            f"{hg} has a cycle, but matching_polynomial and "
-                            "spectral_radius need a superforest; use "
-                            "matching_polynomial_oracle (hypermatch matchpoly "
-                            "--oracle) for general hypergraphs"
-                        )
-                    seen[u] = True
-                order.extend(below)
-                child_edges[w].append(below)
-    return roots, order, child_edges
 
 
 def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import HypergraphError, UniformHypergraph
-from .matching import matching_polynomial, reduce_polynomial, rooted_superforest
+from .hypergraph import HypergraphError, UniformHypergraph, rooted_superforest
+from .matching import matching_polynomial, reduce_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -78,19 +78,21 @@ def roots(q: SparsePolynomial, tol: float | None = None) -> list[complex]:
     (real, imag) for reproducible output.
 
     Companion-matrix eigenvalues seed a guarded Newton polish against the
-    exact integer coefficients.
+    exact integer coefficients. Raises RootFindingError if that fails, or
+    if q overflows a float where it is evaluated.
     """
     tol = default_tol() if tol is None else tol
     if q.degree() <= 0:
         raise ValueError("roots() needs a nonconstant polynomial")
-    coeffs = np.array([float(c) for c in q.to_dense()])
+    dq = q.derivative()
     try:
-        raw = np.roots(coeffs)
+        raw = np.roots(np.array([float(c) for c in q.to_dense()]))
+        out = [_polish(q, dq, complex(z), tol) for z in raw]
+        bad = [z for z in out if abs(q.evaluate(z)) > 1e-6 * _residual_scale(q, z)]
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalues did not converge: {exc}") from exc
-    dq = q.derivative()
-    out = [_polish(q, dq, complex(z), tol) for z in raw]
-    bad = [z for z in out if abs(q.evaluate(z)) > 1e-6 * _residual_scale(q, z)]
+    except OverflowError as exc:
+        raise RootFindingError(f"evaluating q of degree {q.degree()} overflows a float: {exc}") from exc
     if bad:
         raise RootFindingError(f"{len(bad)} root(s) failed to refine", partial=out)
     return sorted(out, key=lambda z: (z.real, z.imag))
@@ -220,7 +222,7 @@ def _tree_pass(x: float, post: list[int], child_edges: list[list[list[int]]], is
     return above, lower, upper if above else None
 
 
-def spectral_radius(hg: UniformHypergraph, tol: float | None = None) -> float:
+def spectral_radius(hg: UniformHypergraph) -> float:
     """Largest root of the matching polynomial of a superforest.
 
     x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
@@ -231,9 +233,8 @@ def spectral_radius(hg: UniformHypergraph, tol: float | None = None) -> float:
     the certified end and the best lower estimate, until its ends are
     adjacent floats; the certified end is returned. One pass covers every
     component. An edgeless hypergraph has spectral radius 0; a
-    hypergraph with a cycle raises HypergraphError. tol is accepted for a
-    uniform signature: the result is accurate to the last bits of a
-    float.
+    hypergraph with a cycle raises HypergraphError. The result is
+    accurate to the last bits of a float, so it takes no tolerance.
     """
     if not hg.edges:
         return 0.0
@@ -338,7 +339,7 @@ def spectral_summary(hg: UniformHypergraph, tol: float | None = None) -> Spectra
     red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
     q_roots = tuple(roots(red.q, tol))
     me = hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
-    return SpectralSummary(rho=spectral_radius(hg, tol), me=me, q_roots=q_roots, tol=tol)
+    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=tol)
 
 
 # -- exact characteristic polynomial for ordinary forests -----------------

@@ -104,8 +104,8 @@ def check_cospectral(
         "lhs_phi": phi_l.to_json_dict(),
         "rhs_phi": phi_r.to_json_dict(),
         "phi_equal": phi_l == phi_r,
-        "rho_lhs": spectral_radius(lhs, tol),
-        "rho_rhs": spectral_radius(rhs, tol),
+        "rho_lhs": spectral_radius(lhs),
+        "rho_rhs": spectral_radius(rhs),
         "me_lhs": matching_energy(lhs, tol),
         "me_rhs": matching_energy(rhs, tol),
     }
@@ -299,8 +299,8 @@ def suite_bridge(
                 }
                 expected = _bridged_closed_form(g, u, h, v, m)
                 case["closed_form_equal"] = matching_polynomial(union_l) == expected
-                case["rho_bridged_lhs"] = spectral_radius(bridged_gh, tol)
-                case["rho_bridged_rhs"] = spectral_radius(bridged_hg, tol)
+                case["rho_bridged_lhs"] = spectral_radius(bridged_gh)
+                case["rho_bridged_rhs"] = spectral_radius(bridged_hg)
                 case["passed"] = (
                     case["phi_equal"]
                     and case["closed_form_equal"]

@@ -121,6 +121,13 @@ class TestScalars:
         assert code == 0, err
         assert float(out) == pytest.approx(2 * math.cos(math.pi / (t + 2)), rel=1e-10)
 
+    def test_me_root_finding_failure_exits_2(self, tmp_path, capsys):
+        path = construct_file(tmp_path, capsys, "path.json", "LoosePath", 2, "1000")
+        code, out, err = run(capsys, "me", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
+
     def test_summary_json(self, tmp_path, capsys):
         path = construct_file(tmp_path, capsys, "w5.json", "W", 3, "5")
         code, out, _ = run(capsys, "rho", str(path), "--summary")

@@ -1,7 +1,9 @@
 """Hypergraph values, the deletion calculus, supertree and isomorphism tests."""
 
 import itertools
+import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +12,7 @@ from hypermatch import (
     HypergraphError,
     UniformHypergraph,
     are_isomorphic,
+    attach_pendant,
     build,
     disjoint_union,
     family_q,
@@ -17,7 +20,85 @@ from hypermatch import (
     family_w,
     isolated,
     loose_path,
+    matching_polynomial,
+    random_supertree,
 )
+
+
+def relabel(hg, perm):
+    return UniformHypergraph(hg.r, hg.n, tuple(tuple(perm[v] for v in e) for e in hg.edges))
+
+
+def brute_force_isomorphic(g, h) -> bool:
+    """Try every vertex bijection that keeps degrees (an isomorphism
+    must); independent of the canonical labels under test."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    deg_g = [g.degree(v) for v in range(g.n)]
+    deg_h = [h.degree(w) for w in range(h.n)]
+    if sorted(deg_g) != sorted(deg_h):
+        return False
+    classes = sorted(set(deg_g))
+    sources = [[v for v in range(g.n) if deg_g[v] == d] for d in classes]
+    targets = [[w for w in range(h.n) if deg_h[w] == d] for d in classes]
+    h_edges = set(h.edges)
+    for images in itertools.product(*(itertools.permutations(t) for t in targets)):
+        perm = {}
+        for vs, ws in zip(sources, images):
+            perm.update(zip(vs, ws))
+        if all(tuple(sorted(perm[v] for v in e)) in h_edges for e in g.edges):
+            return True
+    return False
+
+
+def grown_superforest(r, parts):
+    """Union of one part per (picks, delete): a supertree grown from one
+    edge by a pendant edge at vertex p % n for each p in picks, then
+    with vertex delete % n deleted unless delete is None."""
+    out = isolated(0, r)
+    for picks, delete in parts:
+        hg = loose_path(r, 1).hg
+        for p in picks:
+            hg = attach_pendant(hg, p % hg.n)
+        if delete is not None:
+            hg = hg.delete_vertex(delete % hg.n)
+        out = disjoint_union(out, hg)
+    return out
+
+
+@st.composite
+def superforest_relatives(draw, max_n=8):
+    """(a, a relabelled, b relabelled) on at most max_n vertices, where b
+    has parts of a's sizes grown at other vertices. The vertices picked
+    come from a drawn seed, so that shapes vary evenly."""
+    r = draw(st.sampled_from((2, 3)))  # with n <= 8, r >= 4 has one shape per edge count
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = []
+    room = max_n
+    while room >= r and (not sizes or draw(st.booleans())):
+        most = (room - 1) // (r - 1)
+        sizes.append((most + 1 - draw(st.integers(1, most)), draw(st.booleans())))  # large first
+        room -= sizes[-1][0] * (r - 1) + 1
+
+    def grown():
+        return grown_superforest(r, [
+            ([rng.randrange(max_n) for _ in range(k - 1)], rng.randrange(max_n) if deleted else None)
+            for k, deleted in sizes
+        ])
+
+    def shuffled(hg):
+        return relabel(hg, rng.sample(range(hg.n), hg.n))
+
+    a = grown()
+    return a, shuffled(a), shuffled(grown())
+
+
+# r = 5, 25 vertices: a hard case for search-based isomorphism tests,
+# one of which took 119 ms on it against a relabelled copy
+_R5_N25 = build(5, 25, [
+    (0, 1, 2, 3, 4), (0, 21, 22, 23, 24), (4, 5, 6, 7, 8),
+    (5, 17, 18, 19, 20), (6, 13, 14, 15, 16), (7, 9, 10, 11, 12),
+])
 
 
 class TestBuild:
@@ -228,6 +309,21 @@ class TestIsomorphism:
         star = build(2, 4, [[0, 1], [0, 2], [0, 3]])
         assert not are_isomorphic(path, star)
 
+    def test_counts_equal_branches(self):
+        # vertex 0, the centre, with three branches of five vertices and
+        # height three: two of one kind and one of the other, or the reverse
+        def centre_with(kinds):
+            edges = []
+            for i, kind in enumerate(kinds):
+                v, a, b, c, d = range(1 + 5 * i, 6 + 5 * i)
+                edges += [[0, v], [v, a], [a, b], [v, c]]
+                edges.append([c, d] if kind == "forked" else [v, d])
+            return build(2, 16, edges)
+
+        g = centre_with(["forked", "forked", "broom"])
+        h = centre_with(["forked", "broom", "broom"])
+        assert not are_isomorphic(g, h)
+
     def test_triple_pendant_premise_pair_not_isomorphic(self):
         # cospectral but distinguishable by branch-vertex spacing
         for r in (2, 3):
@@ -261,6 +357,43 @@ class TestIsomorphism:
             if are_isomorphic(a, b) and are_isomorphic(b, c):
                 assert are_isomorphic(a, c)
         assert are_isomorphic(zoo[0], zoo[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(superforest_relatives())
+    def test_agrees_with_brute_force(self, relatives):
+        a, copy, other = relatives
+        assert are_isomorphic(a, copy) and brute_force_isomorphic(a, copy)
+        assert are_isomorphic(a, other) == brute_force_isomorphic(a, other)
+
+    @pytest.mark.parametrize(
+        "hg",
+        [
+            random_supertree(2, 300, random.Random(2)),
+            random_supertree(3, 300, random.Random(3)),
+            random_supertree(5, 300, random.Random(5)),
+            loose_path(2, 3000).hg,  # far deeper than the recursion limit
+            _R5_N25,
+        ],
+        ids=["random-r2-m300", "random-r3-m300", "random-r5-m300", "loose-path-r2-m3000", "r5-n25"],
+    )
+    def test_relabeling_invariance_at_scale(self, hg):
+        perm = list(range(hg.n))
+        random.Random(hg.n).shuffle(perm)
+        other = relabel(hg, perm)
+        assert are_isomorphic(hg, other) and are_isomorphic(other, hg)
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_moved_pendant_edge_at_scale(self, r):
+        tree = random_supertree(r, 299, random.Random(r))
+        leaves = [v for v in range(tree.n) if tree.degree(v) == 1]
+        g = attach_pendant(tree, leaves[0])
+        # the first leaf whose phi differs, which proves non-isomorphism
+        h = next(
+            h for h in (attach_pendant(tree, v) for v in leaves[1:])
+            if matching_polynomial(h) != matching_polynomial(g)
+        )
+        assert not are_isomorphic(g, h)
+        assert not are_isomorphic(h, relabel(g, list(reversed(range(g.n)))))
 
     @settings(max_examples=30)
     @given(supertrees_with_vertex(max_edges=5))

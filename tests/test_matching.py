@@ -20,6 +20,7 @@ from conftest import (
 from hypermatch import (
     HypergraphError,
     MatchingTable,
+    are_isomorphic,
     PolynomialShapeError,
     SparsePolynomial,
     bridge,
@@ -180,10 +181,15 @@ class TestSuperforestRequirement:
     )
     def test_cycle_raises_and_names_the_oracle(self, r, n, edges):
         hg = build(r, n, edges)
-        # the spectral radius has its own pass, with the same rule
-        for compute in (matching_polynomial, spectral_radius, spectral_summary):
-            with pytest.raises(HypergraphError, match="matching_polynomial_oracle"):
+        # the spectral radius and isomorphism have their own passes, with
+        # the same rule and one message
+        messages = set()
+        for compute in (matching_polynomial, spectral_radius, spectral_summary,
+                        lambda hg: are_isomorphic(hg, hg)):
+            with pytest.raises(HypergraphError, match="matching_polynomial_oracle") as info:
                 compute(hg)
+            messages.add(str(info.value))
+        assert len(messages) == 1 and "are_isomorphic" in messages.pop()
         # a cyclic input is never cached, so it raises every time
         with pytest.raises(HypergraphError):
             matching_polynomial(hg)
@@ -195,9 +201,12 @@ class TestSuperforestRequirement:
         acyclic = hg.num_edges * (hg.r - 1) == hg.n - len(hg.component_vertex_sets())
         if acyclic:
             assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
+            assert are_isomorphic(hg, hg)
         else:
             with pytest.raises(HypergraphError):
                 matching_polynomial(hg)
+            with pytest.raises(HypergraphError):
+                are_isomorphic(hg, hg)
 
 
 class TestLargeInputs:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from conftest import assert_top_root_exact, pendant_edges, supertrees
 from hypermatch import (
     HypergraphError,
+    RootFindingError,
     SparsePolynomial,
     default_tol,
     disjoint_union,
@@ -178,6 +179,12 @@ class TestMatchingEnergy:
         assert matching_energy(disjoint_union(g, h)) == pytest.approx(
             matching_energy(g) + matching_energy(h), abs=1e-9
         )
+
+    def test_overflow_raises_root_finding_error(self):
+        # q of degree 500 overflows a float in the Newton polish
+        with pytest.raises(RootFindingError, match="overflows") as info:
+            matching_energy(loose_path(2, 1000).hg)
+        assert isinstance(info.value.__cause__, OverflowError)
 
     def test_agrees_with_full_root_sum(self):
         rng = random.Random(17)
