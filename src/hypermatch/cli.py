@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
-        p.add_argument("--tol", type=float, default=None, help="root-finding tolerance for me and --summary (default: HG_TOL or 1e-10)")
+        p.add_argument("--tol", type=float, default=None, help="root-finding tolerance for me and rho --summary (default: HG_TOL or 1e-10)")
         p.add_argument("--summary", action="store_true", help="print the full spectral summary JSON")
 
     p = sub.add_parser("cospectral", help="compare matching polynomials of two files")
@@ -118,6 +118,9 @@ def _cmd_matchpoly(args) -> int:
 
 
 def _cmd_scalar(args, which: str) -> int:
+    if which == "rho" and args.tol is not None and not args.summary:
+        raise ValueError("rho takes --tol only with --summary: the spectral radius "
+                         "is accurate to the last bits of a float")
     hg = _load_hypergraph(args.file)
     tol = args.tol if args.tol is not None else default_tol()
     if args.summary:
@@ -140,13 +143,11 @@ def _cmd_cospectral(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    kwargs = {"r_list": tuple(args.r), "seed": args.seed, "tol": args.tol}
-    if args.name == "coalesce":
-        kwargs.update(trials=args.trials, chain_m_max=args.m_max)
-    elif args.name == "bridge":
-        kwargs.update(trials=args.trials, m_max=args.m_max)
-    else:
+    kwargs = {"r_list": tuple(args.r), "tol": args.tol}
+    if args.name == "path-w":
         kwargs.update(m_range=args.m_range, n_range=args.n_range)
+    else:
+        kwargs.update(seed=args.seed, trials=args.trials, m_max=args.m_max)
     report = run_suite(args.name, **kwargs)
     print(report.human_table())
     if args.json_path:

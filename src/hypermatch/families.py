@@ -138,13 +138,14 @@ def family_z(r: int, size: int) -> Anchored:
 
 # -- declarative construction specs (CLI surface) -------------------------
 
-_FAMILY_ARITY = {
-    "LoosePath": 1,
-    "T": 2,
-    "Q": 3,
-    "R": 4,
-    "W": 1,
-    "Z": 1,
+# family name -> (constructor, number of parameters after r)
+_FAMILIES = {
+    "LoosePath": (loose_path, 1),
+    "T": (family_t, 2),
+    "Q": (family_q, 3),
+    "R": (family_r, 4),
+    "W": (family_w, 1),
+    "Z": (family_z, 1),
 }
 
 
@@ -157,36 +158,18 @@ class ConstructionSpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILY_ARITY:
+        if self.family not in _FAMILIES:
             raise HypergraphError(
-                f"unknown family {self.family!r}; choose from {sorted(_FAMILY_ARITY)}"
+                f"unknown family {self.family!r}; choose from {sorted(_FAMILIES)}"
             )
-        arity = _FAMILY_ARITY[self.family]
+        arity = _FAMILIES[self.family][1]
         if len(self.params) != arity:
             raise HypergraphError(
                 f"family {self.family} takes {arity} parameter(s), got {len(self.params)}"
             )
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstructionSpec":
-        return cls(str(data["family"]), int(data["r"]), tuple(int(p) for p in data["params"]))
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "r": self.r, "params": list(self.params)}
-
     def build(self) -> Anchored:
-        p = self.params
-        if self.family == "LoosePath":
-            return loose_path(self.r, *p)
-        if self.family == "T":
-            return family_t(self.r, *p)
-        if self.family == "Q":
-            return family_q(self.r, *p)
-        if self.family == "R":
-            return family_r(self.r, *p)
-        if self.family == "W":
-            return family_w(self.r, *p)
-        return family_z(self.r, *p)
+        return _FAMILIES[self.family][0](self.r, *self.params)
 
 
 # -- gluing operations -----------------------------------------------------

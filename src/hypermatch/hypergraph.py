@@ -113,9 +113,6 @@ class UniformHypergraph:
                 raise HypergraphError(f"edge {list(e)} not present")
         return UniformHypergraph(self.r, self.n, tuple(e for e in self.edges if e not in gone))
 
-    def disjoint_union(self, other: "UniformHypergraph") -> "UniformHypergraph":
-        return disjoint_union(self, other)
-
     # -- connectivity ---------------------------------------------------
 
     def _vertex_adjacency(self) -> list[list[int]]:

@@ -66,29 +66,6 @@ def matching_counts(hg: UniformHypergraph) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class MatchingTable:
-    """The counts m(H,0), ..., m(H,nu)."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def nu(self) -> int:
-        return len(self.counts) - 1
-
-    @classmethod
-    def from_hypergraph(cls, hg: UniformHypergraph) -> "MatchingTable":
-        return cls(tuple(matching_counts(hg)))
-
-    @classmethod
-    def from_polynomial(cls, phi: SparsePolynomial, r: int, n: int) -> "MatchingTable":
-        red = reduce_polynomial(phi, r, n)
-        counts = tuple(
-            (-1) ** k * red.q.coefficient(red.nu - k) for k in range(red.nu + 1)
-        )
-        return cls(counts)
-
-
 def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     """phi by brute-force matching enumeration. Intended for small inputs."""
     counts = matching_counts(hg)

@@ -49,10 +49,6 @@ class SparsePolynomial:
     def x_power(cls, exp: int) -> "SparsePolynomial":
         return cls({exp: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coef: int) -> "SparsePolynomial":
-        return cls({exp: coef})
-
     # -- inspection ----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -285,13 +285,18 @@ def spectral_radius(hg: UniformHypergraph) -> float:
             lo = x
 
 
+def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
+    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r)."""
+    if not hg.edges:
+        return (), 0.0
+    red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
+    q_roots = tuple(roots(red.q, tol))
+    return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
+
+
 def matching_energy(hg: UniformHypergraph, tol: float | None = None) -> float:
     """Sum of |x_i| over all roots of phi, computed from the reduced q."""
-    tol = default_tol() if tol is None else tol
-    if not hg.edges:
-        return 0.0
-    red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
-    return hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in roots(red.q, tol))
+    return _q_roots_and_energy(hg, default_tol() if tol is None else tol)[1]
 
 
 def matching_energy_from_phi(hg: UniformHypergraph, tol: float | None = None) -> float:
@@ -334,11 +339,7 @@ class SpectralSummary:
 def spectral_summary(hg: UniformHypergraph, tol: float | None = None) -> SpectralSummary:
     """rho from the tree recursion; phi, q and the roots of q once, for ME."""
     tol = default_tol() if tol is None else tol
-    if not hg.edges:
-        return SpectralSummary(rho=0.0, me=0.0, q_roots=(), tol=tol)
-    red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
-    q_roots = tuple(roots(red.q, tol))
-    me = hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
+    q_roots, me = _q_roots_and_energy(hg, tol)
     return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=tol)
 
 
@@ -369,12 +370,13 @@ def _char_poly_exact(neighbours: list[list[int]]) -> SparsePolynomial:
 
 
 def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
-    """Adjacency characteristic polynomial of an ordinary forest (r = 2).
+    """Adjacency characteristic polynomial of an ordinary forest (r = 2,
+    or no edges at all, whatever r is declared).
 
     Computed independently of the matching machinery, as an exact second
     oracle: for forests it coincides with the matching polynomial.
     """
-    if hg.r != 2:
+    if hg.r != 2 and hg.edges:
         raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
     out = SparsePolynomial.one()
     for comp in hg.components():

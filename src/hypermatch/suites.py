@@ -1,12 +1,15 @@
 """Cospectrality suites: machine-checked runs of the coalescence,
 bridging, and path/double-pendant constructions.
 
-Each suite builds both sides of an identity, compares matching
-polynomials exactly, and re-derives spectral radius and matching energy
-numerically per side. Suites are deterministic given (seed, ranges); the
-JSON serialization of a report is byte-for-byte reproducible (elapsed
-time is reported in the human table only). Failing cases carry a
-reproduction command.
+Each suite builds both sides of an identity and hands them to
+`check_cospectral`, which decides the case: matching polynomials equal
+exactly, spectral radius and matching energy (computed per side) equal
+to 10 * tol, and for r = 2 the exact adjacency characteristic
+polynomials equal too. A suite then ANDs its own conditions into the
+case's verdict. Suites are deterministic given (seed, ranges); the JSON
+serialization of a report is byte-for-byte reproducible (elapsed time is
+reported in the human table only). Failing cases carry a reproduction
+command.
 """
 
 from __future__ import annotations
@@ -86,17 +89,27 @@ def _case_name(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params))
 
 
+def _close(a: float, b: float, tol: float | None) -> bool:
+    return abs(a - b) <= 10 * (default_tol() if tol is None else tol)
+
+
 def check_cospectral(
     lhs: UniformHypergraph,
     rhs: UniformHypergraph,
     tol: float | None = None,
     check_isomorphism: bool = False,
 ) -> dict:
-    """One cospectrality case: exact phi comparison plus numeric spectral
-    radius and matching energy on each side (independent runs)."""
+    """One decided cospectrality case: exact phi comparison plus spectral
+    radius and matching energy computed on each side.
+
+    "passed" holds when phi is equal and rho and ME each agree to
+    10 * tol. For r = 2 (the r of whichever side has edges) the exact
+    adjacency characteristic polynomials are compared as well, as
+    "char_equal", and must be equal too. Callers AND their own
+    conditions into "passed".
+    """
     if lhs.edges and rhs.edges and lhs.r != rhs.r:
         raise HypergraphError(f"cannot compare edge sizes {lhs.r} and {rhs.r}")
-    tol = default_tol() if tol is None else tol
     phi_l = matching_polynomial(lhs)
     phi_r = matching_polynomial(rhs)
     case = {
@@ -111,14 +124,15 @@ def check_cospectral(
     }
     if check_isomorphism:
         case["isomorphic"] = are_isomorphic(lhs, rhs)
-    return case
-
-
-def _numeric_close(case: dict, threshold: float) -> bool:
-    return (
-        abs(case["rho_lhs"] - case["rho_rhs"]) <= threshold
-        and abs(case["me_lhs"] - case["me_rhs"]) <= threshold
+    if (lhs if lhs.edges else rhs).r == 2:
+        case["char_equal"] = tree_char_poly(lhs) == tree_char_poly(rhs)
+    case["passed"] = (
+        case["phi_equal"]
+        and case.get("char_equal", True)
+        and _close(case["rho_lhs"], case["rho_rhs"], tol)
+        and _close(case["me_lhs"], case["me_rhs"], tol)
     )
+    return case
 
 
 def _finalize(report: SuiteReport, repro_base: str, started: float) -> SuiteReport:
@@ -147,20 +161,17 @@ def suite_coalesce(
     trials: int = 25,
     seed: int = 0,
     tol: float | None = None,
-    chain_m_max: int = 4,
+    m_max: int = 4,
 ) -> SuiteReport:
     """Shared-vertex gluings of the premise pair.
 
-    Per r: (a) premise verification (equal phi, equal phi after deleting
-    the anchor, anchor-deleted sides isomorphic, the pair itself not
-    isomorphic); (b) sampled gluings onto random supertrees; (c) the full
-    chain of mixed shared-vertex powers up to chain_m_max copies. For
-    r = 2 every comparison is additionally run through the exact
-    adjacency characteristic polynomial.
+    Per r: (a) premise verification (a cospectral case whose anchor-
+    deleted sides have equal phi and are isomorphic, while the pair
+    itself is not isomorphic); (b) sampled gluings onto random
+    supertrees; (c) the full chain of mixed shared-vertex powers up to
+    m_max copies.
     """
     started = time.perf_counter()
-    tol = default_tol() if tol is None else tol
-    threshold = 10 * tol
     rng = random.Random(seed)
     report = SuiteReport("coalesce")
     report.notes.append(
@@ -177,15 +188,11 @@ def suite_coalesce(
         case["deleted_phi_equal"] = matching_polynomial(g_del) == matching_polynomial(h_del)
         case["deleted_isomorphic"] = are_isomorphic(g_del, h_del)
         case["passed"] = (
-            case["phi_equal"]
+            case["passed"]
             and case["deleted_phi_equal"]
             and case["deleted_isomorphic"]
             and not case["isomorphic"]
-            and _numeric_close(case, threshold)
         )
-        if r == 2:
-            case["char_equal"] = tree_char_poly(g) == tree_char_poly(h)
-            case["passed"] = case["passed"] and case["char_equal"]
         report.cases.append(case)
 
         for trial in range(trials):
@@ -204,30 +211,20 @@ def suite_coalesce(
                 "gamma_edges": gamma.num_edges,
                 "w": w,
             }
-            case["passed"] = case["phi_equal"] and _numeric_close(case, threshold)
-            if r == 2:
-                case["char_equal"] = tree_char_poly(lhs) == tree_char_poly(rhs)
-                case["passed"] = case["passed"] and case["char_equal"]
             report.cases.append(case)
 
-        for m in range(1, chain_m_max + 1):
+        for m in range(1, m_max + 1):
             chain = [
                 coalesce_mixed(g, u, k, h, v, m - k) for k in range(m + 1)
             ]
             for k in range(m):
                 case = check_cospectral(chain[k], chain[k + 1], tol)
                 case["params"] = {"part": "chain", "r": r, "m": m, "k": k}
-                case["passed"] = case["phi_equal"] and _numeric_close(case, threshold)
-                if r == 2:
-                    case["char_equal"] = (
-                        tree_char_poly(chain[k]) == tree_char_poly(chain[k + 1])
-                    )
-                    case["passed"] = case["passed"] and case["char_equal"]
                 report.cases.append(case)
 
     repro = (
         f"hypermatch suite --name coalesce --r {','.join(str(r) for r in sorted(r_list))}"
-        f" --seed {seed} --trials {trials} --m-max {chain_m_max}"
+        f" --seed {seed} --trials {trials} --m-max {m_max}"
     )
     return _finalize(report, repro, started)
 
@@ -261,14 +258,11 @@ def suite_bridge(
     """Bridged gluings of random supertree pairs.
 
     For each sampled (G, H, u, v) and each copy count m <= m_max the two
-    padded unions must have identical matching polynomials (and for
-    r = 2 identical adjacency characteristic polynomials), the closed
-    form must match, and the two connected bridged objects must agree in
+    padded unions must be a passing cospectral case, their phi must match
+    the closed form, and the two connected bridged objects must agree in
     spectral radius.
     """
     started = time.perf_counter()
-    tol = default_tol() if tol is None else tol
-    threshold = 10 * tol
     rng = random.Random(seed)
     report = SuiteReport("bridge")
 
@@ -302,16 +296,10 @@ def suite_bridge(
                 case["rho_bridged_lhs"] = spectral_radius(bridged_gh)
                 case["rho_bridged_rhs"] = spectral_radius(bridged_hg)
                 case["passed"] = (
-                    case["phi_equal"]
+                    case["passed"]
                     and case["closed_form_equal"]
-                    and _numeric_close(case, threshold)
-                    and abs(case["rho_bridged_lhs"] - case["rho_bridged_rhs"]) <= threshold
+                    and _close(case["rho_bridged_lhs"], case["rho_bridged_rhs"], tol)
                 )
-                if r == 2:
-                    case["char_equal"] = (
-                        tree_char_poly(union_l) == tree_char_poly(union_r)
-                    )
-                    case["passed"] = case["passed"] and case["char_equal"]
                 report.cases.append(case)
 
     repro = (
@@ -325,7 +313,6 @@ def suite_path_w(
     r_list=DEFAULT_RS,
     m_range: tuple[int, int] = (6, 10),
     n_range: tuple[int, int] = (6, 10),
-    seed: int = 0,
     tol: float | None = None,
 ) -> SuiteReport:
     """The swap family: a loose path of length m-5 next to a
@@ -333,8 +320,6 @@ def suite_path_w(
     swap. Exhaustive over the given (m, n) grid; pairs with m != n must
     additionally be non-isomorphic."""
     started = time.perf_counter()
-    tol = default_tol() if tol is None else tol
-    threshold = 10 * tol
     report = SuiteReport("path-w")
 
     for r in sorted(r_list):
@@ -344,19 +329,12 @@ def suite_path_w(
                 rhs = disjoint_union(loose_path(r, n - 5).hg, family_w(r, m - 1).hg)
                 case = check_cospectral(lhs, rhs, tol, check_isomorphism=True)
                 case["params"] = {"part": "swap", "r": r, "m": m, "n": n}
-                case["passed"] = (
-                    case["phi_equal"]
-                    and _numeric_close(case, threshold)
-                    and case["isomorphic"] == (m == n)
-                )
-                if r == 2:
-                    case["char_equal"] = tree_char_poly(lhs) == tree_char_poly(rhs)
-                    case["passed"] = case["passed"] and case["char_equal"]
+                case["passed"] = case["passed"] and case["isomorphic"] == (m == n)
                 report.cases.append(case)
 
     repro = (
         f"hypermatch suite --name path-w --r {','.join(str(r) for r in sorted(r_list))}"
-        f" --seed {seed} --m-range {m_range[0]}:{m_range[1]}"
+        f" --m-range {m_range[0]}:{m_range[1]}"
         f" --n-range {n_range[0]}:{n_range[1]}"
     )
     return _finalize(report, repro, started)

@@ -128,6 +128,17 @@ class TestScalars:
         assert out == ""
         assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
 
+    def test_rho_rejects_tol_without_summary(self, tmp_path, capsys):
+        path = construct_file(tmp_path, capsys, "p1.json", "LoosePath", 4, "1")
+        code, out, err = run(capsys, "rho", str(path), "--tol", "1e-6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--tol" in err
+        code, out, _ = run(capsys, "rho", str(path), "--summary", "--tol", "1e-6")
+        assert code == 0
+        assert json.loads(out)["tol"] == pytest.approx(1e-6)
+        assert run(capsys, "me", str(path), "--tol", "1e-6")[0] == 0
+
     def test_summary_json(self, tmp_path, capsys):
         path = construct_file(tmp_path, capsys, "w5.json", "W", 3, "5")
         code, out, _ = run(capsys, "rho", str(path), "--summary")

@@ -151,9 +151,16 @@ class TestConstructionSpec:
         spec = ConstructionSpec("R", 3, (1, 1, 2, 4))
         assert spec.build().hg == family_r(3, 1, 1, 2, 4).hg
 
-    def test_json_round_trip(self):
-        spec = ConstructionSpec("W", 4, (6,))
-        assert ConstructionSpec.from_json_dict(spec.to_json_dict()) == spec
+    @pytest.mark.parametrize("family, params, direct", [
+        ("LoosePath", (3,), lambda: loose_path(4, 3)),
+        ("T", (1, 2), lambda: family_t(4, 1, 2)),
+        ("Q", (1, 2, 1), lambda: family_q(4, 1, 2, 1)),
+        ("R", (1, 3, 1, 3), lambda: family_r(4, 1, 3, 1, 3)),
+        ("W", (6,), lambda: family_w(4, 6)),
+        ("Z", (4,), lambda: family_z(4, 4)),
+    ])
+    def test_every_family_builds_with_its_constructor(self, family, params, direct):
+        assert ConstructionSpec(family, 4, params).build() == direct()
 
     def test_arity_checked(self):
         with pytest.raises(HypergraphError, match="parameter"):

@@ -19,7 +19,6 @@ from conftest import (
 )
 from hypermatch import (
     HypergraphError,
-    MatchingTable,
     are_isomorphic,
     PolynomialShapeError,
     SparsePolynomial,
@@ -90,18 +89,20 @@ class TestCounting:
         assert matching_counts(loose_path(3, 1).hg) == [1, 1]
         assert len(matching_counts(family_w(3, 6).hg)) == 3
 
-    def test_table_invariants(self):
+    def test_count_invariants(self):
         hg = family_w(3, 7).hg
-        table = MatchingTable.from_hypergraph(hg)
-        assert table.counts[0] == 1
-        assert table.counts[1] == hg.num_edges
-        assert table.counts[table.nu] >= 1
-        assert list(table.counts) == matching_counts(hg)
+        counts = matching_counts(hg)
+        assert counts[0] == 1
+        assert counts[1] == hg.num_edges
+        assert counts[-1] >= 1
 
-    def test_table_from_polynomial(self):
+    def test_counts_are_phi_coefficients(self):
+        # phi = sum_k (-1)^k m(H,k) x^(n - k r), and nothing else
         hg = family_w(3, 7).hg
-        phi = matching_polynomial(hg)
-        assert MatchingTable.from_polynomial(phi, hg.r, hg.n) == MatchingTable.from_hypergraph(hg)
+        counts = matching_counts(hg)
+        assert dict(matching_polynomial(hg).terms()) == {
+            hg.n - k * hg.r: (-1) ** k * c for k, c in enumerate(counts)
+        }
 
 
 class TestNamedPolynomials:

@@ -14,6 +14,7 @@ from hypermatch import (
     SparsePolynomial,
     default_tol,
     disjoint_union,
+    family_r,
     family_w,
     isolated,
     largest_real_root,
@@ -209,6 +210,19 @@ class TestSpectralSummary:
         s = spectral_summary(isolated(2))
         assert (s.rho, s.me, s.q_roots) == (0.0, 0.0, ())
 
+    def test_roots_found_once_and_me_agrees(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        real_roots = spectra.roots
+        monkeypatch.setattr(
+            spectra, "roots", lambda q, tol=None: calls.append(q) or real_roots(q, tol)
+        )
+        hg = family_r(3, 1, 1, 2, 4).hg
+        s = spectral_summary(hg)
+        assert len(calls) == 1
+        assert s.me == matching_energy(hg)
+
 
 class TestTreeCharPoly:
     def test_single_edge(self):
@@ -231,6 +245,9 @@ class TestTreeCharPoly:
     def test_requires_r2(self):
         with pytest.raises(HypergraphError):
             tree_char_poly(loose_path(3, 1).hg)
+
+    def test_edgeless_input_of_any_r(self):
+        assert tree_char_poly(isolated(3, 4)) == SparsePolynomial.x_power(3)
 
     def test_requires_forest(self):
         from hypermatch import build

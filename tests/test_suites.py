@@ -1,5 +1,6 @@
 """Suite harness: correctness, determinism, and failure reporting."""
 
+import itertools
 import json
 import time
 
@@ -7,9 +8,11 @@ import pytest
 
 from hypermatch import (
     HypergraphError,
+    SparsePolynomial,
     check_cospectral,
     disjoint_union,
     family_w,
+    isolated,
     loose_path,
     run_suite,
     suite_bridge,
@@ -19,6 +22,15 @@ from hypermatch import (
 from hypermatch.suites import SuiteReport, _finalize
 
 
+@pytest.fixture
+def disagreeing_char_poly(monkeypatch):
+    """A characteristic-polynomial oracle that never agrees with itself."""
+    fresh = itertools.count()
+    monkeypatch.setattr(
+        "hypermatch.suites.tree_char_poly", lambda hg: SparsePolynomial({0: next(fresh)})
+    )
+
+
 class TestCheckCospectral:
     def test_self_comparison(self):
         hg = family_w(3, 5).hg
@@ -26,6 +38,8 @@ class TestCheckCospectral:
         assert case["phi_equal"]
         assert case["isomorphic"]
         assert case["rho_lhs"] == case["rho_rhs"]
+        assert case["passed"] is True
+        assert "char_equal" not in case  # only r = 2 has the char-poly oracle
 
     def test_known_pair(self):
         r = 3
@@ -36,10 +50,25 @@ class TestCheckCospectral:
         assert not case["isomorphic"]
         assert abs(case["rho_lhs"] - case["rho_rhs"]) < 1e-9
         assert abs(case["me_lhs"] - case["me_rhs"]) < 1e-9
+        assert case["passed"]
 
     def test_unequal_sizes(self):
         case = check_cospectral(loose_path(3, 1).hg, loose_path(3, 2).hg)
         assert not case["phi_equal"]
+        assert case["passed"] is False
+
+    @pytest.mark.usefixtures("disagreeing_char_poly")
+    def test_r2_char_poly_mismatch_fails(self):
+        hg = family_w(2, 5).hg
+        case = check_cospectral(hg, hg)
+        assert case["phi_equal"]
+        assert case["char_equal"] is False
+        assert case["passed"] is False
+
+    def test_r_comes_from_the_side_with_edges(self):
+        case = check_cospectral(isolated(2, 3), loose_path(2, 1).hg)
+        assert case["char_equal"] is False
+        assert case["passed"] is False
 
     def test_mismatched_r_rejected(self):
         with pytest.raises(HypergraphError):
@@ -48,7 +77,7 @@ class TestCheckCospectral:
 
 class TestSuites:
     def test_coalesce_small(self):
-        report = suite_coalesce(r_list=(2, 3), trials=3, seed=1, chain_m_max=2)
+        report = suite_coalesce(r_list=(2, 3), trials=3, seed=1, m_max=2)
         assert report.passed
         parts = {c["params"]["part"] for c in report.cases}
         assert parts == {"premise", "gluing", "chain"}
@@ -75,6 +104,17 @@ class TestSuites:
     def test_r2_cases_carry_char_poly_check(self):
         report = suite_path_w(r_list=(2,), m_range=(6, 7), n_range=(6, 7))
         assert all(c["char_equal"] for c in report.cases)
+
+    @pytest.mark.usefixtures("disagreeing_char_poly")
+    def test_char_poly_mismatch_fails_the_suite(self):
+        report = suite_path_w(r_list=(2,), m_range=(6, 6), n_range=(6, 7))
+        assert not report.passed
+        assert all(c["char_equal"] is False and not c["passed"] for c in report.cases)
+        assert report.cases[0]["repro"] == (
+            "hypermatch suite --name path-w --r 2 --m-range 6:6 --n-range 6:7"
+            ' # failing case: {"m": 6, "n": 6, "part": "swap", "r": 2}'
+        )
+        assert "suite path-w: FAIL" in report.human_table()
 
     def test_run_suite_dispatch(self):
         report = run_suite("path-w", r_list=(3,), m_range=(6, 6), n_range=(6, 7))
