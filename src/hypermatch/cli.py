@@ -2,8 +2,9 @@
 
 Subcommands: construct | matchpoly | rho | me | cospectral | suite.
 Exit codes: 0 success (for `cospectral`: the polynomials are equal),
-1 checked-and-unequal / suite failure, 2 usage or input error, or a
-root-finding failure.
+1 checked-and-unequal / suite failure, 2 usage or input error (an
+invalid HG_TOL too) or a root-finding failure. The HG_TOL environment
+variable (default 1e-10) is the one tolerance setting.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import json
 import sys
 
 from .families import ConstructionSpec
-from .hypergraph import HypergraphError, UniformHypergraph
+from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size
 from .matching import matching_polynomial, matching_polynomial_oracle
 from .polynomial import PolynomialShapeError
-from .spectra import RootFindingError, default_tol, matching_energy, spectral_radius, spectral_summary
+from .spectra import RootFindingError, matching_energy, spectral_radius, spectral_summary
 from .suites import SUITES, run_suite
 
 
@@ -61,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hypermatch",
         description="Matching polynomials, spectral radius, and matching "
         "energy of r-uniform supertrees; cospectral-family verification.",
+        epilog="The HG_TOL environment variable sets the relative tolerance "
+        "of root finding and of the suites' numeric comparisons (default 1e-10).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -77,18 +80,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("rho", "spectral radius of a hypergraph JSON file"),
-        ("me", "matching energy of a hypergraph JSON file"),
+        ("me", "matching energy of a hypergraph JSON file (roots found to HG_TOL)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
-        p.add_argument("--tol", type=float, default=None, help="root-finding tolerance for me and rho --summary (default: HG_TOL or 1e-10)")
         p.add_argument("--summary", action="store_true", help="print the full spectral summary JSON")
 
     p = sub.add_parser("cospectral", help="compare matching polynomials of two files")
     p.add_argument("lhs")
     p.add_argument("rhs")
 
-    p = sub.add_parser("suite", help="run a deterministic verification suite")
+    p = sub.add_parser("suite", help="run a deterministic verification suite "
+                       "(rho and ME must agree to 10 * HG_TOL)")
     p.add_argument("--name", required=True, choices=sorted(SUITES))
     p.add_argument("--r", type=_int_list, default=[2, 3, 4, 5], help="edge sizes, e.g. 2,3,4")
     p.add_argument("--seed", type=int, default=0)
@@ -96,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--m-range", type=_int_range, default=(6, 10))
     p.add_argument("--n-range", type=_int_range, default=(6, 10))
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
     return top
 
@@ -118,15 +120,11 @@ def _cmd_matchpoly(args) -> int:
 
 
 def _cmd_scalar(args, which: str) -> int:
-    if which == "rho" and args.tol is not None and not args.summary:
-        raise ValueError("rho takes --tol only with --summary: the spectral radius "
-                         "is accurate to the last bits of a float")
     hg = _load_hypergraph(args.file)
-    tol = args.tol if args.tol is not None else default_tol()
     if args.summary:
-        print(json.dumps(spectral_summary(hg, tol).to_json_dict(), indent=2))
+        print(json.dumps(spectral_summary(hg).to_json_dict(), indent=2))
     else:
-        value = spectral_radius(hg) if which == "rho" else matching_energy(hg, tol)
+        value = spectral_radius(hg) if which == "rho" else matching_energy(hg)
         print(f"{value:.15g}")
     return 0
 
@@ -134,8 +132,7 @@ def _cmd_scalar(args, which: str) -> int:
 def _cmd_cospectral(args) -> int:
     lhs = _load_hypergraph(args.lhs)
     rhs = _load_hypergraph(args.rhs)
-    if lhs.edges and rhs.edges and lhs.r != rhs.r:
-        raise HypergraphError(f"edge sizes differ: {lhs.r} vs {rhs.r}")
+    _shared_edge_size(lhs, rhs)  # raises HypergraphError if the edge sizes differ
     equal = matching_polynomial(lhs) == matching_polynomial(rhs)
     print("cospectral: matching polynomials are "
           + ("identical" if equal else "different"))
@@ -143,7 +140,7 @@ def _cmd_cospectral(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    kwargs = {"r_list": tuple(args.r), "tol": args.tol}
+    kwargs = {"r_list": tuple(args.r)}
     if args.name == "path-w":
         kwargs.update(m_range=args.m_range, n_range=args.n_range)
     else:

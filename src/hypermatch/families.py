@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .hypergraph import HypergraphError, UniformHypergraph, disjoint_union, isolated
+from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size, disjoint_union, isolated
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def coalesce(
     g keeps its labels (the merged vertex stays at index u); h's other
     vertices follow order-preservingly at indices g.n and up.
     """
-    if g.edges and h.edges and g.r != h.r:
-        raise HypergraphError(f"cannot coalesce edge sizes {g.r} and {h.r}")
+    r = _shared_edge_size(g, h)
     g._check_vertex(u)
     h._check_vertex(v)
     remap = {}
@@ -195,7 +194,6 @@ def coalesce(
         else:
             remap[w] = nxt
             nxt += 1
-    r = g.r if g.edges else (h.r if h.edges else g.r)
     edges = list(g.edges) + [tuple(remap[w] for w in e) for e in h.edges]
     return UniformHypergraph(r, g.n + h.n - 1, tuple(edges))
 
@@ -239,11 +237,9 @@ def bridge(
     """
     if m < 1:
         raise HypergraphError(f"copy count must be >= 1, got {m}")
-    if g.edges and h.edges and g.r != h.r:
-        raise HypergraphError(f"cannot bridge edge sizes {g.r} and {h.r}")
+    r = _shared_edge_size(g, h)
     g._check_vertex(u)
     h._check_vertex(v)
-    r = g.r if g.edges else (h.r if h.edges else g.r)
     edges = list(g.edges)
     internal_base = g.n + m * h.n
     for i in range(m):

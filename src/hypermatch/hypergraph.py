@@ -202,15 +202,19 @@ def isolated(n: int, r: int = 2) -> UniformHypergraph:
     return UniformHypergraph(r, n, ())
 
 
-def disjoint_union(g: UniformHypergraph, h: UniformHypergraph) -> UniformHypergraph:
-    """Disjoint union; h's vertices are shifted up by g.n.
-
-    Edge sizes must agree unless a side is edgeless, in which case the
-    uniformity of the other side wins.
-    """
+def _shared_edge_size(g: UniformHypergraph, h: UniformHypergraph) -> int:
+    """The edge size of anything built from g and h: theirs, which must
+    agree unless a side is edgeless; then the other side's (g's if both
+    are). Raises HypergraphError if the two sides' edge sizes differ."""
     if g.edges and h.edges and g.r != h.r:
-        raise HypergraphError(f"cannot union edge sizes {g.r} and {h.r}")
-    r = g.r if g.edges else (h.r if h.edges else g.r)
+        raise HypergraphError(f"edge sizes differ: {g.r} vs {h.r}")
+    return h.r if h.edges else g.r
+
+
+def disjoint_union(g: UniformHypergraph, h: UniformHypergraph) -> UniformHypergraph:
+    """Disjoint union; h's vertices are shifted up by g.n. The edge size
+    is the one g and h share (see _shared_edge_size)."""
+    r = _shared_edge_size(g, h)
     edges = list(g.edges) + [tuple(v + g.n for v in e) for e in h.edges]
     return UniformHypergraph(r, g.n + h.n, tuple(edges))
 

@@ -31,9 +31,16 @@ DEFAULT_TOL = 1e-10
 
 
 def default_tol() -> float:
-    """Default relative tolerance; the HG_TOL environment variable overrides."""
+    """Relative tolerance of root finding and of the suites' comparisons:
+    HG_TOL if set, else DEFAULT_TOL; ValueError unless it is finite and > 0."""
     env = os.environ.get("HG_TOL")
-    return float(env) if env else DEFAULT_TOL
+    try:
+        tol = float(env) if env else DEFAULT_TOL
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"HG_TOL must be a finite number > 0, got {env!r}")
+    return tol
 
 
 class RootFindingError(RuntimeError):
@@ -73,17 +80,17 @@ def _polish(q: SparsePolynomial, dq: SparsePolynomial, z: complex, tol: float) -
     return z
 
 
-def roots(q: SparsePolynomial, tol: float | None = None) -> list[complex]:
+def roots(q: SparsePolynomial) -> list[complex]:
     """All complex roots with multiplicity (repeated entries), sorted by
     (real, imag) for reproducible output.
 
     Companion-matrix eigenvalues seed a guarded Newton polish against the
-    exact integer coefficients. Raises RootFindingError if that fails, or
-    if q overflows a float where it is evaluated.
+    exact integer coefficients, to default_tol(). Raises RootFindingError
+    if that fails, or if q overflows a float where it is evaluated.
     """
-    tol = default_tol() if tol is None else tol
     if q.degree() <= 0:
         raise ValueError("roots() needs a nonconstant polynomial")
+    tol = default_tol()
     dq = q.derivative()
     try:
         raw = np.roots(np.array([float(c) for c in q.to_dense()]))
@@ -103,8 +110,8 @@ def _cauchy_bound(q: SparsePolynomial) -> float:
     return 1.0 + max(abs(c) for _, c in q.terms()) / lead
 
 
-def largest_real_root(q: SparsePolynomial, tol: float | None = None) -> float:
-    """Largest real root of q, to relative tolerance tol.
+def largest_real_root(q: SparsePolynomial) -> float:
+    """Largest real root of q, to relative tolerance default_tol().
 
     Not on the path of spectral_radius, which needs no roots; it inherits
     the accuracy limits of roots() on q of high degree.
@@ -114,8 +121,7 @@ def largest_real_root(q: SparsePolynomial, tol: float | None = None) -> float:
     bisection-safeguarded Newton iteration. Without a local sign change
     (even multiplicity) the polished candidate is returned as is.
     """
-    tol = default_tol() if tol is None else tol
-    all_roots = roots(q, tol)
+    all_roots = roots(q)
     real = [z.real for z in all_roots if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
     if not real:
         raise RootFindingError("no real root found", partial=all_roots)
@@ -144,8 +150,8 @@ def largest_real_root(q: SparsePolynomial, tol: float | None = None) -> float:
         # No sign change nearby: even-multiplicity top root; keep candidate.
         return y0
     # Newton with a bisection safeguard, driven to machine precision
-    # (tol is an upper bound on the error, not a target).
-    width = min(tol, 4e-16) * max(1.0, abs(y0))
+    # (the tolerance is an upper bound on the error, not a target).
+    width = min(default_tol(), 4e-16) * max(1.0, abs(y0))
     y = y0
     for _ in range(200):
         if hi - lo <= width:
@@ -285,21 +291,21 @@ def spectral_radius(hg: UniformHypergraph) -> float:
             lo = x
 
 
-def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
+def _q_roots_and_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float]:
     """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r)."""
     if not hg.edges:
         return (), 0.0
     red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
-    q_roots = tuple(roots(red.q, tol))
+    q_roots = tuple(roots(red.q))
     return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
 
 
-def matching_energy(hg: UniformHypergraph, tol: float | None = None) -> float:
+def matching_energy(hg: UniformHypergraph) -> float:
     """Sum of |x_i| over all roots of phi, computed from the reduced q."""
-    return _q_roots_and_energy(hg, default_tol() if tol is None else tol)[1]
+    return _q_roots_and_energy(hg)[1]
 
 
-def matching_energy_from_phi(hg: UniformHypergraph, tol: float | None = None) -> float:
+def matching_energy_from_phi(hg: UniformHypergraph) -> float:
     """Cross-check: find all n roots of phi directly and sum their moduli.
 
     Mind the degree: this route works with the full zero cluster of phi
@@ -336,11 +342,10 @@ class SpectralSummary:
         }
 
 
-def spectral_summary(hg: UniformHypergraph, tol: float | None = None) -> SpectralSummary:
+def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
     """rho from the tree recursion; phi, q and the roots of q once, for ME."""
-    tol = default_tol() if tol is None else tol
-    q_roots, me = _q_roots_and_energy(hg, tol)
-    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=tol)
+    q_roots, me = _q_roots_and_energy(hg)
+    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=default_tol())
 
 
 # -- exact characteristic polynomial for ordinary forests -----------------

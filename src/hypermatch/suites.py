@@ -4,12 +4,12 @@ bridging, and path/double-pendant constructions.
 Each suite builds both sides of an identity and hands them to
 `check_cospectral`, which decides the case: matching polynomials equal
 exactly, spectral radius and matching energy (computed per side) equal
-to 10 * tol, and for r = 2 the exact adjacency characteristic
-polynomials equal too. A suite then ANDs its own conditions into the
-case's verdict. Suites are deterministic given (seed, ranges); the JSON
-serialization of a report is byte-for-byte reproducible (elapsed time is
-reported in the human table only). Failing cases carry a reproduction
-command.
+to 10 * default_tol() (HG_TOL, default 1e-10), and for r = 2 the exact
+adjacency characteristic polynomials equal too. A suite then ANDs its
+own conditions into the case's verdict. Suites are deterministic given
+(seed, ranges, HG_TOL); the JSON serialization of a report is
+byte-for-byte reproducible (elapsed time is reported in the human table
+only). Failing cases carry a reproduction command, HG_TOL included.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .families import (
     loose_path,
     random_supertree,
 )
-from .hypergraph import HypergraphError, UniformHypergraph, are_isomorphic, disjoint_union
+from .hypergraph import UniformHypergraph, _shared_edge_size, are_isomorphic, disjoint_union
 from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
-from .spectra import default_tol, matching_energy, spectral_radius, tree_char_poly
+from .spectra import DEFAULT_TOL, default_tol, matching_energy, spectral_radius, tree_char_poly
 
 SCHEMA_VERSION = 1
 DEFAULT_RS = (2, 3, 4, 5)
@@ -89,27 +89,25 @@ def _case_name(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-def _close(a: float, b: float, tol: float | None) -> bool:
-    return abs(a - b) <= 10 * (default_tol() if tol is None else tol)
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 10 * default_tol()
 
 
 def check_cospectral(
     lhs: UniformHypergraph,
     rhs: UniformHypergraph,
-    tol: float | None = None,
     check_isomorphism: bool = False,
 ) -> dict:
     """One decided cospectrality case: exact phi comparison plus spectral
     radius and matching energy computed on each side.
 
     "passed" holds when phi is equal and rho and ME each agree to
-    10 * tol. For r = 2 (the r of whichever side has edges) the exact
-    adjacency characteristic polynomials are compared as well, as
+    10 * default_tol(). For r = 2 (the edge size the two sides share) the
+    exact adjacency characteristic polynomials are compared as well, as
     "char_equal", and must be equal too. Callers AND their own
     conditions into "passed".
     """
-    if lhs.edges and rhs.edges and lhs.r != rhs.r:
-        raise HypergraphError(f"cannot compare edge sizes {lhs.r} and {rhs.r}")
+    r = _shared_edge_size(lhs, rhs)
     phi_l = matching_polynomial(lhs)
     phi_r = matching_polynomial(rhs)
     case = {
@@ -119,23 +117,25 @@ def check_cospectral(
         "phi_equal": phi_l == phi_r,
         "rho_lhs": spectral_radius(lhs),
         "rho_rhs": spectral_radius(rhs),
-        "me_lhs": matching_energy(lhs, tol),
-        "me_rhs": matching_energy(rhs, tol),
+        "me_lhs": matching_energy(lhs),
+        "me_rhs": matching_energy(rhs),
     }
     if check_isomorphism:
         case["isomorphic"] = are_isomorphic(lhs, rhs)
-    if (lhs if lhs.edges else rhs).r == 2:
+    if r == 2:
         case["char_equal"] = tree_char_poly(lhs) == tree_char_poly(rhs)
     case["passed"] = (
         case["phi_equal"]
         and case.get("char_equal", True)
-        and _close(case["rho_lhs"], case["rho_rhs"], tol)
-        and _close(case["me_lhs"], case["me_rhs"], tol)
+        and _close(case["rho_lhs"], case["rho_rhs"])
+        and _close(case["me_lhs"], case["me_rhs"])
     )
     return case
 
 
 def _finalize(report: SuiteReport, repro_base: str, started: float) -> SuiteReport:
+    if default_tol() != DEFAULT_TOL:  # reproduce at the threshold that failed
+        repro_base = f"HG_TOL={default_tol()!r} {repro_base}"
     for case in report.cases:
         if not case["passed"]:
             case["repro"] = (
@@ -160,7 +160,6 @@ def suite_coalesce(
     r_list=DEFAULT_RS,
     trials: int = 25,
     seed: int = 0,
-    tol: float | None = None,
     m_max: int = 4,
 ) -> SuiteReport:
     """Shared-vertex gluings of the premise pair.
@@ -183,7 +182,7 @@ def suite_coalesce(
         g, u, h, v = _premise_pair(r)
         g_del = g.delete_vertex(u)
         h_del = h.delete_vertex(v)
-        case = check_cospectral(g, h, tol, check_isomorphism=True)
+        case = check_cospectral(g, h, check_isomorphism=True)
         case["params"] = {"part": "premise", "r": r}
         case["deleted_phi_equal"] = matching_polynomial(g_del) == matching_polynomial(h_del)
         case["deleted_isomorphic"] = are_isomorphic(g_del, h_del)
@@ -203,7 +202,7 @@ def suite_coalesce(
             w = rng.randrange(gamma.n)
             lhs = coalesce(g, u, gamma, w)
             rhs = coalesce(h, v, gamma, w)
-            case = check_cospectral(lhs, rhs, tol)
+            case = check_cospectral(lhs, rhs)
             case["params"] = {
                 "part": "gluing",
                 "r": r,
@@ -218,7 +217,7 @@ def suite_coalesce(
                 coalesce_mixed(g, u, k, h, v, m - k) for k in range(m + 1)
             ]
             for k in range(m):
-                case = check_cospectral(chain[k], chain[k + 1], tol)
+                case = check_cospectral(chain[k], chain[k + 1])
                 case["params"] = {"part": "chain", "r": r, "m": m, "k": k}
                 report.cases.append(case)
 
@@ -253,7 +252,6 @@ def suite_bridge(
     m_max: int = 4,
     trials: int = 25,
     seed: int = 0,
-    tol: float | None = None,
 ) -> SuiteReport:
     """Bridged gluings of random supertree pairs.
 
@@ -280,7 +278,7 @@ def suite_bridge(
                 for _ in range(m - 1):
                     union_l = disjoint_union(union_l, g)
                     union_r = disjoint_union(union_r, h)
-                case = check_cospectral(union_l, union_r, tol)
+                case = check_cospectral(union_l, union_r)
                 case["params"] = {
                     "part": "bridge",
                     "r": r,
@@ -298,7 +296,7 @@ def suite_bridge(
                 case["passed"] = (
                     case["passed"]
                     and case["closed_form_equal"]
-                    and _close(case["rho_bridged_lhs"], case["rho_bridged_rhs"], tol)
+                    and _close(case["rho_bridged_lhs"], case["rho_bridged_rhs"])
                 )
                 report.cases.append(case)
 
@@ -313,7 +311,6 @@ def suite_path_w(
     r_list=DEFAULT_RS,
     m_range: tuple[int, int] = (6, 10),
     n_range: tuple[int, int] = (6, 10),
-    tol: float | None = None,
 ) -> SuiteReport:
     """The swap family: a loose path of length m-5 next to a
     double-pendant path with n-1 edges is cospectral with the (m, n)
@@ -327,7 +324,7 @@ def suite_path_w(
             for n in range(n_range[0], n_range[1] + 1):
                 lhs = disjoint_union(loose_path(r, m - 5).hg, family_w(r, n - 1).hg)
                 rhs = disjoint_union(loose_path(r, n - 5).hg, family_w(r, m - 1).hg)
-                case = check_cospectral(lhs, rhs, tol, check_isomorphism=True)
+                case = check_cospectral(lhs, rhs, check_isomorphism=True)
                 case["params"] = {"part": "swap", "r": r, "m": m, "n": n}
                 case["passed"] = case["passed"] and case["isomorphic"] == (m == n)
                 report.cases.append(case)

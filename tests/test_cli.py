@@ -128,16 +128,18 @@ class TestScalars:
         assert out == ""
         assert err.startswith("error: ") and "overflows" in err and "Traceback" not in err
 
-    def test_rho_rejects_tol_without_summary(self, tmp_path, capsys):
+    def test_no_command_takes_tol(self, tmp_path, capsys):
+        # the tolerance is set by HG_TOL alone
         path = construct_file(tmp_path, capsys, "p1.json", "LoosePath", 4, "1")
-        code, out, err = run(capsys, "rho", str(path), "--tol", "1e-6")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "--tol" in err
-        code, out, _ = run(capsys, "rho", str(path), "--summary", "--tol", "1e-6")
-        assert code == 0
-        assert json.loads(out)["tol"] == pytest.approx(1e-6)
-        assert run(capsys, "me", str(path), "--tol", "1e-6")[0] == 0
+        for argv in (
+            ("rho", str(path), "--tol", "1e-6"),
+            ("rho", str(path), "--summary", "--tol", "1e-6"),
+            ("me", str(path), "--tol", "1e-6"),
+            ("suite", "--name", "path-w", "--r", "3", "--tol", "1e-6"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and "--tol" in err
 
     def test_summary_json(self, tmp_path, capsys):
         path = construct_file(tmp_path, capsys, "w5.json", "W", 3, "5")
@@ -231,3 +233,15 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "rho", str(path), "--summary")
     assert code == 0
     assert json.loads(out)["tol"] == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "abc", "inf"])
+def test_invalid_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = construct_file(tmp_path, capsys, "p2.json", "LoosePath", 3, "2")
+    monkeypatch.setenv("HG_TOL", value)
+    for argv in (("me", str(path)), ("me", str(path), "--summary"),
+                 ("suite", "--name", "path-w", "--r", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: HG_TOL ") and "Traceback" not in err

@@ -320,3 +320,15 @@ def test_constructed_families_are_supertrees():
 def test_union_of_supertrees_is_not_one():
     u = disjoint_union(loose_path(3, 1).hg, family_w(3, 5).hg)
     assert not u.is_supertree()
+
+
+@pytest.mark.parametrize(
+    "glue",
+    [lambda g, h: coalesce(g, 0, h, 0), lambda g, h: bridge(g, 0, h, 0, 2), disjoint_union],
+    ids=["coalesce", "bridge", "disjoint_union"],
+)
+def test_gluings_share_one_edge_size_rule(glue):
+    with pytest.raises(HypergraphError, match="edge sizes differ: 2 vs 3"):
+        glue(loose_path(2, 1).hg, loose_path(3, 1).hg)
+    assert glue(isolated(1, 2), loose_path(4, 1).hg).r == 4
+    assert glue(loose_path(4, 1).hg, isolated(1, 2)).r == 4

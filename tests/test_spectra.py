@@ -216,12 +216,38 @@ class TestSpectralSummary:
         calls = []
         real_roots = spectra.roots
         monkeypatch.setattr(
-            spectra, "roots", lambda q, tol=None: calls.append(q) or real_roots(q, tol)
+            spectra, "roots", lambda q: calls.append(q) or real_roots(q)
         )
         hg = family_r(3, 1, 1, 2, 4).hg
         s = spectral_summary(hg)
         assert len(calls) == 1
         assert s.me == matching_energy(hg)
+
+    def test_tol_follows_env(self, monkeypatch):
+        hg = family_w(3, 5).hg
+        monkeypatch.delenv("HG_TOL", raising=False)
+        assert spectral_summary(hg).tol == 1e-10
+        monkeypatch.setenv("HG_TOL", "1e-7")
+        assert spectral_summary(hg).tol == 1e-7
+        assert spectral_summary(hg).to_json_dict()["tol"] == 1e-7
+
+
+class TestDefaultTol:
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("HG_TOL", raising=False)
+        assert default_tol() == 1e-10
+        monkeypatch.setenv("HG_TOL", "")
+        assert default_tol() == 1e-10
+        monkeypatch.setenv("HG_TOL", "2.5e-9")
+        assert default_tol() == 2.5e-9
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "abc", "inf", "-inf"])
+    def test_rejects_invalid(self, monkeypatch, value):
+        monkeypatch.setenv("HG_TOL", value)
+        with pytest.raises(ValueError, match="HG_TOL"):
+            default_tol()
+        with pytest.raises(ValueError, match="HG_TOL"):
+            matching_energy(family_w(3, 5).hg)
 
 
 class TestTreeCharPoly:

@@ -15,11 +15,22 @@ from hypermatch import (
     isolated,
     loose_path,
     run_suite,
+    spectral_radius,
     suite_bridge,
     suite_coalesce,
     suite_path_w,
 )
 from hypermatch.suites import SuiteReport, _finalize
+
+
+@pytest.fixture
+def rho_rhs_off_by_5e_7(monkeypatch):
+    """check_cospectral's rho of every second side (its rhs) 5e-7 too big."""
+    calls = itertools.count()
+    monkeypatch.setattr(
+        "hypermatch.suites.spectral_radius",
+        lambda hg: spectral_radius(hg) + 5e-7 * (next(calls) % 2),
+    )
 
 
 @pytest.fixture
@@ -69,6 +80,18 @@ class TestCheckCospectral:
         case = check_cospectral(isolated(2, 3), loose_path(2, 1).hg)
         assert case["char_equal"] is False
         assert case["passed"] is False
+
+    @pytest.mark.usefixtures("rho_rhs_off_by_5e_7")
+    def test_hg_tol_decides_rho_agreement(self, monkeypatch):
+        r = 3
+        lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
+        rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
+        monkeypatch.setenv("HG_TOL", "1e-7")  # |drho| = 5e-7 <= 10 * 1e-7
+        case = check_cospectral(lhs, rhs)
+        assert case["rho_rhs"] - case["rho_lhs"] == pytest.approx(5e-7, rel=1e-6)
+        assert case["passed"] is True
+        monkeypatch.delenv("HG_TOL")  # the default 1e-10
+        assert check_cospectral(lhs, rhs)["passed"] is False
 
     def test_mismatched_r_rejected(self):
         with pytest.raises(HypergraphError):
@@ -183,3 +206,16 @@ class TestFailureReporting:
         assert '"m": 6' in failing["repro"]
         assert "repro" not in out.cases[1]
         assert "FAIL" in out.human_table()
+
+    @pytest.mark.usefixtures("rho_rhs_off_by_5e_7")
+    @pytest.mark.parametrize("env, prefix", [(None, ""), ("1e-8", "HG_TOL=1e-08 ")])
+    def test_repro_runs_at_the_failing_tolerance(self, monkeypatch, env, prefix):
+        if env is None:
+            monkeypatch.delenv("HG_TOL", raising=False)
+        else:
+            monkeypatch.setenv("HG_TOL", env)
+        report = suite_path_w(r_list=(3,), m_range=(6, 6), n_range=(7, 7))
+        assert not report.passed
+        assert report.cases[0]["repro"].startswith(prefix + "hypermatch suite --name path-w")
+        monkeypatch.setenv("HG_TOL", "1e-7")
+        assert suite_path_w(r_list=(3,), m_range=(6, 6), n_range=(7, 7)).passed
