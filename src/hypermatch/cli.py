@@ -2,15 +2,17 @@
 
 Subcommands: construct | matchpoly | rho | me | cospectral | suite.
 Exit codes: 0 success (for `cospectral`: the polynomials are equal),
-1 checked-and-unequal / suite failure, 2 usage or input error (an
-invalid HG_TOL too) or a root-finding failure. The HG_TOL environment
-variable (default 1e-10) is the one tolerance setting.
+1 checked-and-unequal / suite failure / standard output closed early
+(as by `| head`), 2 usage or input error (an invalid HG_TOL too) or a
+root-finding failure. The HG_TOL environment variable (default 1e-10)
+is the one tolerance setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .families import ConstructionSpec
@@ -163,14 +165,24 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "matchpoly":
-            return _cmd_matchpoly(args)
-        if args.command in ("rho", "me"):
-            return _cmd_scalar(args, args.command)
-        if args.command == "cospectral":
-            return _cmd_cospectral(args)
-        return _cmd_suite(args)
+            code = _cmd_construct(args)
+        elif args.command == "matchpoly":
+            code = _cmd_matchpoly(args)
+        elif args.command in ("rho", "me"):
+            code = _cmd_scalar(args, args.command)
+        elif args.command == "cospectral":
+            code = _cmd_cospectral(args)
+        else:
+            code = _cmd_suite(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away: not an input error. Point stdout at devnull
+        # so that the flush at exit writes nowhere (the Python docs' idiom).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (HypergraphError, PolynomialShapeError, RootFindingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,16 @@ The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
 matching energy, the sum of |x_i| over all roots of phi: each nonzero
 root mu of q yields exactly r roots of phi of modulus |mu|**(1/r) and
 the zero root adds nothing, hence ME = r * sum |mu|**(1/r).
+
+Most superforests are power superforests: every edge has at most two
+vertices of degree >= 2, so the input is the r-th power G^(r) of an
+ordinary forest G and has G's matching counts. phi(G) is then the
+characteristic polynomial of G's adjacency matrix, so the roots of q
+are lam^2 for the positive eigenvalues lam of G, and
+ME = r * sum lam^(2/r) comes from one symmetric eigenproblem, with an
+error bound from Weyl's inequality and no root finding. Every other
+superforest takes the companion roots of q, polished against its exact
+coefficients.
 """
 
 from __future__ import annotations
@@ -291,17 +301,80 @@ def spectral_radius(hg: UniformHypergraph) -> float:
             lo = x
 
 
+def _base_forest(hg: UniformHypergraph) -> tuple[int, list[tuple[int, int]]] | None:
+    """The ordinary forest G with hg = G^(r), as (vertex count, edges) on a
+    compact vertex index, or None unless hg is a power superforest.
+
+    Each edge keeps its vertices of degree >= 2, padded with its degree-1
+    vertices up to two. In a superforest two edges meet in at most one
+    vertex, which has degree >= 2 and so is kept, so G has the same
+    edge-intersection graph, hence the same matching counts, as hg."""
+    deg = [0] * hg.n
+    for e in hg.edges:
+        for v in e:
+            deg[v] += 1
+    index: dict[int, int] = {}
+    pairs = []
+    for e in hg.edges:
+        inner = [v for v in e if deg[v] >= 2]
+        if len(inner) > 2:
+            return None
+        pair = inner + [v for v in e if deg[v] == 1][: 2 - len(inner)]
+        pairs.append(tuple(index.setdefault(v, len(index)) for v in pair))
+    return len(index), pairs
+
+
+def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float]:
+    """The roots of q and ME of G^(r), for the forest G on `size` vertices
+    with edges `pairs` and matching number nu, from G's eigenvalues.
+
+    For a forest G, phi(G) is the characteristic polynomial of its
+    adjacency matrix (Godsil-Gutman), and G^(r) has the q of G, so the
+    roots of q are the squares of the nu positive eigenvalues lam of G
+    and ME = r * sum lam^(2/r). By Weyl's inequality each computed
+    eigenvalue is within delta = 4 size eps lam_max of the true one, which
+    bounds the error of ME by 2 delta sum lam^(2/r) / (lam - delta).
+    Raises RootFindingError when the nu-th eigenvalue is within 2 delta
+    of zero, or when that bound exceeds default_tol() * ME."""
+    adj = np.zeros((size, size))
+    a, b = np.array(pairs).T
+    adj[a, b] = adj[b, a] = 1.0
+    eig = np.linalg.eigvalsh(adj)
+    lam = eig[size - nu :]
+    delta = 4.0 * size * np.finfo(float).eps * eig[-1]
+    if lam[0] <= 2.0 * delta:
+        raise RootFindingError(
+            f"smallest positive eigenvalue {lam[0]:.3g} of the base forest is within "
+            f"twice its error bound {delta:.3g}"
+        )
+    terms = lam ** (2.0 / r)
+    me = r * float(terms.sum())
+    bound = 2.0 * delta * float((terms / (lam - delta)).sum())
+    if bound > default_tol() * me:
+        raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
+    return tuple(complex(x * x) for x in lam.tolist()), me
+
+
 def _q_roots_and_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float]:
-    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r)."""
+    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r):
+    from one symmetric eigenproblem for a power superforest, else from
+    the companion roots of q."""
     if not hg.edges:
         return (), 0.0
-    red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
+    phi = matching_polynomial(hg)
+    base = _base_forest(hg)
+    if base is not None:
+        nu = (hg.n - phi.min_exponent()) // hg.r
+        return _power_roots_and_energy(hg.r, nu, *base)
+    red = reduce_polynomial(phi, hg.r, hg.n)
     q_roots = tuple(roots(red.q))
     return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
 
 
 def matching_energy(hg: UniformHypergraph) -> float:
-    """Sum of |x_i| over all roots of phi, computed from the reduced q."""
+    """Sum of |x_i| over all roots of phi, to default_tol(): from the
+    eigenvalues of the base forest for a power superforest, else from the
+    roots of the reduced q. Raises RootFindingError if that fails."""
     return _q_roots_and_energy(hg)[1]
 
 
@@ -343,7 +416,8 @@ class SpectralSummary:
 
 
 def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
-    """rho from the tree recursion; phi, q and the roots of q once, for ME."""
+    """rho from the tree recursion; the roots of q once, for ME (as lam^2
+    for the eigenvalues lam of the base forest of a power superforest)."""
     q_roots, me = _q_roots_and_energy(hg)
     return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=default_tol())
 

@@ -14,6 +14,7 @@ from hypermatch import (
     build,
     loose_path,
     matching_polynomial,
+    power,
     random_supertree,
     reduce_polynomial,
 )
@@ -45,6 +46,37 @@ def small_hypergraphs(draw, rs=(2, 3), max_n=8, max_edges=6):
     n = draw(st.integers(min_value=r, max_value=max_n))
     pool = list(itertools.combinations(range(n), r))
     edges = draw(st.lists(st.sampled_from(pool), max_size=max_edges, unique=True))
+    return build(r, n, edges)
+
+
+@st.composite
+def power_superforests(draw, rs=(2, 3, 4, 5), max_vertices=12):
+    """Powers G^(r) of random forests G (several components), with
+    isolated vertices added and every vertex relabelled at random."""
+    r = draw(st.sampled_from(rs))
+    size = draw(st.integers(min_value=1, max_value=max_vertices))
+    edges = []
+    for v in range(1, size):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))  # -1: a new component
+        if parent >= 0:
+            edges.append((parent, v))
+    hg = power(edges, r)
+    n = hg.n + draw(st.integers(min_value=0, max_value=3))
+    perm = draw(st.permutations(range(n)))
+    return build(r, n, [[perm[v] for v in e] for e in hg.edges])
+
+
+def spider(r: int, legs: int) -> UniformHypergraph:
+    """A centre edge with a loose path of `legs` edges hanging from each of
+    its first three vertices (r >= 3). For legs >= 1 the centre edge has
+    three vertices of degree >= 2, so the input is no power of a forest."""
+    edges = [tuple(range(r))]
+    n = r
+    for end in range(3):
+        for _ in range(legs):
+            edges.append((end, *range(n, n + r - 1)))
+            end = n + r - 2
+            n += r - 1
     return build(r, n, edges)
 
 

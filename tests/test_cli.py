@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+import sys
 
 import pytest
 
+from conftest import spider
 from hypermatch.cli import main
 
 
@@ -121,8 +124,18 @@ class TestScalars:
         assert code == 0, err
         assert float(out) == pytest.approx(2 * math.cos(math.pi / (t + 2)), rel=1e-10)
 
+    def test_me_of_long_ordinary_path(self, tmp_path, capsys):
+        t = 1000
+        path = construct_file(tmp_path, capsys, "path.json", "LoosePath", 2, str(t))
+        code, out, err = run(capsys, "me", str(path))
+        assert code == 0, err
+        expected = 2 * sum(2 * math.cos(math.pi * j / (t + 2)) for j in range(1, t // 2 + 1))
+        assert float(out) == pytest.approx(expected, rel=1e-10)
+
     def test_me_root_finding_failure_exits_2(self, tmp_path, capsys):
-        path = construct_file(tmp_path, capsys, "path.json", "LoosePath", 2, "1000")
+        # no power of a forest, so its q of degree 501 overflows in root finding
+        path = tmp_path / "spider.json"
+        path.write_text(json.dumps(spider(3, 333).to_json_dict()))
         code, out, err = run(capsys, "me", str(path))
         assert code == 2
         assert out == ""
@@ -245,3 +258,33 @@ def test_invalid_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: HG_TOL ") and "Traceback" not in err
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone away, on the file
+    descriptor of a scratch file so that redirecting it harms nothing."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["suite", "--name", "path-w", "--r", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        # what is still buffered for stdout is flushed to devnull at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)

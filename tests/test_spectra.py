@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_top_root_exact, pendant_edges, supertrees
+from conftest import assert_top_root_exact, pendant_edges, power_superforests, spider, supertrees
 from hypermatch import (
     HypergraphError,
     RootFindingError,
     SparsePolynomial,
+    build,
     default_tol,
     disjoint_union,
     family_r,
@@ -20,6 +21,7 @@ from hypermatch import (
     largest_real_root,
     loose_path,
     matching_energy,
+    matching_counts,
     matching_energy_from_phi,
     matching_polynomial,
     random_supertree,
@@ -122,11 +124,19 @@ class TestSpectralRadius:
         assert spectral_radius(smaller) < spectral_radius(hg) - 1e-9
 
 
-def _eigvalsh_rho(hg):
+def _adjacency_eigenvalues(hg):
     adj = np.zeros((hg.n, hg.n))
     for a, b in hg.edges:
         adj[a, b] = adj[b, a] = 1.0
-    return float(np.linalg.eigvalsh(adj).max())
+    return np.linalg.eigvalsh(adj)
+
+
+def _eigvalsh_rho(hg):
+    return float(_adjacency_eigenvalues(hg).max())
+
+
+def _eigvalsh_me(hg):
+    return float(np.abs(_adjacency_eigenvalues(hg)).sum())
 
 
 class TestSpectralRadiusAtScale:
@@ -182,9 +192,10 @@ class TestMatchingEnergy:
         )
 
     def test_overflow_raises_root_finding_error(self):
-        # q of degree 500 overflows a float in the Newton polish
+        # no power of a forest, so q of degree 501 goes to the companion
+        # roots, and overflows a float in the Newton polish
         with pytest.raises(RootFindingError, match="overflows") as info:
-            matching_energy(loose_path(2, 1000).hg)
+            matching_energy(spider(3, 333))
         assert isinstance(info.value.__cause__, OverflowError)
 
     def test_agrees_with_full_root_sum(self):
@@ -193,6 +204,60 @@ class TestMatchingEnergy:
             r = rng.choice([2, 3, 4])
             hg = random_supertree(r, rng.randint(1, 5), rng)
             assert abs(matching_energy(hg) - matching_energy_from_phi(hg)) < 1e-8
+
+
+class TestMatchingEnergyAtScale:
+    """Inputs where ME from the companion roots of q came back silently
+    wrong, against references apart from hypermatch's float code."""
+
+    @pytest.mark.parametrize("r, t", [(2, 60), (2, 200), (2, 1000), (3, 1000), (4, 1000), (5, 1000)])
+    def test_loose_path_closed_form(self, r, t):
+        # the base forest is the path on t + 1 vertices, whose positive
+        # eigenvalues are 2cos(pi j / (t + 2)) for j < (t + 2) / 2
+        expected = r * sum(
+            (2 * math.cos(math.pi * j / (t + 2))) ** (2 / r) for j in range(1, (t + 1) // 2 + 1)
+        )
+        assert matching_energy(loose_path(r, t).hg) == pytest.approx(expected, rel=default_tol())
+
+    def test_random_trees_against_eigvalsh(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            hg = random_supertree(2, rng.randint(20, 200), rng)
+            assert matching_energy(hg) == pytest.approx(_eigvalsh_me(hg), rel=default_tol()), seed
+
+    @pytest.mark.parametrize("copies", [3, 5])
+    def test_disjoint_copies_repeat_every_root(self, copies):
+        hg = family_r(2, 1, 1, 2, 4).hg
+        union = hg
+        for _ in range(copies - 1):
+            union = disjoint_union(union, hg)
+        assert matching_energy(union) == pytest.approx(_eigvalsh_me(union), rel=default_tol())
+
+
+class TestPowerSuperforests:
+    """The matching energy of G^(r) comes from the eigenvalues of the
+    ordinary forest G; every other superforest keeps the roots of q."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(power_superforests())
+    def test_base_forest_has_the_same_matching_counts(self, hg):
+        from hypermatch.spectra import _base_forest
+
+        size, pairs = _base_forest(hg)
+        assert matching_counts(build(2, size, pairs)) == matching_counts(hg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(supertrees(rs=(3, 4, 5), max_edges=8))
+    def test_roots_only_off_the_power_route(self, hg):
+        import hypermatch.spectra as spectra
+
+        inner = max(sum(1 for v in e if hg.degree(v) >= 2) for e in hg.edges)
+        calls = []
+        real_roots = spectra.roots
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "roots", lambda q: calls.append(q) or real_roots(q))
+            matching_energy(hg)
+        assert len(calls) == (1 if inner >= 3 else 0)
 
 
 class TestSpectralSummary:
@@ -218,10 +283,19 @@ class TestSpectralSummary:
         monkeypatch.setattr(
             spectra, "roots", lambda q: calls.append(q) or real_roots(q)
         )
-        hg = family_r(3, 1, 1, 2, 4).hg
+        hg = spider(3, 2)
         s = spectral_summary(hg)
         assert len(calls) == 1
         assert s.me == matching_energy(hg)
+        assert len(calls) == 2
+        # a power superforest needs no roots at all
+        power_input = family_r(3, 1, 1, 2, 4).hg
+        s = spectral_summary(power_input)
+        assert len(calls) == 2
+        assert s.me == matching_energy(power_input)
+        assert len(s.q_roots) == reduce_polynomial(
+            matching_polynomial(power_input), 3, power_input.n
+        ).nu
 
     def test_tol_follows_env(self, monkeypatch):
         hg = family_w(3, 5).hg
