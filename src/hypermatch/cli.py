@@ -2,10 +2,11 @@
 
 Subcommands: construct | matchpoly | rho | me | cospectral | suite.
 Exit codes: 0 success (for `cospectral`: the polynomials are equal),
-1 checked-and-unequal / suite failure / standard output closed early
+1 checked-and-unequal / suite failure (a case whose matching energy
+cannot be computed fails only that case) / standard output closed early
 (as by `| head`), 2 usage or input error (an invalid HG_TOL too) or a
-root-finding failure. The HG_TOL environment variable (default 1e-10)
-is the one tolerance setting.
+root-finding failure outside the suites. The HG_TOL environment variable
+(default 1e-10) is the one tolerance setting.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hypermatch",
         description="Matching polynomials, spectral radius, and matching "
         "energy of r-uniform supertrees; cospectral-family verification.",
-        epilog="The HG_TOL environment variable sets the relative tolerance "
-        "of root finding and of the suites' numeric comparisons (default 1e-10).",
+        epilog="The HG_TOL environment variable (default 1e-10) sets the relative "
+        "tolerance to which the matching energy of a power superforest is "
+        "certified, and that of the suites' numeric comparisons.",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -82,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("rho", "spectral radius of a hypergraph JSON file"),
-        ("me", "matching energy of a hypergraph JSON file (roots found to HG_TOL)"),
+        ("me", "matching energy of a hypergraph JSON file "
+               "(certified to HG_TOL for powers of forests only)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")

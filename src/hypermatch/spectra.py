@@ -21,8 +21,8 @@ characteristic polynomial of G's adjacency matrix, so the roots of q
 are lam^2 for the positive eigenvalues lam of G, and
 ME = r * sum lam^(2/r) comes from one symmetric eigenproblem, with an
 error bound from Weyl's inequality and no root finding. Every other
-superforest takes the companion roots of q, polished against its exact
-coefficients.
+superforest takes the eigenvalues of the companion matrix of q, which
+carry no error bound: their matching energy is not certified.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ DEFAULT_TOL = 1e-10
 
 
 def default_tol() -> float:
-    """Relative tolerance of root finding and of the suites' comparisons:
-    HG_TOL if set, else DEFAULT_TOL; ValueError unless it is finite and > 0."""
+    """The relative tolerance: the error bound that the matching energy of
+    a power superforest must meet, and (times 10) the suites' numeric
+    comparisons. HG_TOL if set, else DEFAULT_TOL; ValueError unless it
+    is finite and > 0."""
     env = os.environ.get("HG_TOL")
     try:
         tol = float(env) if env else DEFAULT_TOL
@@ -54,11 +56,7 @@ def default_tol() -> float:
 
 
 class RootFindingError(RuntimeError):
-    """Root finding failed; .partial carries whatever was computed."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial if partial is not None else []
+    """A root or a matching energy could not be had to its tolerance."""
 
 
 def _residual_scale(q: SparsePolynomial, z: complex) -> float:
@@ -66,52 +64,28 @@ def _residual_scale(q: SparsePolynomial, z: complex) -> float:
     return sum(abs(c) * m**e for e, c in q.terms())
 
 
-def _polish(q: SparsePolynomial, dq: SparsePolynomial, z: complex, tol: float) -> complex:
-    """Guarded Newton refinement; steps are only taken when they shrink |q|."""
-    f = q.evaluate(z)
-    for _ in range(30):
-        if abs(f) <= tol * _residual_scale(q, z):
-            break
-        d = dq.evaluate(z)
-        if d == 0:
-            break
-        step = f / d
-        improved = False
-        for _ in range(8):
-            z2 = z - step
-            f2 = q.evaluate(z2)
-            if abs(f2) < abs(f):
-                z, f = z2, f2
-                improved = True
-                break
-            step /= 2
-        if not improved:
-            break
-    return z
-
-
 def roots(q: SparsePolynomial) -> list[complex]:
     """All complex roots with multiplicity (repeated entries), sorted by
     (real, imag) for reproducible output.
 
-    Companion-matrix eigenvalues seed a guarded Newton polish against the
-    exact integer coefficients, to default_tol(). Raises RootFindingError
-    if that fails, or if q overflows a float where it is evaluated.
+    The eigenvalues of the companion matrix of q. They are backward
+    stable (Edelman-Murakami, Math. Comp. 1995): each is a root of a
+    polynomial whose coefficients are close to those of q, which bounds
+    no root of q to default_tol(). Raises RootFindingError when the
+    residual |q(z)| of a root exceeds 1e-6 of its coefficient scale, or
+    when q overflows a float where it is evaluated.
     """
     if q.degree() <= 0:
         raise ValueError("roots() needs a nonconstant polynomial")
-    tol = default_tol()
-    dq = q.derivative()
     try:
-        raw = np.roots(np.array([float(c) for c in q.to_dense()]))
-        out = [_polish(q, dq, complex(z), tol) for z in raw]
+        out = [complex(z) for z in np.roots(np.array([float(c) for c in q.to_dense()]))]
         bad = [z for z in out if abs(q.evaluate(z)) > 1e-6 * _residual_scale(q, z)]
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalues did not converge: {exc}") from exc
     except OverflowError as exc:
         raise RootFindingError(f"evaluating q of degree {q.degree()} overflows a float: {exc}") from exc
     if bad:
-        raise RootFindingError(f"{len(bad)} root(s) failed to refine", partial=out)
+        raise RootFindingError(f"residual of {len(bad)} root(s) above 1e-6 of the coefficient scale")
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
@@ -121,20 +95,21 @@ def _cauchy_bound(q: SparsePolynomial) -> float:
 
 
 def largest_real_root(q: SparsePolynomial) -> float:
-    """Largest real root of q, to relative tolerance default_tol().
+    """Largest real root of q.
 
     Not on the path of spectral_radius, which needs no roots; it inherits
     the accuracy limits of roots() on q of high degree.
 
     Companion-matrix candidates locate it inside [0, 1 + max|coef|]; a
     sign-change bracket around the candidate is then shrunk by a
-    bisection-safeguarded Newton iteration. Without a local sign change
-    (even multiplicity) the polished candidate is returned as is.
+    bisection-safeguarded Newton iteration to machine precision. Without
+    a local sign change (even multiplicity) the companion eigenvalue is
+    returned as is, with no error bound.
     """
     all_roots = roots(q)
     real = [z.real for z in all_roots if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
     if not real:
-        raise RootFindingError("no real root found", partial=all_roots)
+        raise RootFindingError("no real root found")
     y0 = max(real)
     dq = q.derivative()
 
@@ -372,23 +347,12 @@ def _q_roots_and_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], flo
 
 
 def matching_energy(hg: UniformHypergraph) -> float:
-    """Sum of |x_i| over all roots of phi, to default_tol(): from the
-    eigenvalues of the base forest for a power superforest, else from the
-    roots of the reduced q. Raises RootFindingError if that fails."""
+    """Sum of |x_i| over all roots of phi. For a power superforest it
+    comes from the eigenvalues of the base forest and is certified to
+    default_tol(); any other superforest takes the companion roots of the
+    reduced q, which carry no error bound. Raises RootFindingError when
+    either route fails its check."""
     return _q_roots_and_energy(hg)[1]
-
-
-def matching_energy_from_phi(hg: UniformHypergraph) -> float:
-    """Cross-check: find all n roots of phi directly and sum their moduli.
-
-    Mind the degree: this route works with the full zero cluster of phi
-    and is only intended as an independent oracle on small instances.
-    """
-    phi = matching_polynomial(hg)
-    if phi.degree() <= 0:
-        return 0.0
-    coeffs = np.array([float(c) for c in phi.to_dense()])
-    return float(sum(abs(z) for z in np.roots(coeffs)))
 
 
 def _sig15(x: float) -> float:

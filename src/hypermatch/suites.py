@@ -10,6 +10,8 @@ own conditions into the case's verdict. Suites are deterministic given
 (seed, ranges, HG_TOL); the JSON serialization of a report is
 byte-for-byte reproducible (elapsed time is reported in the human table
 only). Failing cases carry a reproduction command, HG_TOL included.
+A side whose matching energy raises RootFindingError fails its own case
+only: the message goes under "error" and that side's ME is null.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from .families import (
 from .hypergraph import UniformHypergraph, _shared_edge_size, are_isomorphic, disjoint_union
 from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
-from .spectra import DEFAULT_TOL, default_tol, matching_energy, spectral_radius, tree_char_poly
+from .spectra import (
+    DEFAULT_TOL,
+    RootFindingError,
+    default_tol,
+    matching_energy,
+    spectral_radius,
+    tree_char_poly,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_RS = (2, 3, 4, 5)
@@ -68,13 +77,14 @@ class SuiteReport:
         for case in self.cases:
             name = _case_name(case["params"])
             drho = abs(case["rho_lhs"] - case["rho_rhs"])
-            dme = abs(case["me_lhs"] - case["me_rhs"])
+            me = (case["me_lhs"], case["me_rhs"])
+            dme = "-" if None in me else f"{abs(me[0] - me[1]):.1e}"
             iso = case.get("isomorphic")
             iso_s = "-" if iso is None else ("yes" if iso else "no")
             verdict = "ok" if case["passed"] else "FAIL"
             phi_s = "==" if case["phi_equal"] else "!="
             lines.append(
-                f"{name:<44} {phi_s:<4} {drho:<9.1e} {dme:<9.1e} {iso_s:<5} {verdict}"
+                f"{name:<44} {phi_s:<4} {drho:<9.1e} {dme:<9} {iso_s:<5} {verdict}"
             )
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -104,8 +114,9 @@ def check_cospectral(
     "passed" holds when phi is equal and rho and ME each agree to
     10 * default_tol(). For r = 2 (the edge size the two sides share) the
     exact adjacency characteristic polynomials are compared as well, as
-    "char_equal", and must be equal too. Callers AND their own
-    conditions into "passed".
+    "char_equal", and must be equal too. A side whose matching energy
+    raises RootFindingError gets ME None and fails the case, with the
+    message under "error". Callers AND their own conditions into "passed".
     """
     r = _shared_edge_size(lhs, rhs)
     phi_l = matching_polynomial(lhs)
@@ -117,9 +128,16 @@ def check_cospectral(
         "phi_equal": phi_l == phi_r,
         "rho_lhs": spectral_radius(lhs),
         "rho_rhs": spectral_radius(rhs),
-        "me_lhs": matching_energy(lhs),
-        "me_rhs": matching_energy(rhs),
     }
+    errors = []
+    for side, hg in (("me_lhs", lhs), ("me_rhs", rhs)):
+        try:
+            case[side] = matching_energy(hg)
+        except RootFindingError as exc:
+            case[side] = None
+            errors.append(f"{side}: {exc}")
+    if errors:
+        case["error"] = "; ".join(errors)
     if check_isomorphism:
         case["isomorphic"] = are_isomorphic(lhs, rhs)
     if r == 2:
@@ -128,6 +146,7 @@ def check_cospectral(
         case["phi_equal"]
         and case.get("char_equal", True)
         and _close(case["rho_lhs"], case["rho_rhs"])
+        and not errors
         and _close(case["me_lhs"], case["me_rhs"])
     )
     return case

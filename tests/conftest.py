@@ -7,12 +7,14 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 
 from hypermatch import (
     UniformHypergraph,
     attach_pendant,
     build,
     loose_path,
+    matching_counts,
     matching_polynomial,
     power,
     random_supertree,
@@ -78,6 +80,31 @@ def spider(r: int, legs: int) -> UniformHypergraph:
             end = n + r - 2
             n += r - 1
     return build(r, n, edges)
+
+
+def edge_cycle_out(hg: UniformHypergraph) -> list[list[int]]:
+    """Out-neighbour lists of the edge-cycle matrix M of hg, in which each
+    edge (v_1, ..., v_r) is the directed cycle v_1 -> ... -> v_r -> v_1.
+    In a superforest the only directed cycles of M are its edges, so the
+    linear subdigraphs of M are the matchings of hg, each cycle counting
+    -1, and det(xI - M) = phi (for r = 2, M is the adjacency matrix)."""
+    out: list[list[int]] = [[] for _ in range(hg.n)]
+    for e in hg.edges:
+        for a, b in zip(e, (*e[1:], e[0])):
+            out[a].append(b)
+    return out
+
+
+def edge_cycle_energy(hg: UniformHypergraph) -> float:
+    """Matching energy from neither phi nor q: the sum of |x| over the
+    nonzero eigenvalues of the edge-cycle matrix M, taken as the nu * r
+    of largest modulus, with nu from the enumerated matching counts."""
+    nonzero = (len(matching_counts(hg)) - 1) * hg.r
+    m = np.zeros((hg.n, hg.n))
+    for a, out in enumerate(edge_cycle_out(hg)):
+        m[a, out] = 1.0
+    moduli = np.sort(np.abs(np.linalg.eigvals(m)))
+    return float(moduli[hg.n - nonzero :].sum())
 
 
 def seeded_supertree_corpus(seed: int, count: int, rs=(2, 3, 4), max_n: int = 16):

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from conftest import edge_cycle_energy
 from hypermatch import (
     SparsePolynomial,
     are_isomorphic,
@@ -21,7 +22,6 @@ from hypermatch import (
     isolated,
     loose_path,
     matching_energy,
-    matching_energy_from_phi,
     matching_polynomial,
     matching_polynomial_oracle,
     random_supertree,
@@ -294,7 +294,7 @@ def test_criterion_8_numeric_sanity():
         named = [hg for hg in named if hg.n <= 40]
         assert len(named) > 40
         for hg in named:
-            assert abs(matching_energy(hg) - matching_energy_from_phi(hg)) < 1e-8
+            assert abs(matching_energy(hg) - edge_cycle_energy(hg)) < 1e-8
 
 
 def test_criterion_9_pendant_deletion_monotonicity():

@@ -221,6 +221,35 @@ class TestSuiteCommand:
     def test_bad_suite_name_exits_2(self, capsys):
         assert run(capsys, "suite", "--name", "wrong")[0] == 2
 
+    def test_root_finding_error_fails_only_its_case(self, tmp_path, capsys, monkeypatch):
+        from hypermatch import RootFindingError, disjoint_union, family_w, loose_path
+        from hypermatch.suites import matching_energy
+
+        # the lhs of (m, n) = (6, 7) and the rhs of (7, 6)
+        bad = disjoint_union(loose_path(3, 1).hg, family_w(3, 6).hg)
+
+        def failing(hg):
+            if hg == bad:
+                raise RootFindingError("injected failure")
+            return matching_energy(hg)
+
+        monkeypatch.setattr("hypermatch.suites.matching_energy", failing)
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "suite", "--name", "path-w", "--r", "3", "--json", str(path))
+        assert code == 1
+        cases = json.loads(path.read_text())["cases"]
+        assert len(cases) == 25
+        failed = {(c["params"]["m"], c["params"]["n"]): c for c in cases if not c["passed"]}
+        assert sorted(failed) == [(6, 7), (7, 6)]
+        assert failed[6, 7]["me_lhs"] is None and failed[6, 7]["me_rhs"] > 0
+        assert failed[7, 6]["me_rhs"] is None and failed[7, 6]["me_lhs"] > 0
+        for case in failed.values():
+            assert "injected failure" in case["error"]
+            assert case["repro"].startswith("hypermatch suite --name path-w --r 3 ")
+        assert not any("error" in c or "repro" in c for c in cases if c["passed"])
+        rows = [line.split() for line in out.splitlines() if line.endswith("FAIL")]
+        assert [row[3] for row in rows] == ["-", "-"]
+
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         from hypermatch.suites import SuiteReport
 

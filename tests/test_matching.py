@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    edge_cycle_out,
     seeded_supertree_corpus,
     small_hypergraphs,
     supertrees,
@@ -223,6 +224,26 @@ class TestLargeInputs:
         for _ in range(m - 1):
             padded = disjoint_union(padded, g.hg)
         assert matching_polynomial(padded) == _bridged_closed_form(g.hg, u, h.hg, v, m)
+
+
+class TestEdgeCycleOracle:
+    """phi against det(xI - M) for the edge-cycle matrix M, exact over the
+    integers, at sizes where enumerating matchings is out of reach."""
+
+    @pytest.mark.parametrize("r, m", [(3, 50), (5, 40)])
+    def test_large_random_supertree(self, r, m):
+        from hypermatch.spectra import _char_poly_exact
+
+        hg = random_supertree(r, m, random.Random(1))
+        assert _char_poly_exact(edge_cycle_out(hg)) == matching_polynomial(hg)
+
+    def test_superforest_with_isolated_vertex(self):
+        from hypermatch.spectra import _char_poly_exact
+
+        rng = random.Random(2)
+        hg = disjoint_union(random_supertree(4, 6, rng), random_supertree(4, 5, rng))
+        hg = disjoint_union(hg, isolated(1, 4))
+        assert _char_poly_exact(edge_cycle_out(hg)) == matching_polynomial(hg)
 
 
 class TestRecurrenceIdentities:
