@@ -1,7 +1,9 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
 matching-polynomial identities, plus supertree validation, the rooting
 of a superforest that phi and the spectral radius share, and superforest
-isomorphism by a canonical label per component.
+isomorphism by a canonical label per component. Rooting and labelling
+both work on the core, the vertices of degree >= 2 where edges meet:
+each edge's degree-1 vertices enter as a count, never one by one.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -12,8 +14,10 @@ equal as plain values.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -24,6 +28,19 @@ class HypergraphError(ValueError):
 Edge = tuple[int, ...]
 
 
+def _integer(value, what: str, edge=None) -> int:
+    """value as a plain int: ints and other integer types (anything with
+    __index__, such as numpy integers) pass, and floats, strings and bools
+    raise HypergraphError rather than being truncated or read as 0/1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    where = "" if edge is None else f" in edge {list(edge)}"
+    raise HypergraphError(f"{what} must be an integer, got {value!r}{where}")
+
+
 @dataclass(frozen=True)
 class UniformHypergraph:
     """An r-uniform hypergraph on vertices 0..n-1.
@@ -31,7 +48,9 @@ class UniformHypergraph:
     Edges are stored as sorted vertex tuples in one sorted tuple, so
     iteration order is deterministic and instances are hashable (used as
     cache keys downstream). Isolated vertices are first-class: n may
-    exceed the number of vertices covered by edges.
+    exceed the number of vertices covered by edges. r, n and the
+    vertices must be integers (ints, or integer types such as numpy's);
+    floats, strings and bools raise HypergraphError.
     """
 
     r: int
@@ -39,21 +58,28 @@ class UniformHypergraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.r < 2:
-            raise HypergraphError(f"edge size r must be >= 2, got {self.r}")
-        if self.n < 0:
-            raise HypergraphError(f"vertex count must be >= 0, got {self.n}")
+        r = _integer(self.r, "edge size r")
+        n = _integer(self.n, "vertex count")
+        if r < 2:
+            raise HypergraphError(f"edge size r must be >= 2, got {r}")
+        if n < 0:
+            raise HypergraphError(f"vertex count must be >= 0, got {n}")
+        edges = tuple(self.edges)
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            edges = [[_integer(v, "a vertex", e) for v in e] for e in edges]
         normalized = []
-        for e in self.edges:
-            t = tuple(sorted(int(v) for v in e))
-            if len(t) != self.r or len(set(t)) != self.r:
-                raise HypergraphError(f"edge {list(e)} is not a set of {self.r} distinct vertices")
-            if t[0] < 0 or t[-1] >= self.n:
-                raise HypergraphError(f"edge {list(e)} has a vertex outside 0..{self.n - 1}")
+        for e in edges:
+            t = tuple(sorted(e))
+            if len(t) != r or len(set(t)) != r:
+                raise HypergraphError(f"edge {list(e)} is not a set of {r} distinct vertices")
+            if t[0] < 0 or t[-1] >= n:
+                raise HypergraphError(f"edge {list(e)} has a vertex outside 0..{n - 1}")
             normalized.append(t)
         if len(set(normalized)) != len(normalized):
             dup = [e for e, k in Counter(normalized).items() if k > 1][0]
             raise HypergraphError(f"duplicate edge {list(dup)}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     # -- basic queries --------------------------------------------------
@@ -177,9 +203,9 @@ class UniformHypergraph:
         for key in ("r", "n", "edges"):
             if key not in data:
                 raise HypergraphError(f"hypergraph JSON missing key {key!r}")
-        if not isinstance(data["edges"], list):
-            raise HypergraphError("hypergraph JSON 'edges' must be a list")
-        return cls(int(data["r"]), int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+        if not isinstance(data["edges"], list) or not all(isinstance(e, list) for e in data["edges"]):
+            raise HypergraphError("hypergraph JSON 'edges' must be a list of lists")
+        return cls(data["r"], data["n"], tuple(tuple(e) for e in data["edges"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -231,11 +257,17 @@ def _cycle_error(hg: UniformHypergraph) -> HypergraphError:
 
 
 def rooted_superforest(hg: UniformHypergraph):
-    """Root every component of a superforest at its lowest vertex.
+    """Root every component of a superforest at its lowest vertex, with
+    its degree-1 vertices folded into the edges that hold them.
 
-    Returns (roots, order, child_edges): `order` lists every vertex after
-    its parent, breadth first, and child_edges[w] holds, for each edge
-    hanging below w, the list of its other vertices. Every edge is
+    phi, the spectral radius and isomorphism depend only on the core of
+    a superforest: its vertices of degree >= 2, where edges meet, and the
+    number of degree-1 vertices in each edge. Returns
+    (roots, order, child_edges): `order` lists every root and every
+    vertex of degree >= 2 after its parent, breadth first, and
+    child_edges[w] holds, for each edge hanging below w, the pair
+    (its vertices of degree >= 2 other than w, its number of other
+    degree-1 vertices). A root may have degree 0 or 1. Every edge is
     entered from the first of its vertices reached; reaching a vertex
     twice means a cycle, and raises HypergraphError.
     """
@@ -244,14 +276,16 @@ def rooted_superforest(hg: UniformHypergraph):
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
-    seen = [False] * hg.n
+    width = hg.r - 1  # vertices of an edge besides the one it is entered from
+    seen = [False] * hg.n  # reached, for the vertices of degree >= 2
     taken = [False] * len(edges)
-    child_edges: list[list[list[int]]] = [[] for _ in range(hg.n)]
+    child_edges: list[list[tuple[list[int], int]]] = [[] for _ in range(hg.n)]
     order: list[int] = []
     roots: list[int] = []
     head = 0
     for root in range(hg.n):
-        if seen[root]:
+        inc = incident[root]
+        if seen[root] or (len(inc) == 1 and taken[inc[0]]):  # reached already
             continue
         seen[root] = True
         roots.append(root)
@@ -263,13 +297,15 @@ def rooted_superforest(hg: UniformHypergraph):
                 if taken[i]:
                     continue
                 taken[i] = True
-                below = [u for u in edges[i] if u != w]
-                for u in below:
-                    if seen[u]:
-                        raise _cycle_error(hg)
-                    seen[u] = True
+                below = []
+                for u in edges[i]:
+                    if u != w and len(incident[u]) > 1:
+                        if seen[u]:
+                            raise _cycle_error(hg)
+                        seen[u] = True
+                        below.append(u)
                 order.extend(below)
-                child_edges[w].append(below)
+                child_edges[w].append((below, width - len(below)))
     return roots, order, child_edges
 
 
@@ -278,23 +314,29 @@ def rooted_superforest(hg: UniformHypergraph):
 
 def _centre_codes(hg: UniformHypergraph, table: dict) -> list[int]:
     """One Aho-Hopcroft-Ullman label per component of the vertex-edge
-    incidence forest (nodes 0..n-1 are vertices, n + i is edge i), rooted
-    at the component's centre. Labels from one table are equal exactly
-    when the rooted components are isomorphic.
+    incidence forest, rooted at the component's centre. Labels from one
+    table are equal exactly when the rooted components are isomorphic.
 
-    Peeling all leaves layer by layer reaches each centre last. Every
-    leaf is a vertex (an edge node has r >= 2 neighbours), so each
-    component has even diameter and exactly one centre. Nodes on a cycle
-    are never peeled, which raises HypergraphError.
+    The leaves of that forest are the vertices of degree 1 (an edge node
+    has r >= 2 neighbours), so every component has even diameter and
+    exactly one centre, which peeling all leaves layer by layer reaches
+    last. The first layer, the degree-1 vertices, is folded away: the
+    peel runs on the reduced forest of the other vertices (nodes
+    0..n-1) and the edges (n + i). An edge's label needs no count of its
+    degree-1 vertices, which is r less its neighbours in that forest.
+    Nodes on a cycle are never peeled, which raises HypergraphError.
     """
     n = hg.n
-    adj: list = [[] for _ in range(n)] + list(hg.edges)
+    adj: list = [[] for _ in range(n)]
     for i, e in enumerate(hg.edges, n):
         for v in e:
             adj[v].append(i)
-    left = [len(a) for a in adj]  # neighbours not yet peeled
+    core = [[v for v in e if len(adj[v]) > 1] for e in hg.edges]
+    left = [len(a) if len(a) != 1 else -1 for a in adj]  # neighbours not yet peeled
+    left += [len(c) for c in core]
+    adj += core
     kids: list[list[int]] = [[] for _ in adj]  # labels of peeled neighbours
-    layer = [x for x, d in enumerate(left) if d <= 1]
+    layer = [x for x, d in enumerate(left) if 0 <= d <= 1]
     codes = []
     while layer:
         nxt = []

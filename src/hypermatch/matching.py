@@ -16,7 +16,10 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
       B_w = prod_e P_e,   A_w = x B_w - sum_e Q_e prod_{e' != e} P_e',
 
   with P_e = prod_{u in e - w} A_u and Q_e = prod_{u in e - w} B_u (the
-  hypertree form of Godsil's tree recurrence). The polynomials are dense
+  hypertree form of Godsil's tree recurrence). A degree-1 vertex u has
+  A_u = x and B_u = 1, so the pass visits only the core, the roots and
+  the vertices of degree >= 2, and each edge's degree-1 vertices enter
+  as a count (see `rooted_superforest`). The polynomials are dense
   integer lists indexed by the matching size k. Results are memoized
   under the whole input hypergraph.
 
@@ -127,13 +130,15 @@ def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
     # Bottom-up, on coefficient lists indexed by the matching size k (the
     # vertex count fixes the exponents). x * B_w keeps B_w's list, and each
     # Q_e prod_{e' != e} P_e' covers r vertices fewer, so it enters A_w
-    # one k further down: A_w[k] = B_w[k] - total[k - 1].
+    # one k further down: A_w[k] = B_w[k] - total[k - 1]. A degree-1
+    # vertex has A = x and B = 1, both the list [1], so P_e and Q_e are
+    # products over the vertices of degree >= 2 alone.
     a: list = [None] * hg.n
     b: list = [None] * hg.n
     for w in reversed(order):
         prod_p = [1]  # prod of P_e over the edges so far
         total = []  # sum_e Q_e prod_{e' != e} P_e' over the edges so far
-        for below in child_edges[w]:
+        for below, _ in child_edges[w]:
             p = q = [1]
             for u in below:
                 p = _mul(p, a[u])

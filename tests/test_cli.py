@@ -86,6 +86,14 @@ class TestMatchpoly:
         bad.write_text(json.dumps({"r": 3, "n": 2, "edges": [[0, 1, 1]]}))
         assert run(capsys, "matchpoly", str(bad))[0] == 2
 
+    def test_fractional_vertex_exits_2(self, tmp_path, capsys):
+        # int() would read this as the path [[0, 1], [1, 2]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"r": 2, "n": 3, "edges": [[0, 1.9], [1.2, 2]]}))
+        code, out, err = run(capsys, "matchpoly", str(bad))
+        assert (code, out) == (2, "")
+        assert "must be an integer, got 1.9" in err
+
     def test_cyclic_input_exits_2_and_names_the_oracle(self, tmp_path, capsys):
         triangle = tmp_path / "triangle.json"
         triangle.write_text(json.dumps({"r": 2, "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))

@@ -139,6 +139,39 @@ class TestBuild:
         with pytest.raises(HypergraphError, match="edges"):
             UniformHypergraph.from_json_dict({"r": 2, "n": 2})
 
+    @pytest.mark.parametrize(
+        "r, n, edges, what",
+        [
+            (2, 3, [[0, 1.9], [1.2, 2]], "vertex"),
+            (2, 3, [[0, 1.0]], "vertex"),
+            (2, 3, [[True, 2]], "vertex"),
+            (2, 3, [["0", 2]], "vertex"),
+            (2.9, 3, [[0, 1]], "edge size"),
+            (2.0, 3, [[0, 1]], "edge size"),
+            (True, 3, [], "edge size"),
+            ("2", 3, [[0, 1]], "edge size"),
+            (2, 3.0, [[0, 1]], "vertex count"),
+            (2, "3", [[0, 1]], "vertex count"),
+            (2, False, [], "vertex count"),
+        ],
+    )
+    def test_non_integers_rejected(self, r, n, edges, what):
+        with pytest.raises(HypergraphError, match=f"{what}.* must be an integer"):
+            build(r, n, edges)
+        with pytest.raises(HypergraphError, match=f"{what}.* must be an integer"):
+            UniformHypergraph.from_json_dict({"r": r, "n": n, "edges": edges})
+
+    def test_integer_types_accepted(self):
+        np = pytest.importorskip("numpy")
+        hg = UniformHypergraph(np.int64(3), np.int32(5), ((np.int64(0), 1, np.uint8(2)), (2, 3, 4)))
+        assert hg == build(3, 5, [[0, 1, 2], [2, 3, 4]])
+        assert {type(hg.r), type(hg.n)} | {type(v) for e in hg.edges for v in e} == {int}
+        assert UniformHypergraph.from_json(hg.to_json()) == hg
+
+    def test_json_edge_that_is_no_list_rejected(self):
+        with pytest.raises(HypergraphError, match="list of lists"):
+            UniformHypergraph.from_json_dict({"r": 2, "n": 3, "edges": [1, 2]})
+
 
 class TestDeletion:
     def test_delete_vertex_of_single_edge(self):

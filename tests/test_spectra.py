@@ -310,6 +310,34 @@ class TestSpectralSummary:
             matching_polynomial(power_input), 3, power_input.n
         ).nu
 
+    def test_rho_is_the_unseeded_spectral_radius(self):
+        rng = random.Random(21)
+        inputs = [random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng) for _ in range(60)]
+        tree = random_supertree(3, 9, rng)
+        # equal components make the top root of q a double root, a poorer seed
+        inputs += [disjoint_union(tree, tree), spider(4, 2), family_w(5, 8).hg]
+        for hg in inputs:
+            assert spectral_summary(hg).rho == spectral_radius(hg)
+
+    def test_any_seed_gives_the_same_rho(self):
+        for hg in (spider(3, 2), random_supertree(4, 20, random.Random(4)), loose_path(2, 30).hg):
+            rho = spectral_radius(hg)
+            seeds = [rho * 1.5, rho * 1e6, 1e300, rho * (1 + 1e-15), rho, rho * (1 - 1e-12),
+                     rho * (1 - 1e-9), rho * 0.5, 1e-300, 0.0, -rho, math.nan, math.inf, -math.inf]
+            for seed in seeds:
+                assert spectral_radius(hg, _seed=seed) == rho, seed
+
+    def test_seeded_search_takes_few_passes(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        real_pass = spectra._tree_pass
+        monkeypatch.setattr(spectra, "_tree_pass", lambda *a: calls.append(1) or real_pass(*a))
+        rng = random.Random(0)
+        for _ in range(200):
+            spectral_summary(random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng))
+        assert len(calls) / 200 <= 4
+
     def test_tol_follows_env(self, monkeypatch):
         hg = family_w(3, 5).hg
         monkeypatch.delenv("HG_TOL", raising=False)
