@@ -21,7 +21,8 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   the vertices of degree >= 2, and each edge's degree-1 vertices enter
   as a count (see `rooted_superforest`). The polynomials are dense
   integer lists indexed by the matching size k. Results are memoized
-  under the whole input hypergraph.
+  in the record of the whole input hypergraph, which the numeric layer
+  shares (see `_record`).
 
 The reduction phi(x) = x^z * q(x^r) with z = n - r*nu(H) is what the
 numeric layer consumes: root-finding on the degree-nu q is far better
@@ -77,14 +78,38 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     )
 
 
-# Shared cache of whole inputs. CPython dict get/set is atomic, so
-# concurrent insert-or-get of these immutable values is safe; callers
-# needing full isolation can clear or ignore it.
-_PHI_CACHE: dict[UniformHypergraph, SparsePolynomial] = {}
+class _Record:
+    """What has been computed for one input hypergraph. Each field is None
+    until a function first asks for it: phi by matching_polynomial (ME
+    needs it too), rho by spectral_radius, the q roots and ME together
+    with the tolerance they were certified at by matching_energy and
+    spectral_summary, and the r = 2 characteristic polynomial by
+    tree_char_poly. rho and the characteristic polynomial never compute
+    phi. Errors are raised, never stored."""
+
+    __slots__ = ("phi", "rho", "energy", "char_poly")
+
+    def __init__(self):
+        self.phi = self.rho = self.energy = self.char_poly = None
+
+
+# One record per whole input. CPython dict setdefault and attribute stores
+# are atomic, and each field holds an immutable value computed from the
+# input alone, so concurrent callers at worst compute a field twice;
+# callers needing full isolation can clear or ignore the cache.
+_CACHE: dict[UniformHypergraph, _Record] = {}
+
+
+def _record(hg: UniformHypergraph) -> _Record:
+    """The cache record of hg, created empty on first use."""
+    rec = _CACHE.get(hg)
+    return rec if rec is not None else _CACHE.setdefault(hg, _Record())
 
 
 def clear_polynomial_cache():
-    _PHI_CACHE.clear()
+    """Forget every per-input result: phi, rho, ME with its q roots, and
+    the r = 2 characteristic polynomial."""
+    _CACHE.clear()
 
 
 def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
@@ -93,11 +118,10 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     Raises HypergraphError if hg has a cycle. Agrees exactly with
     matching_polynomial_oracle on every superforest.
     """
-    phi = _PHI_CACHE.get(hg)
-    if phi is None:
-        phi = _phi_superforest(hg)
-        _PHI_CACHE[hg] = phi
-    return phi
+    rec = _record(hg)
+    if rec.phi is None:
+        rec.phi = _phi_superforest(hg)
+    return rec.phi
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:

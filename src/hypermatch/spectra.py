@@ -10,9 +10,10 @@ exactly when every R_w(x) > 0. A degree-1 vertex has R = x, so a pass
 visits only the core (the roots and the vertices of degree >= 2) and
 takes an edge's k degree-1 vertices as the factor x^-k. A safeguarded
 Newton search over float passes of the recursion brackets rho between
-adjacent floats. spectral_summary, which has the roots mu of q anyway,
-starts that search just above (max |mu|)^(1/r), since rho^r is the
-largest |mu|: three passes or so instead of ten, and the same float.
+adjacent floats. When the matching energy of the same input has been
+computed first, its roots mu of q are at hand, and the search starts just
+above (max |mu|)^(1/r), since rho^r is the largest |mu|: three passes or
+so instead of ten, and the same float.
 
 The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
 matching energy, the sum of |x_i| over all roots of phi: each nonzero
@@ -28,6 +29,12 @@ ME = r * sum lam^(2/r) comes from one symmetric eigenproblem, with an
 error bound from Weyl's inequality and no root finding. Every other
 superforest takes the eigenvalues of the companion matrix of q, which
 carry no error bound: their matching energy is not certified.
+
+Every result is kept in the record of its input (see
+`matching._record`), so a suite that meets the same side twice pays
+once: rho, the q roots with ME and the default_tol() they were
+certified at (a changed HG_TOL certifies them again), and the exact
+characteristic polynomial. clear_polynomial_cache() forgets them all.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import HypergraphError, UniformHypergraph, rooted_superforest
-from .matching import matching_polynomial, reduce_polynomial
+from .matching import _record, matching_polynomial, reduce_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -243,7 +250,30 @@ def _tree_pass(
     return above, lower, upper if above else None
 
 
-def spectral_radius(hg: UniformHypergraph, *, _seed: float | None = None) -> float:
+def spectral_radius(hg: UniformHypergraph) -> float:
+    """Largest root of the matching polynomial of a superforest, kept in
+    the record of hg.
+
+    x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
+    rooted superforest is positive (Heilmann-Lieb, Godsil); see
+    _search_radius. The search starts from the largest |mu|^(1/r) of the
+    roots mu of q when the record has them (from matching_energy or
+    spectral_summary), and from its own bound otherwise: the same float
+    either way. Never computes phi. An edgeless hypergraph has spectral
+    radius 0; a hypergraph with a cycle raises HypergraphError. The
+    result is accurate to the last bits of a float, so it takes no
+    tolerance.
+    """
+    rec = _record(hg)
+    if rec.rho is None:
+        q_roots = rec.energy[1] if rec.energy is not None else ()
+        # rho^r is the largest |mu| (rho is the largest root of phi)
+        seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
+        rec.rho = _search_radius(hg, seed)
+    return rec.rho
+
+
+def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
     """Largest root of the matching polynomial of a superforest.
 
     x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
@@ -253,16 +283,14 @@ def spectral_radius(hg: UniformHypergraph, *, _seed: float | None = None) -> flo
     above and on the root's R from below, capped at the midpoint between
     the certified end and the best lower estimate, until its ends are
     adjacent floats; the certified end is returned. One pass covers every
-    component. An edgeless hypergraph has spectral radius 0; a
-    hypergraph with a cycle raises HypergraphError. The result is
-    accurate to the last bits of a float, so it takes no tolerance.
+    component.
 
-    `_seed`, an estimate of rho that spectral_summary has from the roots
-    of q, moves only where the search starts: the first trial lies just
-    above it, and becomes the refuted end if it is not certified. As
-    the certified predicate is monotone in x, the result is the same
-    float with or without a seed; seeds that are not finite and > 0, or
-    not below the bound the search starts from without one, are ignored.
+    `seed`, an estimate of rho from the roots of q or None, moves only
+    where the search starts: the first trial lies just above it, and
+    becomes the refuted end if it is not certified. As the certified
+    predicate is monotone in x, the result is the same float with or
+    without a seed; seeds that are not finite and > 0, or not below the
+    bound the search starts from without one, are ignored.
     """
     if not hg.edges:
         return 0.0
@@ -279,7 +307,7 @@ def spectral_radius(hg: UniformHypergraph, *, _seed: float | None = None) -> flo
     hi = c + k_max / c ** (r - 1)
     lo = 0.0  # a leaf has R = x, so 0 is never above rho
     res = None
-    x = _seed * (1.0 + _SEED_MARGIN) if _seed is not None else 0.0
+    x = seed * (1.0 + _SEED_MARGIN) if seed is not None else 0.0
     if 0.0 < x < hi:  # false for nan
         res = _tree_pass(x, post, child_edges, is_root, r)
         if res is not None and res[0]:
@@ -346,7 +374,7 @@ def _base_forest(hg: UniformHypergraph) -> tuple[int, list[tuple[int, int]]] | N
     return len(index), pairs
 
 
-def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float]:
+def _power_roots_and_energy(tol: float, r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float]:
     """The roots of q and ME of G^(r), for the forest G on `size` vertices
     with edges `pairs` and matching number nu, from G's eigenvalues.
 
@@ -357,7 +385,7 @@ def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[co
     eigenvalue is within delta = 4 size eps lam_max of the true one, which
     bounds the error of ME by 2 delta sum lam^(2/r) / (lam - delta).
     Raises RootFindingError when the nu-th eigenvalue is within 2 delta
-    of zero, or when that bound exceeds default_tol() * ME."""
+    of zero, or when that bound exceeds tol * ME."""
     adj = np.zeros((size, size))
     a, b = np.array(pairs).T
     adj[a, b] = adj[b, a] = 1.0
@@ -372,22 +400,33 @@ def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[co
     terms = lam ** (2.0 / r)
     me = r * float(terms.sum())
     bound = 2.0 * delta * float((terms / (lam - delta)).sum())
-    if bound > default_tol() * me:
+    if bound > tol * me:
         raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
     return tuple(complex(x * x) for x in lam.tolist()), me
 
 
 def _q_roots_and_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float]:
-    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r):
-    from one symmetric eigenproblem for a power superforest, else from
-    the companion roots of q."""
+    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r),
+    kept in the record of hg with the default_tol() they met; a record
+    certified at another tolerance is certified again."""
+    tol = default_tol()
+    rec = _record(hg)
+    if rec.energy is None or rec.energy[0] != tol:
+        rec.energy = (tol, *_certify_energy(hg, tol))
+    return rec.energy[1:]
+
+
+def _certify_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
+    """The roots of q and ME: from one symmetric eigenproblem for a power
+    superforest, with its error bound held to tol, else from the
+    companion roots of q."""
     if not hg.edges:
         return (), 0.0
     phi = matching_polynomial(hg)
     base = _base_forest(hg)
     if base is not None:
         nu = (hg.n - phi.min_exponent()) // hg.r
-        return _power_roots_and_energy(hg.r, nu, *base)
+        return _power_roots_and_energy(tol, hg.r, nu, *base)
     red = reduce_polynomial(phi, hg.r, hg.n)
     q_roots = tuple(roots(red.q))
     return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
@@ -428,32 +467,32 @@ class SpectralSummary:
 
 def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
     """The roots of q once, for ME (as lam^2 for the eigenvalues lam of
-    the base forest of a power superforest), and rho from the tree
-    recursion, its search started from the largest |mu|^(1/r) of those
-    roots. The seed changes where the search starts, not its result:
-    rho is the same float that spectral_radius(hg) returns."""
+    the base forest of a power superforest), then rho from the tree
+    recursion, whose search starts from those roots. The roots change
+    where the search starts, not its result: rho is the same float that
+    spectral_radius(hg) returns on its own."""
     q_roots, me = _q_roots_and_energy(hg)
-    # rho^r is the largest |mu| (rho is the largest root of phi)
-    seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
-    return SpectralSummary(rho=spectral_radius(hg, _seed=seed), me=me, q_roots=q_roots, tol=default_tol())
+    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=default_tol())
 
 
 # -- exact characteristic polynomial for ordinary forests -----------------
 
 
-def _char_poly_exact(neighbours: list[list[int]]) -> SparsePolynomial:
-    """Characteristic polynomial of a 0/1 adjacency matrix, given as
-    neighbour lists, via the Faddeev-LeVerrier recurrence; all divisions
-    are exact over the integers, so the result is exact. Row i of A.M is
-    the sum of the rows of M at the neighbours of i, so each step costs
-    O(n * sum of degrees), which is O(n^2) on a forest."""
-    n = len(neighbours)
+def _char_poly_exact(rows: list[list[int]]) -> SparsePolynomial:
+    """Characteristic polynomial of a nonnegative integer matrix A whose
+    row i is given as a list holding each column j A_ij times (for a 0/1
+    adjacency matrix, the neighbour lists), via the Faddeev-LeVerrier
+    recurrence; all divisions are exact over the integers, so the result
+    is exact. Row i of A.M is the sum of the rows of M that row i lists,
+    so each step costs O(n * total row length), which is O(n^2) for the
+    adjacency matrix of a forest."""
+    n = len(rows)
     coeffs = {n: 1}
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         m = [
-            [sum(col) for col in zip(*(m[t] for t in nbrs))] if nbrs else [0] * n
-            for nbrs in neighbours
+            [sum(col) for col in zip(*(m[t] for t in row))] if row else [0] * n
+            for row in rows
         ]
         trace = sum(m[i][i] for i in range(n))
         assert trace % k == 0
@@ -464,22 +503,52 @@ def _char_poly_exact(neighbours: list[list[int]]) -> SparsePolynomial:
     return SparsePolynomial(coeffs)
 
 
+def _tree_char_poly(tree: UniformHypergraph) -> SparsePolynomial:
+    """Adjacency characteristic polynomial of an ordinary tree (r = 2).
+
+    The tree is bipartite: with the a vertices of its smaller colour
+    class first, A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a)
+    det(x^2 I - B B^T). C = B B^T counts the common neighbours of two
+    vertices of that class, so row i of C lists, for each neighbour w of
+    vertex i, every neighbour of w; Faddeev-LeVerrier then runs on an
+    a x a matrix with a <= n/2."""
+    neighbours: list[list[int]] = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour = [0] + [-1] * (tree.n - 1)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in neighbours[v]:
+            if colour[w] < 0:
+                colour[w] = 1 - colour[v]
+                stack.append(w)
+    side = [v for v in range(tree.n) if colour[v] == 0]
+    if 2 * len(side) > tree.n:
+        side = [v for v in range(tree.n) if colour[v] == 1]
+    index = {v: i for i, v in enumerate(side)}
+    rows = [[index[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
+    shift = tree.n - 2 * len(side)
+    return SparsePolynomial({shift + 2 * e: c for e, c in _char_poly_exact(rows).terms()})
+
+
 def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     """Adjacency characteristic polynomial of an ordinary forest (r = 2,
-    or no edges at all, whatever r is declared).
+    or no edges at all, whatever r is declared), kept in the record of
+    hg.
 
     Computed independently of the matching machinery, as an exact second
     oracle: for forests it coincides with the matching polynomial.
     """
     if hg.r != 2 and hg.edges:
         raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
-    out = SparsePolynomial.one()
-    for comp in hg.components():
-        if comp.num_edges != comp.n - 1:
-            raise HypergraphError("not a forest: a component has a cycle")
-        neighbours: list[list[int]] = [[] for _ in range(comp.n)]
-        for a, b in comp.edges:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-        out = out * _char_poly_exact(neighbours)
-    return out
+    rec = _record(hg)
+    if rec.char_poly is None:
+        out = SparsePolynomial.one()
+        for comp in hg.components():
+            if comp.num_edges != comp.n - 1:
+                raise HypergraphError("not a forest: a component has a cycle")
+            out = out * _tree_char_poly(comp)
+        rec.char_poly = out
+    return rec.char_poly

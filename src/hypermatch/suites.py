@@ -12,6 +12,15 @@ byte-for-byte reproducible (elapsed time is reported in the human table
 only). Failing cases carry a reproduction command, HG_TOL included.
 A side whose matching energy raises RootFindingError fails its own case
 only: the message goes under "error" and that side's ME is null.
+
+Suites meet the same input more than once: path-w's lhs at (m, n) is
+its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
+and bridge's unions at m = 1 are the bridged objects themselves. Every
+per-input result, phi, rho, ME and the r = 2 characteristic polynomial,
+is kept in the input's record (see `matching._record`), so each distinct
+side is computed once per run and a repeat is served from its record.
+check_cospectral asks for each side's ME before its rho, whose search
+then starts from the roots of q that ME found.
 """
 
 from __future__ import annotations
@@ -126,16 +135,17 @@ def check_cospectral(
         "lhs_phi": phi_l.to_json_dict(),
         "rhs_phi": phi_r.to_json_dict(),
         "phi_equal": phi_l == phi_r,
-        "rho_lhs": spectral_radius(lhs),
-        "rho_rhs": spectral_radius(rhs),
     }
     errors = []
+    # ME first: its roots of q start each side's rho search
     for side, hg in (("me_lhs", lhs), ("me_rhs", rhs)):
         try:
             case[side] = matching_energy(hg)
         except RootFindingError as exc:
             case[side] = None
             errors.append(f"{side}: {exc}")
+    case["rho_lhs"] = spectral_radius(lhs)
+    case["rho_rhs"] = spectral_radius(rhs)
     if errors:
         case["error"] = "; ".join(errors)
     if check_isomorphism:

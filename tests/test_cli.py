@@ -288,6 +288,7 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "abc", "inf"])
 def test_invalid_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
     path = construct_file(tmp_path, capsys, "p2.json", "LoosePath", 3, "2")
+    assert run(capsys, "me", str(path))[0] == 0  # a warm record must not mask the error
     monkeypatch.setenv("HG_TOL", value)
     for argv in (("me", str(path)), ("me", str(path), "--summary"),
                  ("suite", "--name", "path-w", "--r", "3")):

@@ -1,5 +1,6 @@
 """Numeric spectral radius, matching energy, and the exact r=2 bridge."""
 
+import itertools
 import math
 import random
 
@@ -20,6 +21,8 @@ from hypermatch import (
     RootFindingError,
     SparsePolynomial,
     build,
+    check_cospectral,
+    clear_polynomial_cache,
     default_tol,
     disjoint_union,
     family_r,
@@ -37,6 +40,7 @@ from hypermatch import (
     spectral_summary,
     tree_char_poly,
 )
+from hypermatch.spectra import _search_radius
 
 TOL = 1e-10
 
@@ -267,6 +271,7 @@ class TestPowerSuperforests:
         inner = max(sum(1 for v in e if hg.degree(v) >= 2) for e in hg.edges)
         calls = []
         real_roots = spectra.roots
+        clear_polynomial_cache()  # hypothesis repeats inputs
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectra, "roots", lambda q: calls.append(q) or real_roots(q))
             matching_energy(hg)
@@ -297,14 +302,18 @@ class TestSpectralSummary:
             spectra, "roots", lambda q: calls.append(q) or real_roots(q)
         )
         hg = spider(3, 2)
+        clear_polynomial_cache()
         s = spectral_summary(hg)
         assert len(calls) == 1
+        clear_polynomial_cache()
         assert s.me == matching_energy(hg)
         assert len(calls) == 2
         # a power superforest needs no roots at all
         power_input = family_r(3, 1, 1, 2, 4).hg
+        clear_polynomial_cache()
         s = spectral_summary(power_input)
         assert len(calls) == 2
+        clear_polynomial_cache()
         assert s.me == matching_energy(power_input)
         assert len(s.q_roots) == reduce_polynomial(
             matching_polynomial(power_input), 3, power_input.n
@@ -317,15 +326,17 @@ class TestSpectralSummary:
         # equal components make the top root of q a double root, a poorer seed
         inputs += [disjoint_union(tree, tree), spider(4, 2), family_w(5, 8).hg]
         for hg in inputs:
-            assert spectral_summary(hg).rho == spectral_radius(hg)
+            # the summary's rho is searched from the roots of q, on a cold record
+            clear_polynomial_cache()
+            assert spectral_summary(hg).rho == _search_radius(hg, None)
 
     def test_any_seed_gives_the_same_rho(self):
         for hg in (spider(3, 2), random_supertree(4, 20, random.Random(4)), loose_path(2, 30).hg):
-            rho = spectral_radius(hg)
+            rho = _search_radius(hg, None)
             seeds = [rho * 1.5, rho * 1e6, 1e300, rho * (1 + 1e-15), rho, rho * (1 - 1e-12),
                      rho * (1 - 1e-9), rho * 0.5, 1e-300, 0.0, -rho, math.nan, math.inf, -math.inf]
             for seed in seeds:
-                assert spectral_radius(hg, _seed=seed) == rho, seed
+                assert _search_radius(hg, seed) == rho, seed
 
     def test_seeded_search_takes_few_passes(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -345,6 +356,131 @@ class TestSpectralSummary:
         monkeypatch.setenv("HG_TOL", "1e-7")
         assert spectral_summary(hg).tol == 1e-7
         assert spectral_summary(hg).to_json_dict()["tol"] == 1e-7
+
+
+class TestRecord:
+    """Each input keeps one record of phi, rho, ME with its q roots, and
+    the r = 2 characteristic polynomial, filled field by field."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+    def test_each_field_computed_once_until_cleared(self, monkeypatch):
+        import hypermatch.matching as matching
+        import hypermatch.spectra as spectra
+
+        calls = []
+        for module, name in ((matching, "_phi_superforest"), (spectra, "_search_radius"),
+                             (spectra, "_certify_energy"), (spectra, "_tree_char_poly")):
+            self._count(monkeypatch, module, name, calls)
+        inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
+        clear_polynomial_cache()
+        for _ in range(2):
+            cold = [spectral_summary(hg) for hg in inputs]
+            warm = [spectral_summary(hg) for hg in inputs]
+            assert cold == warm
+            assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
+            assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
+            assert sorted(calls) == sorted(
+                ["_phi_superforest", "_search_radius", "_certify_energy"] * 2 + ["_tree_char_poly"]
+            )
+            clear_polynomial_cache()  # rho, ME and the oracle go with phi
+            calls.clear()
+
+    def test_changed_tolerance_certifies_again(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        self._count(monkeypatch, spectra, "_certify_energy", calls)
+        hg = family_w(3, 7).hg  # a power superforest: its bound depends on the tolerance
+        monkeypatch.delenv("HG_TOL", raising=False)
+        clear_polynomial_cache()
+        me = matching_energy(hg)
+        monkeypatch.setenv("HG_TOL", "1e-7")
+        assert matching_energy(hg) == me
+        assert spectral_summary(hg).tol == 1e-7
+        assert len(calls) == 2
+        monkeypatch.setenv("HG_TOL", "1e-300")
+        for _ in range(2):
+            with pytest.raises(RootFindingError, match="only certain"):
+                matching_energy(hg)
+        for value in ("nan", "0", "abc"):
+            monkeypatch.setenv("HG_TOL", value)
+            for fn in (matching_energy, spectral_summary):
+                with pytest.raises(ValueError, match="HG_TOL"):
+                    fn(hg)
+        monkeypatch.delenv("HG_TOL")
+        assert matching_energy(hg) == me
+
+    def test_root_finding_error_is_raised_every_time(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+
+        def failing(q):
+            calls.append(q)
+            raise RootFindingError("injected failure")
+
+        monkeypatch.setattr(spectra, "roots", failing)
+        hg = spider(3, 2)  # no power of a forest: ME takes the roots of q
+        clear_polynomial_cache()
+        for fn in (matching_energy, spectral_summary, matching_energy):
+            with pytest.raises(RootFindingError, match="injected"):
+                fn(hg)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), abs=1e-8)
+
+    def test_rho_and_char_poly_never_compute_phi(self, monkeypatch):
+        import hypermatch.matching as matching
+
+        def refuse(hg):
+            raise AssertionError("phi computed")
+
+        rng = random.Random(8)
+        inputs = [spider(4, 3), random_supertree(3, 20, rng), random_supertree(2, 30, rng)]
+        expected = [(spectral_radius(hg), matching_polynomial(hg)) for hg in inputs]
+        monkeypatch.setattr(matching, "_phi_superforest", refuse)
+        clear_polynomial_cache()
+        for hg, (rho, phi) in zip(inputs, expected):
+            assert spectral_radius(hg) == rho
+            if hg.r == 2:
+                assert tree_char_poly(hg) == phi
+        with pytest.raises(AssertionError, match="phi computed"):
+            matching_energy(inputs[0])
+
+    def test_any_order_of_requests_gives_the_same_results(self):
+        rng = random.Random(12)
+        g = random_supertree(3, 9, rng)
+        inputs = [
+            spider(3, 2),
+            family_r(3, 1, 1, 2, 4).hg,
+            disjoint_union(g, g),
+            random_supertree(2, 15, rng),
+            isolated(4, 3),
+        ]
+        requests = {
+            "check": lambda hg: check_cospectral(hg, hg),
+            "rho": spectral_radius,
+            "summary": spectral_summary,
+        }
+        for hg in inputs:
+            results = set()
+            for order in itertools.permutations(requests):
+                clear_polynomial_cache()
+                got = {name: requests[name](hg) for name in order}
+                case = got["check"]
+                results.add((
+                    case["rho_lhs"], case["rho_rhs"], case["me_lhs"], case["me_rhs"],
+                    case.get("char_equal"), got["rho"], got["summary"],
+                ))
+            assert len(results) == 1, hg
+            (rho_l, rho_r, me_l, me_r, char_equal, rho, summary), = results
+            assert rho_l == rho_r == rho == summary.rho
+            assert me_l == me_r == summary.me
+            assert char_equal is (True if hg.r == 2 else None)
 
 
 class TestDefaultTol:
@@ -405,6 +541,46 @@ class TestTreeCharPoly:
         for _ in range(3):
             tree = random_supertree(2, rng.randint(95, 105), rng)
             assert tree_char_poly(tree) == matching_polynomial(tree)
+
+    @staticmethod
+    def _assert_oracles_agree(hg):
+        from hypermatch.spectra import _char_poly_exact
+
+        neighbours = [[] for _ in range(hg.n)]
+        for a, b in hg.edges:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        clear_polynomial_cache()
+        chi = tree_char_poly(hg)
+        assert chi == _char_poly_exact(neighbours)
+        assert chi == matching_polynomial(hg)
+
+    def test_bbt_route_on_random_forests_with_isolated_vertices(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            parts = [random_supertree(2, rng.randint(1, 9), rng) for _ in range(rng.randint(1, 3))]
+            parts.append(isolated(rng.randint(0, 3)))
+            forest = parts[0]
+            for part in parts[1:]:
+                forest = disjoint_union(forest, part)
+            perm = list(range(forest.n))
+            rng.shuffle(perm)
+            self._assert_oracles_agree(build(2, forest.n, [[perm[v] for v in e] for e in forest.edges]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_bbt_route_on_stars_paths_and_single_edges(self, k):
+        star = build(2, k + 1, [[0, v] for v in range(1, k + 1)])
+        off_centre = build(2, k + 1, [[v, k] for v in range(k)])
+        for hg in (star, off_centre, loose_path(2, k).hg, disjoint_union(loose_path(2, 1).hg, star)):
+            self._assert_oracles_agree(hg)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_bbt_route_on_edgeless_inputs(self, n):
+        self._assert_oracles_agree(isolated(n))
+
+    @pytest.mark.parametrize("n", [61, 121, 177])
+    def test_bbt_route_on_large_trees(self, n):
+        self._assert_oracles_agree(random_supertree(2, n - 1, random.Random(n)))
 
     def test_matches_on_forests(self):
         rng = random.Random(7)

@@ -10,6 +10,7 @@ from hypermatch import (
     HypergraphError,
     SparsePolynomial,
     check_cospectral,
+    clear_polynomial_cache,
     disjoint_union,
     family_w,
     isolated,
@@ -97,6 +98,26 @@ class TestCheckCospectral:
         with pytest.raises(HypergraphError):
             check_cospectral(loose_path(2, 1).hg, loose_path(3, 1).hg)
 
+    def test_each_side_searches_rho_from_its_own_roots(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        seeds = []
+        search = spectra._search_radius
+        monkeypatch.setattr(
+            spectra, "_search_radius", lambda hg, seed: seeds.append((hg, seed)) or search(hg, seed)
+        )
+        r = 3
+        lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
+        rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
+        clear_polynomial_cache()
+        case = check_cospectral(lhs, rhs)
+        assert [hg for hg, _ in seeds] == [lhs, rhs]
+        for (hg, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
+            assert seed == pytest.approx(rho, rel=1e-9)
+            assert rho == search(hg, None)
+        check_cospectral(rhs, lhs)  # both sides served from their records
+        assert len(seeds) == 2
+
 
 class TestSuites:
     def test_coalesce_small(self):
@@ -146,9 +167,16 @@ class TestSuites:
             run_suite("nope")
 
     def test_reports_are_byte_identical_across_runs(self):
-        a = suite_bridge(r_list=(3,), m_max=2, trials=3, seed=7)
-        b = suite_bridge(r_list=(3,), m_max=2, trials=3, seed=7)
-        assert a.to_json() == b.to_json()
+        runs = (
+            lambda: suite_bridge(r_list=(2, 3), m_max=2, trials=3, seed=7),
+            lambda: suite_coalesce(r_list=(2, 3), trials=3, seed=7, m_max=2),
+            lambda: suite_path_w(r_list=(2, 3), m_range=(6, 8), n_range=(6, 8)),
+        )
+        for run in runs:
+            clear_polynomial_cache()
+            cold = run().to_json()
+            warm = run().to_json()  # every side served from its record
+            assert warm == cold
 
     def test_different_seeds_differ(self):
         a = suite_bridge(r_list=(3,), m_max=1, trials=3, seed=1)
