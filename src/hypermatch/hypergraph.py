@@ -1,9 +1,9 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
 matching-polynomial identities, plus supertree validation, the rooting
-of a superforest that phi and the spectral radius share, and superforest
-isomorphism by a canonical label per component. Rooting and labelling
-both work on the core, the vertices of degree >= 2 where edges meet:
-each edge's degree-1 vertices enter as a count, never one by one.
+of a superforest into its core, the vertices of degree >= 2 where edges
+meet, with each edge's degree-1 vertices as a count, and superforest
+isomorphism by a canonical label per component of the core. Each
+input's core is kept in its cache record (see `matching._core`).
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -47,7 +47,8 @@ class UniformHypergraph:
 
     Edges are stored as sorted vertex tuples in one sorted tuple, so
     iteration order is deterministic and instances are hashable (used as
-    cache keys downstream). Isolated vertices are first-class: n may
+    cache keys downstream; the hash is computed once, at construction).
+    Isolated vertices are first-class: n may
     exceed the number of vertices covered by edges. r, n and the
     vertices must be integers (ints, or integer types such as numpy's);
     floats, strings and bools raise HypergraphError.
@@ -78,9 +79,14 @@ class UniformHypergraph:
         if len(set(normalized)) != len(normalized):
             dup = [e for e, k in Counter(normalized).items() if k > 1][0]
             raise HypergraphError(f"duplicate edge {list(dup)}")
+        edges = tuple(sorted(normalized))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_hash", hash((r, n, edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- basic queries --------------------------------------------------
 
@@ -260,16 +266,17 @@ def rooted_superforest(hg: UniformHypergraph):
     """Root every component of a superforest at its lowest vertex, with
     its degree-1 vertices folded into the edges that hold them.
 
-    phi, the spectral radius and isomorphism depend only on the core of
-    a superforest: its vertices of degree >= 2, where edges meet, and the
-    number of degree-1 vertices in each edge. Returns
-    (roots, order, child_edges): `order` lists every root and every
-    vertex of degree >= 2 after its parent, breadth first, and
-    child_edges[w] holds, for each edge hanging below w, the pair
-    (its vertices of degree >= 2 other than w, its number of other
-    degree-1 vertices). A root may have degree 0 or 1. Every edge is
-    entered from the first of its vertices reached; reaching a vertex
-    twice means a cycle, and raises HypergraphError.
+    phi, the spectral radius, the power-forest test and isomorphism
+    depend only on this core: the vertices of degree >= 2, where edges
+    meet, and the number of degree-1 vertices in each edge. Its indices
+    0..c-1 number every root and vertex of degree >= 2 breadth first,
+    parents first. Returns (vertices, roots, child_edges): the vertex of
+    each index, the indices of the roots, and for each index, one pair
+    per edge hanging below it (the tuple of the indices of the edge's
+    other vertices of degree >= 2, its number of other degree-1
+    vertices). A root may have degree 0 or 1. Every edge is entered from
+    the first of its vertices reached; reaching a vertex twice means a
+    cycle, and raises HypergraphError.
     """
     edges = hg.edges
     incident: list[list[int]] = [[] for _ in range(hg.n)]
@@ -277,22 +284,23 @@ def rooted_superforest(hg: UniformHypergraph):
         for v in e:
             incident[v].append(i)
     width = hg.r - 1  # vertices of an edge besides the one it is entered from
-    seen = [False] * hg.n  # reached, for the vertices of degree >= 2
+    index = [-1] * hg.n  # the core index of each root and vertex of degree >= 2 reached
     taken = [False] * len(edges)
-    child_edges: list[list[tuple[list[int], int]]] = [[] for _ in range(hg.n)]
-    order: list[int] = []
+    vertices: list[int] = []
     roots: list[int] = []
-    head = 0
+    child_edges: list[list[tuple[tuple[int, ...], int]]] = []
     for root in range(hg.n):
         inc = incident[root]
-        if seen[root] or (len(inc) == 1 and taken[inc[0]]):  # reached already
+        if index[root] >= 0 or (len(inc) == 1 and taken[inc[0]]):  # reached already
             continue
-        seen[root] = True
-        roots.append(root)
-        order.append(root)
-        while head < len(order):
-            w = order[head]
+        head = len(vertices)
+        roots.append(head)
+        index[root] = head
+        vertices.append(root)
+        while head < len(vertices):
+            w = vertices[head]
             head += 1
+            kids = []
             for i in incident[w]:
                 if taken[i]:
                     continue
@@ -300,60 +308,66 @@ def rooted_superforest(hg: UniformHypergraph):
                 below = []
                 for u in edges[i]:
                     if u != w and len(incident[u]) > 1:
-                        if seen[u]:
+                        if index[u] >= 0:
                             raise _cycle_error(hg)
-                        seen[u] = True
-                        below.append(u)
-                order.extend(below)
-                child_edges[w].append((below, width - len(below)))
-    return roots, order, child_edges
+                        index[u] = len(vertices)
+                        below.append(len(vertices))
+                        vertices.append(u)
+                kids.append((tuple(below), width - len(below)))
+            child_edges.append(kids)
+    return vertices, roots, child_edges
 
 
 # -- isomorphism ---------------------------------------------------------
 
 
-def _centre_codes(hg: UniformHypergraph, table: dict) -> list[int]:
+def _centre_codes(core, table: dict) -> list[int]:
     """One Aho-Hopcroft-Ullman label per component of the vertex-edge
-    incidence forest, rooted at the component's centre. Labels from one
-    table are equal exactly when the rooted components are isomorphic.
+    incidence forest, rooted at the component's centre, from the core
+    that rooted_superforest returns. Labels from one table are equal
+    exactly when the rooted components are isomorphic.
 
     The leaves of that forest are the vertices of degree 1 (an edge node
     has r >= 2 neighbours), so every component has even diameter and
     exactly one centre, which peeling all leaves layer by layer reaches
-    last. The first layer, the degree-1 vertices, is folded away: the
-    peel runs on the reduced forest of the other vertices (nodes
-    0..n-1) and the edges (n + i). An edge's label needs no count of its
-    degree-1 vertices, which is r less its neighbours in that forest.
-    Nodes on a cycle are never peeled, which raises HypergraphError.
+    last. The first layer, the degree-1 vertices, is folded away in the
+    core: the peel runs on the reduced forest of the core indices (nodes
+    0..c-1, a root of degree 1 as peeled) and the edges (nodes c on). An
+    edge's label needs no count of its degree-1 vertices, which is r
+    less its neighbours in that forest.
     """
-    n = hg.n
-    adj: list = [[] for _ in range(n)]
-    for i, e in enumerate(hg.edges, n):
-        for v in e:
-            adj[v].append(i)
-    core = [[v for v in e if len(adj[v]) > 1] for e in hg.edges]
-    left = [len(a) if len(a) != 1 else -1 for a in adj]  # neighbours not yet peeled
-    left += [len(c) for c in core]
-    adj += core
-    kids: list[list[int]] = [[] for _ in adj]  # labels of peeled neighbours
+    _, roots, child_edges = core
+    c = len(child_edges)
+    adj: list = [[] for _ in range(c)]
+    for w, below_w in enumerate(child_edges):
+        for below, _ in below_w:
+            for u in (w, *below):
+                adj[u].append(len(adj))
+            adj.append((w, *below))
+    left = [len(a) for a in adj]  # neighbours not yet peeled
+    for root in roots:
+        if left[root] == 1:  # degree 1: folded into its edge, as peeled
+            left[root] = -1
+            left[adj[root][0]] -= 1
+    kids: list = [() for _ in adj]  # labels of peeled neighbours
     layer = [x for x, d in enumerate(left) if 0 <= d <= 1]
     codes = []
     while layer:
         nxt = []
         for x in layer:
-            label = table.setdefault((x >= n, tuple(sorted(kids[x]))), len(table))
+            label = table.setdefault((x >= c, tuple(sorted(kids[x]))), len(table))
             left[x] = -1
-            parent = [y for y in adj[x] if left[y] >= 0]
-            if not parent:  # the centre
+            for y in adj[x]:  # the one neighbour left, if any
+                if left[y] >= 0:
+                    break
+            else:  # none: x is the centre
                 codes.append(label)
-            for y in parent:  # at most one
-                kids[y].append(label)
-                left[y] -= 1
-                if left[y] == 1:
-                    nxt.append(y)
+                continue
+            kids[y] += (label,)
+            left[y] -= 1
+            if left[y] == 1:
+                nxt.append(y)
         layer = nxt
-    if any(d >= 0 for d in left):
-        raise _cycle_error(hg)
     return codes
 
 
@@ -361,14 +375,16 @@ def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
     """Edge-preserving vertex bijection test for superforests.
 
     Linear apart from sorting: each component's incidence tree gets a
-    canonical label, and the sorted labels of g and h are compared.
-    Edgeless hypergraphs with the same n are isomorphic whatever their r.
-    Raises HypergraphError if g or h has a cycle, unless n, m or r
-    already tell them apart.
+    canonical label from the core kept in the record of its input, and
+    the sorted labels of g and h are compared. Edgeless hypergraphs with
+    the same n are isomorphic whatever their r. Raises HypergraphError if
+    g or h has a cycle, unless n, m or r already tell them apart.
     """
     if g.n != h.n or g.num_edges != h.num_edges:
         return False
     if g.edges and h.edges and g.r != h.r:
         return False
+    from .matching import _core  # matching, which holds the records, imports this module
+
     table: dict = {}
-    return sorted(_centre_codes(g, table)) == sorted(_centre_codes(h, table))
+    return sorted(_centre_codes(_core(g), table)) == sorted(_centre_codes(_core(h), table))

@@ -22,7 +22,7 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   as a count (see `rooted_superforest`). The polynomials are dense
   integer lists indexed by the matching size k. Results are memoized
   in the record of the whole input hypergraph, which the numeric layer
-  shares (see `_record`).
+  and isomorphism share (see `_record`), with the core phi is read from.
 
 The reduction phi(x) = x^z * q(x^r) with z = n - r*nu(H) is what the
 numeric layer consumes: root-finding on the degree-nu q is far better
@@ -80,17 +80,18 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
 
 class _Record:
     """What has been computed for one input hypergraph. Each field is None
-    until a function first asks for it: phi by matching_polynomial (ME
-    needs it too), rho by spectral_radius, the q roots and ME together
-    with the tolerance they were certified at by matching_energy and
-    spectral_summary, and the r = 2 characteristic polynomial by
-    tree_char_poly. rho and the characteristic polynomial never compute
-    phi. Errors are raised, never stored."""
+    until a function first asks for it: the core (see `_core`), phi by
+    matching_polynomial (ME needs it too), rho by spectral_radius, the
+    q roots and ME together with the tolerance they were certified at
+    by matching_energy and spectral_summary, and the r = 2
+    characteristic polynomial by tree_char_poly. rho and the
+    characteristic polynomial never compute phi. Errors, such as a
+    cycle, are raised every time, never stored."""
 
-    __slots__ = ("phi", "rho", "energy", "char_poly")
+    __slots__ = ("core", "phi", "rho", "energy", "char_poly")
 
     def __init__(self):
-        self.phi = self.rho = self.energy = self.char_poly = None
+        self.core = self.phi = self.rho = self.energy = self.char_poly = None
 
 
 # One record per whole input. CPython dict setdefault and attribute stores
@@ -106,9 +107,19 @@ def _record(hg: UniformHypergraph) -> _Record:
     return rec if rec is not None else _CACHE.setdefault(hg, _Record())
 
 
+def _core(hg: UniformHypergraph):
+    """The core of hg (see `rooted_superforest`), kept in its record:
+    phi, rho, the power-forest test of ME and isomorphism all read it,
+    so each input is rooted once."""
+    rec = _record(hg)
+    if rec.core is None:
+        rec.core = rooted_superforest(hg)
+    return rec.core
+
+
 def clear_polynomial_cache():
-    """Forget every per-input result: phi, rho, ME with its q roots, and
-    the r = 2 characteristic polynomial."""
+    """Forget every per-input result: the core, phi, rho, ME with its q
+    roots, and the r = 2 characteristic polynomial."""
     _CACHE.clear()
 
 
@@ -149,7 +160,7 @@ def _add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
-    roots, order, child_edges = rooted_superforest(hg)
+    _, roots, child_edges = _core(hg)
 
     # Bottom-up, on coefficient lists indexed by the matching size k (the
     # vertex count fixes the exponents). x * B_w keeps B_w's list, and each
@@ -157,9 +168,9 @@ def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
     # one k further down: A_w[k] = B_w[k] - total[k - 1]. A degree-1
     # vertex has A = x and B = 1, both the list [1], so P_e and Q_e are
     # products over the vertices of degree >= 2 alone.
-    a: list = [None] * hg.n
-    b: list = [None] * hg.n
-    for w in reversed(order):
+    a: list = [None] * len(child_edges)
+    b: list = [None] * len(child_edges)
+    for w in range(len(child_edges) - 1, -1, -1):  # children before parents
         prod_p = [1]  # prod of P_e over the edges so far
         total = []  # sum_e Q_e prod_{e' != e} P_e' over the edges so far
         for below, _ in child_edges[w]:

@@ -32,9 +32,10 @@ carry no error bound: their matching energy is not certified.
 
 Every result is kept in the record of its input (see
 `matching._record`), so a suite that meets the same side twice pays
-once: rho, the q roots with ME and the default_tol() they were
-certified at (a changed HG_TOL certifies them again), and the exact
-characteristic polynomial. clear_polynomial_cache() forgets them all.
+once: the core that rho and the power test read, rho, the q roots with
+ME and the default_tol() they were certified at (a changed HG_TOL
+certifies them again), and the exact characteristic polynomial.
+clear_polynomial_cache() forgets them all.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .hypergraph import HypergraphError, UniformHypergraph, rooted_superforest
-from .matching import _record, matching_polynomial, reduce_polynomial
+from .hypergraph import HypergraphError, UniformHypergraph
+from .matching import _core, _record, matching_polynomial, reduce_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -182,16 +184,16 @@ _SEED_MARGIN = 2.0**-30
 
 def _tree_pass(
     x: float,
-    post: list[int],
-    child_edges: list[list[tuple[list[int], int]]],
+    post: range,
+    child_edges: list[list[tuple[tuple[int, ...], int]]],
     is_root: list[bool],
     r: int,
 ):
     """One bottom-up pass of R_w = x - sum_e prod_{u in e - w} 1/R_u,
     with its derivative D_w = 1 + sum_e (prod_u 1/R_u) sum_u D_u/R_u,
-    over the core that rooted_superforest returns. A degree-1 vertex has
-    R = x and D/R = 1/x, so an edge's k of them enter as the factor x^-k
-    and the term k/x.
+    over the core that rooted_superforest returns, children first. A
+    degree-1 vertex has R = x and D/R = 1/x, so an edge's k of them enter
+    as the factor x^-k and the term k/x.
 
     Returns None if R_w <= 0 at a vertex that is not a component root:
     then x <= rho and nothing more is known. Otherwise returns
@@ -294,9 +296,9 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
     """
     if not hg.edges:
         return 0.0
-    roots, order, child_edges = rooted_superforest(hg)
-    post = order[::-1]
-    is_root = [False] * hg.n
+    _, roots, child_edges = _core(hg)
+    post = range(len(child_edges) - 1, -1, -1)  # children before parents
+    is_root = [False] * len(child_edges)
     for root in roots:
         is_root[root] = True
     # With every R_u >= c, R_w >= x - k / c^(r-1) for k child edges, so
@@ -351,27 +353,35 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
             lo = x
 
 
-def _base_forest(hg: UniformHypergraph) -> tuple[int, list[tuple[int, int]]] | None:
+def _base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
     """The ordinary forest G with hg = G^(r), as (vertex count, edges) on a
     compact vertex index, or None unless hg is a power superforest.
 
-    Each edge keeps its vertices of degree >= 2, padded with its degree-1
-    vertices up to two. In a superforest two edges meet in at most one
-    vertex, which has degree >= 2 and so is kept, so G has the same
-    edge-intersection graph, hence the same matching counts, as hg."""
-    deg = [0] * hg.n
-    for e in hg.edges:
-        for v in e:
-            deg[v] += 1
-    index: dict[int, int] = {}
+    Read from the core of hg: each edge keeps its vertices of degree >= 2
+    (those below it, and the one it hangs from unless that is a root of
+    degree 0 or 1), padded with its degree-1 vertices up to two. In a
+    superforest two edges meet in at most one vertex, which has degree
+    >= 2 and so is kept, so G has the same edge-intersection graph, hence
+    the same matching counts, as hg."""
+    _, roots, child_edges = _core(hg)
+    inner = [True] * len(child_edges)  # of degree >= 2
+    for root in roots:
+        inner[root] = len(child_edges[root]) >= 2
+    index = list(accumulate(inner, initial=0))  # G's vertex of each core index of degree >= 2
+    size = index.pop()
     pairs = []
-    for e in hg.edges:
-        inner = [v for v in e if deg[v] >= 2]
-        if len(inner) > 2:
-            return None
-        pair = inner + [v for v in e if deg[v] == 1][: 2 - len(inner)]
-        pairs.append(tuple(index.setdefault(v, len(index)) for v in pair))
-    return len(index), pairs
+    for w, below_w in enumerate(child_edges):
+        for below, _ in below_w:
+            pair = [index[u] for u in below]
+            if inner[w]:
+                pair.append(index[w])
+            if len(pair) > 2:
+                return None
+            while len(pair) < 2:  # a degree-1 vertex of the edge
+                pair.append(size)
+                size += 1
+            pairs.append(pair)
+    return size, pairs
 
 
 def _power_roots_and_energy(tol: float, r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float]:
@@ -506,12 +516,14 @@ def _char_poly_exact(rows: list[list[int]]) -> SparsePolynomial:
 def _tree_char_poly(tree: UniformHypergraph) -> SparsePolynomial:
     """Adjacency characteristic polynomial of an ordinary tree (r = 2).
 
-    The tree is bipartite: with the a vertices of its smaller colour
-    class first, A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a)
-    det(x^2 I - B B^T). C = B B^T counts the common neighbours of two
-    vertices of that class, so row i of C lists, for each neighbour w of
-    vertex i, every neighbour of w; Faddeev-LeVerrier then runs on an
-    a x a matrix with a <= n/2."""
+    The tree is bipartite: with the a vertices of one colour class first,
+    A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
+    C = B B^T counts the common neighbours of two vertices of that class,
+    so row i of C lists, for each neighbour w of vertex i, every
+    neighbour of w: the rows of a class hold as many entries as the
+    squared degrees of the other class sum to. Faddeev-LeVerrier takes a
+    steps on C, each a times that many, so it runs on the class where a
+    squared times that sum is smaller (the smaller class on a tie)."""
     neighbours: list[list[int]] = [[] for _ in range(tree.n)]
     for u, v in tree.edges:
         neighbours[u].append(v)
@@ -524,9 +536,12 @@ def _tree_char_poly(tree: UniformHypergraph) -> SparsePolynomial:
             if colour[w] < 0:
                 colour[w] = 1 - colour[v]
                 stack.append(w)
-    side = [v for v in range(tree.n) if colour[v] == 0]
-    if 2 * len(side) > tree.n:
-        side = [v for v in range(tree.n) if colour[v] == 1]
+    even, odd = ([v for v in range(tree.n) if colour[v] == c] for c in (0, 1))
+
+    def cost(side, other):
+        return len(side) ** 2 * sum(len(neighbours[w]) ** 2 for w in other), len(side)
+
+    side = even if cost(even, odd) <= cost(odd, even) else odd
     index = {v: i for i, v in enumerate(side)}
     rows = [[index[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
     shift = tree.n - 2 * len(side)

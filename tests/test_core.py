@@ -1,10 +1,12 @@
-"""phi, rho and isomorphism on the core of a superforest.
+"""phi, rho, the power-forest test and isomorphism on the core of a
+superforest.
 
-The three passes visit only the roots and the vertices of degree >= 2,
+The four readers visit only the roots and the vertices of degree >= 2,
 and take each edge's degree-1 vertices as a count. These tests hold them
 to references that see every vertex: matching enumeration for phi, a
-bisection on exact Sturm counts of q for rho, and a backtracking search
-for isomorphism, on the shapes where the folding has its corner cases.
+bisection on exact Sturm counts of q for rho, the degrees of each edge's
+vertices for the power-forest test, and a backtracking search for
+isomorphism, on the shapes where the folding has its corner cases.
 """
 
 import math
@@ -21,12 +23,14 @@ from hypermatch import (
     isolated,
     loose_path,
     matching_polynomial,
+    matching_counts,
     matching_polynomial_oracle,
     random_supertree,
     reduce_polynomial,
     spectral_radius,
 )
 from hypermatch.hypergraph import rooted_superforest
+from hypermatch.spectra import _base_forest
 
 
 def relabelled(hg, rng):
@@ -232,25 +236,35 @@ def backtrack_isomorphic(g, h):
 
 
 class TestRooting:
+    """rooted_superforest on compact core indices, mapped back to vertices
+    through the vertex list it returns."""
+
     def test_order_holds_the_roots_and_the_core(self):
         for label, hg in CORPUS.items():
-            roots, order, child_edges = rooted_superforest(hg)
+            vertices, roots, child_edges = rooted_superforest(hg)
             deg = [hg.degree(v) for v in range(hg.n)]
-            assert sorted(order) == sorted(set(roots) | {v for v in range(hg.n) if deg[v] >= 2}), label
-            for w in order:
-                for below, leaves in child_edges[w]:
-                    assert all(deg[u] >= 2 for u in below), label
+            assert len(child_edges) == len(vertices), label
+            assert sorted(vertices) == sorted({vertices[i] for i in roots} | {v for v in range(hg.n) if deg[v] >= 2}), label
+            entered = []  # each edge as (its vertices of degree >= 2, its degree-1 count)
+            for w, below_w in enumerate(child_edges):
+                for below, leaves in below_w:
+                    assert all(deg[vertices[u]] >= 2 for u in below), label
+                    assert all(u > w for u in below), label  # parents first
                     assert len(below) + leaves == hg.r - 1, label
+                    inner = sorted(vertices[u] for u in below + (w,) if deg[vertices[u]] >= 2)
+                    entered.append((inner, leaves + (deg[vertices[w]] == 1)))
+            edges = [([v for v in e if deg[v] >= 2], sum(deg[v] == 1 for v in e)) for e in hg.edges]
+            assert sorted(entered) == sorted(edges), label  # each edge once
 
     def test_degree_1_root(self):
         hg = build(3, 5, [[0, 1, 2], [2, 3, 4]])
-        assert rooted_superforest(hg) == ([0], [0, 2], [[([2], 1)], [], [([], 2)], [], []])
+        assert rooted_superforest(hg) == ([0, 2], [0], [[((1,), 1)], [((), 2)]])
 
     def test_single_edges_and_isolated_vertices(self):
         hg = build(3, 7, [[1, 2, 3], [4, 5, 6]])
-        roots, order, child_edges = rooted_superforest(hg)
-        assert roots == order == [0, 1, 4]
-        assert child_edges[1] == [([], 2)] and child_edges[4] == [([], 2)] and child_edges[0] == []
+        vertices, roots, child_edges = rooted_superforest(hg)
+        assert [vertices[i] for i in roots] == vertices == [0, 1, 4]
+        assert child_edges == [[], [((), 2)], [((), 2)]]
 
 
 class TestPhiOnTheCore:
@@ -274,6 +288,35 @@ class TestRhoOnTheCore:
     def test_moved_pendant_edges(self, label, g, h):
         for hg in (g, h):
             assert_ulps(spectral_radius(hg), bisection_rho(hg))
+
+
+class TestBaseForestOnTheCore:
+    # a degree-1 root whose edge holds two, then three, vertices of degree >= 2
+    ROOT_EDGES = {
+        "leaf-root-two-core": build(3, 7, [[0, 1, 2], [1, 3, 4], [2, 5, 6]]),
+        "leaf-root-three-core": build(4, 13, [[0, 1, 2, 3], [1, 4, 5, 6], [2, 7, 8, 9], [3, 10, 11, 12]]),
+    }
+    SHAPES = {**CORPUS, **ROOT_EDGES}
+
+    @staticmethod
+    def _inner(hg, e):
+        return [v for v in e if hg.degree(v) >= 2]
+
+    @pytest.mark.parametrize("label", sorted(SHAPES))
+    def test_none_exactly_off_the_power_route(self, label):
+        hg = self.SHAPES[label]
+        power = all(len(self._inner(hg, e)) <= 2 for e in hg.edges)
+        base = _base_forest(hg)
+        assert (base is not None) == power
+        if base is not None:
+            size, pairs = base
+            assert size == len(core_vertices(hg)) + sum(2 - len(self._inner(hg, e)) for e in hg.edges)
+            assert matching_counts(build(2, size, pairs)) == matching_counts(hg)
+
+    def test_the_shapes_include_both_verdicts(self):
+        assert {_base_forest(hg) is None for hg in self.SHAPES.values()} == {True, False}
+        assert _base_forest(self.ROOT_EDGES["leaf-root-two-core"]) is not None
+        assert _base_forest(self.ROOT_EDGES["leaf-root-three-core"]) is None
 
 
 class TestIsomorphismOnTheCore:

@@ -168,6 +168,26 @@ class TestBuild:
         assert {type(hg.r), type(hg.n)} | {type(v) for e in hg.edges for v in e} == {int}
         assert UniformHypergraph.from_json(hg.to_json()) == hg
 
+    def test_equal_values_hash_equal(self):
+        np = pytest.importorskip("numpy")
+        hg = build(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+        for other in (
+            build(3, 7, [[6, 5, 4], [0, 2, 1], [3, 2, 4]]),
+            UniformHypergraph(np.int64(3), np.int32(7), tuple(tuple(np.int64(v) for v in e) for e in hg.edges)),
+        ):
+            assert other == hg and hash(other) == hash(hg)
+            assert {hg: "cached"}[other] == "cached"
+
+    def test_copies_keep_equality_and_hash(self):
+        import copy
+        import pickle
+
+        hg = build(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+        for again in (pickle.loads(pickle.dumps(hg)), copy.copy(hg), copy.deepcopy(hg)):
+            assert again == hg and hash(again) == hash(hg)
+            assert {hg: "cached"}[again] == "cached"
+        assert hash(hg) != hash(build(3, 7, [[0, 1, 2], [2, 3, 4], [3, 5, 6]]))
+
     def test_json_edge_that_is_no_list_rejected(self):
         with pytest.raises(HypergraphError, match="list of lists"):
             UniformHypergraph.from_json_dict({"r": 2, "n": 3, "edges": [1, 2]})

@@ -20,6 +20,7 @@ from hypermatch import (
     HypergraphError,
     RootFindingError,
     SparsePolynomial,
+    are_isomorphic,
     build,
     check_cospectral,
     clear_polynomial_cache,
@@ -33,6 +34,7 @@ from hypermatch import (
     matching_energy,
     matching_counts,
     matching_polynomial,
+    matching_polynomial_oracle,
     random_supertree,
     reduce_polynomial,
     roots,
@@ -372,8 +374,9 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        for module, name in ((matching, "_phi_superforest"), (spectra, "_search_radius"),
-                             (spectra, "_certify_energy"), (spectra, "_tree_char_poly")):
+        for module, name in ((matching, "rooted_superforest"), (matching, "_phi_superforest"),
+                             (spectra, "_search_radius"), (spectra, "_certify_energy"),
+                             (spectra, "_tree_char_poly")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
         clear_polynomial_cache()
@@ -383,10 +386,12 @@ class TestRecord:
             assert cold == warm
             assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
             assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
+            assert are_isomorphic(inputs[0], inputs[0])
             assert sorted(calls) == sorted(
-                ["_phi_superforest", "_search_radius", "_certify_energy"] * 2 + ["_tree_char_poly"]
+                ["rooted_superforest", "_phi_superforest", "_search_radius", "_certify_energy"] * 2
+                + ["_tree_char_poly"]
             )
-            clear_polynomial_cache()  # rho, ME and the oracle go with phi
+            clear_polynomial_cache()  # the core, rho, ME and the oracle go with phi
             calls.clear()
 
     def test_changed_tolerance_certifies_again(self, monkeypatch):
@@ -451,7 +456,30 @@ class TestRecord:
         with pytest.raises(AssertionError, match="phi computed"):
             matching_energy(inputs[0])
 
-    def test_any_order_of_requests_gives_the_same_results(self):
+    def test_a_cycle_raises_every_time(self, monkeypatch):
+        import hypermatch.matching as matching
+
+        calls = []
+        self._count(monkeypatch, matching, "rooted_superforest", calls)
+        cyclic = build(3, 7, [[0, 1, 2], [1, 2, 3], [4, 5, 6]])  # two edges share two vertices
+        other = loose_path(3, 3).hg  # n, m and r as cyclic's
+        entry_points = [
+            matching_polynomial, spectral_radius, matching_energy, spectral_summary,
+            lambda hg: are_isomorphic(hg, other), lambda hg: are_isomorphic(other, hg),
+            lambda hg: check_cospectral(hg, hg),
+        ]
+        clear_polynomial_cache()
+        for _ in range(2):
+            for fn in entry_points:
+                with pytest.raises(HypergraphError, match="has a cycle"):
+                    fn(cyclic)
+        assert matching._record(cyclic).core is None
+        # are_isomorphic roots `other` once; every other call roots `cyclic` again
+        assert len(calls) == 2 * len(entry_points) + 1
+
+    def test_any_order_of_requests_gives_the_same_results(self, monkeypatch):
+        import hypermatch.matching as matching
+
         rng = random.Random(12)
         g = random_supertree(3, 9, rng)
         inputs = [
@@ -465,21 +493,30 @@ class TestRecord:
             "check": lambda hg: check_cospectral(hg, hg),
             "rho": spectral_radius,
             "summary": spectral_summary,
+            "phi": matching_polynomial,
+            "me": matching_energy,
+            "iso": lambda hg: are_isomorphic(hg, hg),
         }
+        cores = []
+        real = matching.rooted_superforest
+        monkeypatch.setattr(matching, "rooted_superforest", lambda hg: cores.append(hg) or real(hg))
         for hg in inputs:
             results = set()
             for order in itertools.permutations(requests):
                 clear_polynomial_cache()
+                cores.clear()
                 got = {name: requests[name](hg) for name in order}
+                assert cores == [hg], order  # one core per input, whoever asks first
                 case = got["check"]
                 results.add((
                     case["rho_lhs"], case["rho_rhs"], case["me_lhs"], case["me_rhs"],
-                    case.get("char_equal"), got["rho"], got["summary"],
+                    case.get("char_equal"), got["rho"], got["summary"], got["phi"], got["me"], got["iso"],
                 ))
             assert len(results) == 1, hg
-            (rho_l, rho_r, me_l, me_r, char_equal, rho, summary), = results
+            (rho_l, rho_r, me_l, me_r, char_equal, rho, summary, phi, me, iso), = results
             assert rho_l == rho_r == rho == summary.rho
-            assert me_l == me_r == summary.me
+            assert me_l == me_r == me == summary.me
+            assert phi == matching_polynomial_oracle(hg) and iso is True
             assert char_equal is (True if hg.r == 2 else None)
 
 
@@ -581,6 +618,20 @@ class TestTreeCharPoly:
     @pytest.mark.parametrize("n", [61, 121, 177])
     def test_bbt_route_on_large_trees(self, n):
         self._assert_oracles_agree(random_supertree(2, n - 1, random.Random(n)))
+
+    def test_runs_on_the_cheaper_colour_class(self, monkeypatch):
+        # a spider with 60 legs of length 2: the 60 middle vertices have rows
+        # of 61 entries each in B B^T, the centre and the tips 240 in all
+        import hypermatch.spectra as spectra
+
+        legs = 60
+        spider_60 = build(2, 2 * legs + 1, [[0, i] for i in range(1, legs + 1)] + [[i, legs + i] for i in range(1, legs + 1)])
+        sizes = []
+        real = spectra._char_poly_exact
+        monkeypatch.setattr(spectra, "_char_poly_exact", lambda rows: sizes.append(len(rows)) or real(rows))
+        clear_polynomial_cache()
+        assert tree_char_poly(spider_60) == matching_polynomial(spider_60)
+        assert sizes == [legs + 1]
 
     def test_matches_on_forests(self):
         rng = random.Random(7)
