@@ -22,7 +22,7 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   as a count (see `rooted_superforest`). The polynomials are dense
   integer lists indexed by the matching size k. Results are memoized
   in the record of the whole input hypergraph, which the numeric layer
-  and isomorphism share (see `_record`), with the core phi is read from.
+  and isomorphism share (see `_memo`), with the core phi is read from.
 
 The reduction phi(x) = x^z * q(x^r) with z = n - r*nu(H) is what the
 numeric layer consumes: root-finding on the degree-nu q is far better
@@ -78,48 +78,42 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     )
 
 
-class _Record:
-    """What has been computed for one input hypergraph. Each field is None
-    until a function first asks for it: the core (see `_core`), phi by
-    matching_polynomial (ME needs it too), rho by spectral_radius, the
-    q roots and ME together with the tolerance they were certified at
-    by matching_energy and spectral_summary, and the r = 2
-    characteristic polynomial by tree_char_poly. rho and the
-    characteristic polynomial never compute phi. Errors, such as a
-    cycle, are raised every time, never stored."""
-
-    __slots__ = ("core", "phi", "rho", "energy", "char_poly")
-
-    def __init__(self):
-        self.core = self.phi = self.rho = self.energy = self.char_poly = None
+# One record per whole input, a dict of its results by name. CPython dict
+# setdefault and item stores are atomic, and each result is immutable, so
+# concurrent callers at worst compute a result twice; callers needing full
+# isolation can clear or ignore the cache.
+_CACHE: dict[UniformHypergraph, dict] = {}
 
 
-# One record per whole input. CPython dict setdefault and attribute stores
-# are atomic, and each field holds an immutable value computed from the
-# input alone, so concurrent callers at worst compute a field twice;
-# callers needing full isolation can clear or ignore the cache.
-_CACHE: dict[UniformHypergraph, _Record] = {}
-
-
-def _record(hg: UniformHypergraph) -> _Record:
+def _record(hg: UniformHypergraph) -> dict:
     """The cache record of hg, created empty on first use."""
     rec = _CACHE.get(hg)
-    return rec if rec is not None else _CACHE.setdefault(hg, _Record())
+    return rec if rec is not None else _CACHE.setdefault(hg, {})
+
+
+def _memo(hg: UniformHypergraph, name: str, compute):
+    """The result `name` of hg: the one kept in its record, else
+    compute(hg), kept. The names are "core", "phi", "rho", "energy" (the
+    q roots, ME and its error bound) and "char_poly"; no result is None.
+    An error that compute raises, such as a cycle, is raised on every
+    call, and nothing is kept."""
+    rec = _record(hg)
+    out = rec.get(name)
+    if out is None:
+        out = rec[name] = compute(hg)
+    return out
 
 
 def _core(hg: UniformHypergraph):
     """The core of hg (see `rooted_superforest`), kept in its record:
     phi, rho, the power-forest test of ME and isomorphism all read it,
     so each input is rooted once."""
-    rec = _record(hg)
-    if rec.core is None:
-        rec.core = rooted_superforest(hg)
-    return rec.core
+    return _memo(hg, "core", rooted_superforest)
 
 
 def clear_polynomial_cache():
     """Forget every per-input result: the core, phi, rho, ME with its q
-    roots, and the r = 2 characteristic polynomial."""
+    roots and error bound, and the r = 2 characteristic polynomial."""
     _CACHE.clear()
 
 
@@ -129,10 +123,7 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     Raises HypergraphError if hg has a cycle. Agrees exactly with
     matching_polynomial_oracle on every superforest.
     """
-    rec = _record(hg)
-    if rec.phi is None:
-        rec.phi = _phi_superforest(hg)
-    return rec.phi
+    return _memo(hg, "phi", _phi_superforest)
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:

@@ -31,11 +31,11 @@ superforest takes the eigenvalues of the companion matrix of q, which
 carry no error bound: their matching energy is not certified.
 
 Every result is kept in the record of its input (see
-`matching._record`), so a suite that meets the same side twice pays
+`matching._memo`), so a suite that meets the same side twice pays
 once: the core that rho and the power test read, rho, the q roots with
-ME and the default_tol() they were certified at (a changed HG_TOL
-certifies them again), and the exact characteristic polynomial.
-clear_polynomial_cache() forgets them all.
+ME and its error bound (held to default_tol() on every read), and the
+exact characteristic polynomial. clear_polynomial_cache() forgets them
+all.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from itertools import accumulate
 import numpy as np
 
 from .hypergraph import HypergraphError, UniformHypergraph
-from .matching import _core, _record, matching_polynomial, reduce_polynomial
+from .matching import _core, _memo, _record, matching_polynomial, reduce_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -266,13 +266,15 @@ def spectral_radius(hg: UniformHypergraph) -> float:
     result is accurate to the last bits of a float, so it takes no
     tolerance.
     """
-    rec = _record(hg)
-    if rec.rho is None:
-        q_roots = rec.energy[1] if rec.energy is not None else ()
-        # rho^r is the largest |mu| (rho is the largest root of phi)
-        seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
-        rec.rho = _search_radius(hg, seed)
-    return rec.rho
+    return _memo(hg, "rho", _seeded_radius)
+
+
+def _seeded_radius(hg: UniformHypergraph) -> float:
+    energy = _record(hg).get("energy")
+    q_roots = energy[0] if energy is not None else ()
+    # rho^r is the largest |mu| (rho is the largest root of phi)
+    seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
+    return _search_radius(hg, seed)
 
 
 def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
@@ -384,9 +386,10 @@ def _base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
     return size, pairs
 
 
-def _power_roots_and_energy(tol: float, r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float]:
-    """The roots of q and ME of G^(r), for the forest G on `size` vertices
-    with edges `pairs` and matching number nu, from G's eigenvalues.
+def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float, float]:
+    """The roots of q, ME and its error bound for G^(r), for the forest G
+    on `size` vertices with edges `pairs` and matching number nu, from
+    G's eigenvalues.
 
     For a forest G, phi(G) is the characteristic polynomial of its
     adjacency matrix (Godsil-Gutman), and G^(r) has the q of G, so the
@@ -395,7 +398,7 @@ def _power_roots_and_energy(tol: float, r: int, nu: int, size: int, pairs) -> tu
     eigenvalue is within delta = 4 size eps lam_max of the true one, which
     bounds the error of ME by 2 delta sum lam^(2/r) / (lam - delta).
     Raises RootFindingError when the nu-th eigenvalue is within 2 delta
-    of zero, or when that bound exceeds tol * ME."""
+    of zero."""
     adj = np.zeros((size, size))
     a, b = np.array(pairs).T
     adj[a, b] = adj[b, a] = 1.0
@@ -410,36 +413,33 @@ def _power_roots_and_energy(tol: float, r: int, nu: int, size: int, pairs) -> tu
     terms = lam ** (2.0 / r)
     me = r * float(terms.sum())
     bound = 2.0 * delta * float((terms / (lam - delta)).sum())
-    if bound > tol * me:
-        raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
-    return tuple(complex(x * x) for x in lam.tolist()), me
+    return tuple(complex(x * x) for x in lam.tolist()), me, bound
 
 
-def _q_roots_and_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float]:
+def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
     """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r),
-    kept in the record of hg with the default_tol() they met; a record
-    certified at another tolerance is certified again."""
-    tol = default_tol()
-    rec = _record(hg)
-    if rec.energy is None or rec.energy[0] != tol:
-        rec.energy = (tol, *_certify_energy(hg, tol))
-    return rec.energy[1:]
+    kept in the record of hg with the error bound of ME. Raises
+    RootFindingError, on every call, when that bound exceeds tol * ME."""
+    q_roots, me, bound = _memo(hg, "energy", _certify_energy)
+    if bound is not None and bound > tol * me:
+        raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
+    return q_roots, me
 
 
-def _certify_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
-    """The roots of q and ME: from one symmetric eigenproblem for a power
-    superforest, with its error bound held to tol, else from the
-    companion roots of q."""
+def _certify_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float, float | None]:
+    """The roots of q, ME and its error bound: from one symmetric
+    eigenproblem for a power superforest, else from the companion roots
+    of q, which carry no bound (None)."""
     if not hg.edges:
-        return (), 0.0
+        return (), 0.0, 0.0
     phi = matching_polynomial(hg)
     base = _base_forest(hg)
     if base is not None:
         nu = (hg.n - phi.min_exponent()) // hg.r
-        return _power_roots_and_energy(tol, hg.r, nu, *base)
+        return _power_roots_and_energy(hg.r, nu, *base)
     red = reduce_polynomial(phi, hg.r, hg.n)
     q_roots = tuple(roots(red.q))
-    return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots)
+    return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots), None
 
 
 def matching_energy(hg: UniformHypergraph) -> float:
@@ -448,7 +448,7 @@ def matching_energy(hg: UniformHypergraph) -> float:
     default_tol(); any other superforest takes the companion roots of the
     reduced q, which carry no error bound. Raises RootFindingError when
     either route fails its check."""
-    return _q_roots_and_energy(hg)[1]
+    return _q_roots_and_energy(hg, default_tol())[1]
 
 
 def _sig15(x: float) -> float:
@@ -481,8 +481,9 @@ def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
     recursion, whose search starts from those roots. The roots change
     where the search starts, not its result: rho is the same float that
     spectral_radius(hg) returns on its own."""
-    q_roots, me = _q_roots_and_energy(hg)
-    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=default_tol())
+    tol = default_tol()
+    q_roots, me = _q_roots_and_energy(hg, tol)
+    return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=tol)
 
 
 # -- exact characteristic polynomial for ordinary forests -----------------
@@ -558,12 +559,13 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     """
     if hg.r != 2 and hg.edges:
         raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
-    rec = _record(hg)
-    if rec.char_poly is None:
-        out = SparsePolynomial.one()
-        for comp in hg.components():
-            if comp.num_edges != comp.n - 1:
-                raise HypergraphError("not a forest: a component has a cycle")
-            out = out * _tree_char_poly(comp)
-        rec.char_poly = out
-    return rec.char_poly
+    return _memo(hg, "char_poly", _forest_char_poly)
+
+
+def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
+    out = SparsePolynomial.one()
+    for comp in hg.components():
+        if comp.num_edges != comp.n - 1:
+            raise HypergraphError("not a forest: a component has a cycle")
+        out = out * _tree_char_poly(comp)
+    return out

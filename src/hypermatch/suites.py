@@ -17,7 +17,7 @@ Suites meet the same input more than once: path-w's lhs at (m, n) is
 its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
 and bridge's unions at m = 1 are the bridged objects themselves. Every
 per-input result, phi, rho, ME and the r = 2 characteristic polynomial,
-is kept in the input's record (see `matching._record`), so each distinct
+is kept in the input's record (see `matching._memo`), so each distinct
 side is computed once per run and a repeat is served from its record.
 check_cospectral asks for each side's ME before its rho, whose search
 then starts from the roots of q that ME found.
@@ -171,7 +171,9 @@ def _finalize(report: SuiteReport, repro_base: str, started: float) -> SuiteRepo
                 f"{repro_base} # failing case: "
                 + json.dumps(case["params"], sort_keys=True)
             )
-    report.passed = all(case["passed"] for case in report.cases)
+    if not report.cases:  # a check that ran nothing must not pass
+        report.notes.append("no case ran")
+    report.passed = bool(report.cases) and all(case["passed"] for case in report.cases)
     report.elapsed = time.perf_counter() - started
     return report
 

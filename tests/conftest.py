@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
 from hypermatch import (
     UniformHypergraph,
@@ -20,6 +21,13 @@ from hypermatch import (
     random_supertree,
     reduce_polynomial,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_tolerance(monkeypatch):
+    """Every test starts at the default tolerance, whatever HG_TOL the
+    shell exports; a test that needs another sets it itself."""
+    monkeypatch.delenv("HG_TOL", raising=False)
 
 
 @st.composite

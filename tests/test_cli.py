@@ -226,6 +226,11 @@ class TestSuiteCommand:
         assert code == 0
         assert "premise" in out
 
+    def test_suite_with_no_case_exits_1(self, capsys):
+        code, out, _ = run(capsys, "suite", "--name", "path-w", "--m-range", "10:6")
+        assert code == 1
+        assert "suite path-w: 0 case(s)" in out and "note: no case ran" in out
+
     def test_bad_suite_name_exits_2(self, capsys):
         assert run(capsys, "suite", "--name", "wrong")[0] == 2
 

@@ -340,6 +340,18 @@ class TestSpectralSummary:
             for seed in seeds:
                 assert _search_radius(hg, seed) == rho, seed
 
+    def test_plain_bisection_gives_the_same_rho(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        rng = random.Random(30)
+        inputs = [random_supertree(rng.randint(2, 5), rng.randint(1, 30), rng) for _ in range(60)]
+        inputs += [spider(4, 2), family_w(5, 8).hg, loose_path(2, 40).hg]
+        expected = [(_search_radius(hg, None), spectral_summary(hg).q_roots) for hg in inputs]
+        monkeypatch.setattr(spectra, "_MAX_PASSES", 0)  # no Newton step at all
+        for hg, (rho, q_roots) in zip(inputs, expected):
+            seed = max(map(abs, q_roots)) ** (1.0 / hg.r)
+            assert _search_radius(hg, None) == _search_radius(hg, seed) == rho
+
     def test_seeded_search_takes_few_passes(self, monkeypatch):
         import hypermatch.spectra as spectra
 
@@ -350,6 +362,18 @@ class TestSpectralSummary:
         for _ in range(200):
             spectral_summary(random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng))
         assert len(calls) / 200 <= 4
+
+    def test_reads_the_tolerance_once(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        real = spectra.default_tol
+        monkeypatch.setattr(spectra, "default_tol", lambda: calls.append(1) or real())
+        hg = spider(3, 2)
+        clear_polynomial_cache()
+        for expected in (1, 2):  # on a cold record, then on a warm one
+            spectral_summary(hg)
+            assert len(calls) == expected
 
     def test_tol_follows_env(self, monkeypatch):
         hg = family_w(3, 5).hg
@@ -394,19 +418,19 @@ class TestRecord:
             clear_polynomial_cache()  # the core, rho, ME and the oracle go with phi
             calls.clear()
 
-    def test_changed_tolerance_certifies_again(self, monkeypatch):
+    def test_kept_bound_is_applied_at_every_read(self, monkeypatch):
         import hypermatch.spectra as spectra
 
         calls = []
         self._count(monkeypatch, spectra, "_certify_energy", calls)
-        hg = family_w(3, 7).hg  # a power superforest: its bound depends on the tolerance
+        hg = family_w(3, 7).hg  # a power superforest: ME keeps its error bound
         monkeypatch.delenv("HG_TOL", raising=False)
         clear_polynomial_cache()
         me = matching_energy(hg)
         monkeypatch.setenv("HG_TOL", "1e-7")
         assert matching_energy(hg) == me
         assert spectral_summary(hg).tol == 1e-7
-        assert len(calls) == 2
+        assert len(calls) == 1
         monkeypatch.setenv("HG_TOL", "1e-300")
         for _ in range(2):
             with pytest.raises(RootFindingError, match="only certain"):
@@ -418,6 +442,38 @@ class TestRecord:
                     fn(hg)
         monkeypatch.delenv("HG_TOL")
         assert matching_energy(hg) == me
+
+    def test_rho_when_me_misses_its_tolerance(self, monkeypatch):
+        import hypermatch.matching as matching
+
+        hg = family_w(3, 7).hg
+        monkeypatch.setenv("HG_TOL", "1e-300")
+        clear_polynomial_cache()
+        for fn in (matching_energy, spectral_summary):
+            with pytest.raises(RootFindingError, match="only certain"):
+                fn(hg)
+        assert "energy" in matching._record(hg)  # its roots seed the search
+        assert spectral_radius(hg) == _search_radius(hg, None)
+
+    def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
+        import hypermatch.matching as matching
+
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):  # the smallest positive eigenvalue reads 1e-15
+            eig = real_eigvalsh(a)
+            eig[np.flatnonzero(eig > 1e-8)[0]] = 1e-15
+            return eig
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        hg = family_w(3, 7).hg
+        clear_polynomial_cache()
+        for fn in (matching_energy, matching_energy, spectral_summary):
+            with pytest.raises(RootFindingError, match="within twice its error bound"):
+                fn(hg)
+        assert "energy" not in matching._record(hg)
+        monkeypatch.undo()
+        assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), rel=TOL)
 
     def test_root_finding_error_is_raised_every_time(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -473,7 +529,7 @@ class TestRecord:
             for fn in entry_points:
                 with pytest.raises(HypergraphError, match="has a cycle"):
                     fn(cyclic)
-        assert matching._record(cyclic).core is None
+        assert "core" not in matching._record(cyclic)
         # are_isomorphic roots `other` once; every other call roots `cyclic` again
         assert len(calls) == 2 * len(entry_points) + 1
 

@@ -160,6 +160,18 @@ class TestSuites:
         )
         assert "suite path-w: FAIL" in report.human_table()
 
+    @pytest.mark.parametrize("suite, kwargs", [
+        (suite_coalesce, {"r_list": ()}),
+        (suite_bridge, {"m_max": 0}),
+        (suite_path_w, {"m_range": (10, 6)}),
+    ])
+    def test_a_suite_that_runs_no_case_fails(self, suite, kwargs):
+        report = suite(**kwargs)
+        assert report.cases == []
+        assert not report.passed
+        assert "no case ran" in report.notes
+        assert "FAIL" in report.human_table()
+
     def test_run_suite_dispatch(self):
         report = run_suite("path-w", r_list=(3,), m_range=(6, 6), n_range=(6, 7))
         assert report.suite_name == "path-w"
