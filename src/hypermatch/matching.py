@@ -94,7 +94,8 @@ def _record(hg: UniformHypergraph) -> dict:
 def _memo(hg: UniformHypergraph, name: str, compute):
     """The result `name` of hg: the one kept in its record, else
     compute(hg), kept. The names are "core", "phi", "rho", "energy" (the
-    q roots, ME and its error bound) and "char_poly"; no result is None.
+    q roots, ME and its error bound), "char_poly" and "code" (the
+    canonical code of isomorphism); no result is None.
     An error that compute raises, such as a cycle, is raised on every
     call, and nothing is kept."""
     rec = _record(hg)
@@ -112,8 +113,7 @@ def _core(hg: UniformHypergraph):
 
 
 def clear_polynomial_cache():
-    """Forget every per-input result: the core, phi, rho, ME with its q
-    roots and error bound, and the r = 2 characteristic polynomial."""
+    """Forget every per-input result, each name that `_memo` lists."""
     _CACHE.clear()
 
 

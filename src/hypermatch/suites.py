@@ -162,7 +162,10 @@ def check_cospectral(
     return case
 
 
-def _finalize(report: SuiteReport, repro_base: str, started: float) -> SuiteReport:
+def _finalize(report: SuiteReport, started: float, r_list, options: str) -> SuiteReport:
+    """Decide the report and give each failing case its repro command:
+    the suite's name, its edge sizes r_list and its other options."""
+    repro_base = f"hypermatch suite --name {report.suite_name} --r {','.join(map(str, r_list))} {options}"
     if default_tol() != DEFAULT_TOL:  # reproduce at the threshold that failed
         repro_base = f"HG_TOL={default_tol()!r} {repro_base}"
     for case in report.cases:
@@ -202,6 +205,7 @@ def suite_coalesce(
     m_max copies.
     """
     started = time.perf_counter()
+    r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
     report = SuiteReport("coalesce")
     report.notes.append(
@@ -209,7 +213,7 @@ def suite_coalesce(
         "exercise the implementation, they do not exhaust all attachments"
     )
 
-    for r in sorted(r_list):
+    for r in r_list:
         g, u, h, v = _premise_pair(r)
         g_del = g.delete_vertex(u)
         h_del = h.delete_vertex(v)
@@ -252,11 +256,7 @@ def suite_coalesce(
                 case["params"] = {"part": "chain", "r": r, "m": m, "k": k}
                 report.cases.append(case)
 
-    repro = (
-        f"hypermatch suite --name coalesce --r {','.join(str(r) for r in sorted(r_list))}"
-        f" --seed {seed} --trials {trials} --m-max {m_max}"
-    )
-    return _finalize(report, repro, started)
+    return _finalize(report, started, r_list, f"--seed {seed} --trials {trials} --m-max {m_max}")
 
 
 def _bridged_closed_form(
@@ -292,10 +292,11 @@ def suite_bridge(
     spectral radius.
     """
     started = time.perf_counter()
+    r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
     report = SuiteReport("bridge")
 
-    for r in sorted(r_list):
+    for r in r_list:
         for trial in range(trials):
             g = random_supertree(r, rng.randint(1, 4), rng)
             h = random_supertree(r, rng.randint(1, 4), rng)
@@ -331,11 +332,7 @@ def suite_bridge(
                 )
                 report.cases.append(case)
 
-    repro = (
-        f"hypermatch suite --name bridge --r {','.join(str(r) for r in sorted(r_list))}"
-        f" --seed {seed} --trials {trials} --m-max {m_max}"
-    )
-    return _finalize(report, repro, started)
+    return _finalize(report, started, r_list, f"--seed {seed} --trials {trials} --m-max {m_max}")
 
 
 def suite_path_w(
@@ -348,9 +345,10 @@ def suite_path_w(
     swap. Exhaustive over the given (m, n) grid; pairs with m != n must
     additionally be non-isomorphic."""
     started = time.perf_counter()
+    r_list = sorted(set(r_list))  # each edge size once
     report = SuiteReport("path-w")
 
-    for r in sorted(r_list):
+    for r in r_list:
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
                 lhs = disjoint_union(loose_path(r, m - 5).hg, family_w(r, n - 1).hg)
@@ -360,12 +358,8 @@ def suite_path_w(
                 case["passed"] = case["passed"] and case["isomorphic"] == (m == n)
                 report.cases.append(case)
 
-    repro = (
-        f"hypermatch suite --name path-w --r {','.join(str(r) for r in sorted(r_list))}"
-        f" --m-range {m_range[0]}:{m_range[1]}"
-        f" --n-range {n_range[0]}:{n_range[1]}"
-    )
-    return _finalize(report, repro, started)
+    ranges = f"--m-range {m_range[0]}:{m_range[1]} --n-range {n_range[0]}:{n_range[1]}"
+    return _finalize(report, started, r_list, ranges)
 
 
 SUITES = {

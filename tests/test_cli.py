@@ -218,6 +218,25 @@ class TestSuiteCommand:
         assert run(capsys, *args, "--json", str(pb))[0] == 0
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("name, options", [
+        ("coalesce", ("--trials", "2", "--m-max", "1")),
+        ("bridge", ("--trials", "2", "--m-max", "1")),
+        ("path-w", ("--m-range", "6:7", "--n-range", "6:6")),
+    ])
+    @pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
+    def test_repeated_edge_size_runs_once(self, tmp_path, capsys, monkeypatch, name, options, fail):
+        if fail:  # every case fails, so the report carries each repro line
+            monkeypatch.setattr("hypermatch.suites._close", lambda a, b: False)
+        reports = []
+        for r in ("2,3", "3,2,2,3"):
+            path = tmp_path / f"{r}.json"
+            code, _, _ = run(capsys, "suite", "--name", name, "--r", r, *options, "--json", str(path))
+            assert code == int(fail)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        if fail:
+            assert f"--name {name} --r 2,3 ".encode() in reports[0]
+
     def test_coalesce_small(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--name", "coalesce", "--r", "3",

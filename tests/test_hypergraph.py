@@ -414,9 +414,18 @@ class TestIsomorphism:
     @settings(max_examples=200, deadline=None)
     @given(superforest_relatives())
     def test_agrees_with_brute_force(self, relatives):
+        import hypermatch.matching as matching
+
         a, copy, other = relatives
+        isomorphic = brute_force_isomorphic(a, other)
         assert are_isomorphic(a, copy) and brute_force_isomorphic(a, copy)
-        assert are_isomorphic(a, other) == brute_force_isomorphic(a, other)
+        assert are_isomorphic(a, other) == isomorphic
+        # the kept codes are a canonical key: equal, and hashing equal, exactly
+        # for isomorphic inputs of one r, whatever their n and m
+        assert all(are_isomorphic(x, x) for x in relatives)  # each code is kept
+        code, copy_code, other_code = (matching._record(x)["code"] for x in relatives)
+        assert code == copy_code and hash(code) == hash(copy_code)
+        assert (code == other_code) == isomorphic
 
     @pytest.mark.parametrize(
         "hg",

@@ -394,13 +394,14 @@ class TestRecord:
         monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
 
     def test_each_field_computed_once_until_cleared(self, monkeypatch):
+        import hypermatch.hypergraph as hypergraph
         import hypermatch.matching as matching
         import hypermatch.spectra as spectra
 
         calls = []
         for module, name in ((matching, "rooted_superforest"), (matching, "_phi_superforest"),
                              (spectra, "_search_radius"), (spectra, "_certify_energy"),
-                             (spectra, "_tree_char_poly")):
+                             (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
         clear_polynomial_cache()
@@ -410,12 +411,14 @@ class TestRecord:
             assert cold == warm
             assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
             assert tree_char_poly(inputs[1]) == matching_polynomial(inputs[1])
-            assert are_isomorphic(inputs[0], inputs[0])
+            other = random_supertree(2, 12, random.Random(4))  # n, m and r as inputs[1]'s
+            assert are_isomorphic(inputs[0], inputs[0]) and are_isomorphic(inputs[0], inputs[0])
+            assert are_isomorphic(inputs[1], other) == are_isomorphic(other, inputs[1])
             assert sorted(calls) == sorted(
                 ["rooted_superforest", "_phi_superforest", "_search_radius", "_certify_energy"] * 2
-                + ["_tree_char_poly"]
+                + ["rooted_superforest", "_tree_char_poly"] + ["_centre_codes"] * 3
             )
-            clear_polynomial_cache()  # the core, rho, ME and the oracle go with phi
+            clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
 
     def test_kept_bound_is_applied_at_every_read(self, monkeypatch):
@@ -530,6 +533,7 @@ class TestRecord:
                 with pytest.raises(HypergraphError, match="has a cycle"):
                     fn(cyclic)
         assert "core" not in matching._record(cyclic)
+        assert "code" not in matching._record(cyclic)
         # are_isomorphic roots `other` once; every other call roots `cyclic` again
         assert len(calls) == 2 * len(entry_points) + 1
 

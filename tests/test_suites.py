@@ -239,10 +239,10 @@ class TestFailureReporting:
                 "passed": True,
             }
         )
-        out = _finalize(report, "hypermatch suite --name demo --seed 0", time.perf_counter())
+        out = _finalize(report, time.perf_counter(), [3], "--seed 0")
         assert not out.passed
         failing = out.cases[0]
-        assert failing["repro"].startswith("hypermatch suite --name demo")
+        assert failing["repro"].startswith("hypermatch suite --name demo --r 3 --seed 0 # failing case: ")
         assert '"m": 6' in failing["repro"]
         assert "repro" not in out.cases[1]
         assert "FAIL" in out.human_table()
