@@ -19,7 +19,6 @@ import sys
 from .families import ConstructionSpec
 from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size
 from .matching import matching_polynomial, matching_polynomial_oracle
-from .polynomial import PolynomialShapeError
 from .spectra import RootFindingError, matching_energy, spectral_radius, spectral_summary
 from .suites import SUITES, run_suite
 
@@ -99,11 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(rho and ME must agree to 10 * HG_TOL)")
     p.add_argument("--name", required=True, choices=sorted(SUITES))
     p.add_argument("--r", type=_int_list, default=[2, 3, 4, 5], help="edge sizes, e.g. 2,3,4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--m-range", type=_int_range, default=(6, 10))
-    p.add_argument("--n-range", type=_int_range, default=(6, 10))
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed of coalesce and bridge (default 0); path-w ignores it")
+    p.add_argument("--trials", type=int, default=25,
+                   help="random trials of coalesce and bridge (default 25); path-w ignores it")
+    p.add_argument("--m-max", type=int, default=4,
+                   help="largest copy count of coalesce and bridge (default 4); path-w ignores it")
+    p.add_argument("--m-range", type=_int_range, default=(6, 10),
+                   help="path-w's values of m, lo:hi inclusive (default 6:10); coalesce and bridge ignore it")
+    p.add_argument("--n-range", type=_int_range, default=(6, 10),
+                   help="path-w's values of n, lo:hi inclusive (default 6:10); coalesce and bridge ignore it")
     p.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
     return top
 
@@ -186,7 +190,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (HypergraphError, PolynomialShapeError, RootFindingError, ValueError, OSError) as exc:
+    except (HypergraphError, RootFindingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

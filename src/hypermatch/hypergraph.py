@@ -13,7 +13,6 @@ equal as plain values.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -98,10 +97,6 @@ class UniformHypergraph:
         self._check_vertex(v)
         return sum(1 for e in self.edges if v in e)
 
-    def incident_edges(self, v: int) -> list[Edge]:
-        self._check_vertex(v)
-        return [e for e in self.edges if v in e]
-
     def _check_vertex(self, v: int):
         if not 0 <= v < self.n:
             raise HypergraphError(f"vertex {v} not in 0..{self.n - 1}")
@@ -135,15 +130,6 @@ class UniformHypergraph:
         if t not in set(self.edges):
             raise HypergraphError(f"edge {list(t)} not present")
         return self.delete_vertices(t)
-
-    def delete_edges(self, es: Iterable[Iterable[int]]) -> "UniformHypergraph":
-        """Remove the given edges; the vertex set is unchanged."""
-        gone = {tuple(sorted(e)) for e in es}
-        present = set(self.edges)
-        for e in gone:
-            if e not in present:
-                raise HypergraphError(f"edge {list(e)} not present")
-        return UniformHypergraph(self.r, self.n, tuple(e for e in self.edges if e not in gone))
 
     # -- connectivity ---------------------------------------------------
 
@@ -212,13 +198,6 @@ class UniformHypergraph:
         if not isinstance(data["edges"], list) or not all(isinstance(e, list) for e in data["edges"]):
             raise HypergraphError("hypergraph JSON 'edges' must be a list of lists")
         return cls(data["r"], data["n"], tuple(tuple(e) for e in data["edges"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "UniformHypergraph":
-        return cls.from_json_dict(json.loads(text))
 
     def __str__(self) -> str:
         return f"UniformHypergraph(r={self.r}, n={self.n}, m={self.num_edges})"

@@ -24,9 +24,12 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   in the record of the whole input hypergraph, which the numeric layer
   and isomorphism share (see `_memo`), with the core phi is read from.
 
-The reduction phi(x) = x^z * q(x^r) with z = n - r*nu(H) is what the
-numeric layer consumes: root-finding on the degree-nu q is far better
-conditioned than on phi itself with its zero cluster.
+Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
+terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
+highest degree first, are phi's, (-1)^k m(H,k) for k = 0..nu. The
+numeric layer reads q as that list; root finding on the degree-nu q is
+far better conditioned than on phi itself with its zero cluster.
+`reduce_polynomial` makes the factorization explicit, with shape checks.
 """
 
 from __future__ import annotations
@@ -192,10 +195,6 @@ class ReducedPolynomial:
     z: int
     q: SparsePolynomial
     r: int
-
-    @property
-    def nu(self) -> int:
-        return self.q.degree()
 
     def expand(self) -> SparsePolynomial:
         """Reconstruct phi exactly."""

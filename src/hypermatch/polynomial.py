@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class PolynomialShapeError(ValueError):
@@ -19,10 +19,9 @@ class SparsePolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[int, int]):
         acc: dict[int, int] = {}
-        for exp, coef in items:
+        for exp, coef in terms.items():
             exp = int(exp)
             coef = int(coef)
             if exp < 0:
@@ -39,15 +38,11 @@ class SparsePolynomial:
 
     @classmethod
     def zero(cls) -> "SparsePolynomial":
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> "SparsePolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def x_power(cls, exp: int) -> "SparsePolynomial":
-        return cls({exp: 1})
 
     # -- inspection ----------------------------------------------------
 
@@ -63,9 +58,6 @@ class SparsePolynomial:
             raise ValueError("zero polynomial has no terms")
         return min(self._terms)
 
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     def leading_coefficient(self) -> int:
         return self._terms[max(self._terms)] if self._terms else 0
 
@@ -74,12 +66,11 @@ class SparsePolynomial:
         for exp in sorted(self._terms, reverse=True):
             yield exp, self._terms[exp]
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+    def __add__(self, other):
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         acc = dict(self._terms)
         for exp, coef in other._terms.items():
             total = acc.get(exp, 0) + coef
@@ -96,12 +87,16 @@ class SparsePolynomial:
         out._terms = {e: -c for e, c in self._terms.items()}
         return out
 
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+    def __sub__(self, other):
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         acc: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -170,16 +165,11 @@ class SparsePolynomial:
             return [0]
         return [self._terms.get(e, 0) for e in range(d, -1, -1)]
 
-    def to_json_dict(self, var: str = "x") -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "var": var,
+            "var": "x",
             "terms": [{"exp": e, "coef": str(c)} for e, c in self.terms()],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SparsePolynomial":
-        terms = [(int(t["exp"]), int(t["coef"])) for t in data["terms"]]
-        return cls(terms)
 
     def __str__(self) -> str:
         if not self._terms:

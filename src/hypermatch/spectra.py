@@ -18,7 +18,8 @@ so instead of ten, and the same float.
 The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
 matching energy, the sum of |x_i| over all roots of phi: each nonzero
 root mu of q yields exactly r roots of phi of modulus |mu|**(1/r) and
-the zero root adds nothing, hence ME = r * sum |mu|**(1/r).
+the zero root adds nothing, hence ME = r * sum |mu|**(1/r). q is read
+off phi as its coefficient list, highest degree first (see `matching`).
 
 Most superforests are power superforests: every edge has at most two
 vertices of degree >= 2, so the input is the r-th power G^(r) of an
@@ -48,7 +49,7 @@ from itertools import accumulate
 import numpy as np
 
 from .hypergraph import HypergraphError, UniformHypergraph
-from .matching import _core, _memo, _record, matching_polynomial, reduce_polynomial
+from .matching import _core, _memo, _record, matching_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -73,14 +74,15 @@ class RootFindingError(RuntimeError):
     """A root or a matching energy could not be had to its tolerance."""
 
 
-def _residual_scale(q: SparsePolynomial, z: complex) -> float:
-    m = max(1.0, abs(z))
-    return sum(abs(c) * m**e for e, c in q.terms())
+def _evaluate(q: list[int], z):
+    """q at z, term by term from the highest degree."""
+    return sum(c * z**e for e, c in zip(range(len(q) - 1, -1, -1), q))
 
 
-def roots(q: SparsePolynomial) -> list[complex]:
-    """All complex roots with multiplicity (repeated entries), sorted by
-    (real, imag) for reproducible output.
+def roots(q: list[int]) -> list[complex]:
+    """All complex roots of the integer polynomial with coefficient list q,
+    highest degree first (np.roots' convention), with multiplicity
+    (repeated entries), sorted by (real, imag) for reproducible output.
 
     The eigenvalues of the companion matrix of q. They are backward
     stable (Edelman-Murakami, Math. Comp. 1995): each is a root of a
@@ -89,15 +91,16 @@ def roots(q: SparsePolynomial) -> list[complex]:
     residual |q(z)| of a root exceeds 1e-6 of its coefficient scale, or
     when q overflows a float where it is evaluated.
     """
-    if q.degree() <= 0:
-        raise ValueError("roots() needs a nonconstant polynomial")
+    if len(q) < 2 or not q[0]:
+        raise ValueError("roots() needs a nonconstant q with q[0] != 0")
+    sizes = [abs(c) for c in q]  # the coefficient scale at z is sizes at max(1, |z|)
     try:
-        out = [complex(z) for z in np.roots(np.array([float(c) for c in q.to_dense()]))]
-        bad = [z for z in out if abs(q.evaluate(z)) > 1e-6 * _residual_scale(q, z)]
+        out = [complex(z) for z in np.roots(np.array([float(c) for c in q]))]
+        bad = [z for z in out if abs(_evaluate(q, z)) > 1e-6 * _evaluate(sizes, max(1.0, abs(z)))]
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalues did not converge: {exc}") from exc
     except OverflowError as exc:
-        raise RootFindingError(f"evaluating q of degree {q.degree()} overflows a float: {exc}") from exc
+        raise RootFindingError(f"evaluating q of degree {len(q) - 1} overflows a float: {exc}") from exc
     if bad:
         raise RootFindingError(f"residual of {len(bad)} root(s) above 1e-6 of the coefficient scale")
     return sorted(out, key=lambda z: (z.real, z.imag))
@@ -120,7 +123,7 @@ def largest_real_root(q: SparsePolynomial) -> float:
     a local sign change (even multiplicity) the companion eigenvalue is
     returned as is, with no error bound.
     """
-    all_roots = roots(q)
+    all_roots = roots(q.to_dense())
     real = [z.real for z in all_roots if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
     if not real:
         raise RootFindingError("no real root found")
@@ -432,13 +435,12 @@ def _certify_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float, 
     of q, which carry no bound (None)."""
     if not hg.edges:
         return (), 0.0, 0.0
-    phi = matching_polynomial(hg)
+    # phi's coefficients are q's, as every m(H,k) with k <= nu is positive
+    q = [c for _, c in matching_polynomial(hg).terms()]
     base = _base_forest(hg)
     if base is not None:
-        nu = (hg.n - phi.min_exponent()) // hg.r
-        return _power_roots_and_energy(hg.r, nu, *base)
-    red = reduce_polynomial(phi, hg.r, hg.n)
-    q_roots = tuple(roots(red.q))
+        return _power_roots_and_energy(hg.r, len(q) - 1, *base)
+    q_roots = tuple(roots(q))
     return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots), None
 
 

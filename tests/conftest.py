@@ -14,6 +14,8 @@ from hypermatch import (
     UniformHypergraph,
     attach_pendant,
     build,
+    disjoint_union,
+    isolated,
     loose_path,
     matching_counts,
     matching_polynomial,
@@ -74,6 +76,18 @@ def power_superforests(draw, rs=(2, 3, 4, 5), max_vertices=12):
     n = hg.n + draw(st.integers(min_value=0, max_value=3))
     perm = draw(st.permutations(range(n)))
     return build(r, n, [[perm[v] for v in e] for e in hg.edges])
+
+
+@st.composite
+def superforests(draw, rs=(2, 3, 4, 5), max_components=3, max_edges=5):
+    """Disjoint unions of 0..max_components supertrees and 0..3 isolated
+    vertices, every vertex relabelled at random: edgeless inputs too."""
+    r = draw(st.sampled_from(rs))
+    hg = isolated(draw(st.integers(min_value=0, max_value=3)), r)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_components))):
+        hg = disjoint_union(hg, draw(supertrees(rs=(r,), max_edges=max_edges)))
+    perm = draw(st.permutations(range(hg.n)))
+    return build(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
 
 
 def spider(r: int, legs: int) -> UniformHypergraph:
@@ -155,7 +169,7 @@ def assert_top_root_exact(hg: UniformHypergraph, rho: float, tol: float):
     y_hi. q comes from the exact integer phi; no float code is involved.
     """
     red = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n)
-    q = [red.q.coefficient(e) for e in range(red.q.degree() + 1)]
+    q = red.q.to_dense()[::-1]
     y_lo = (Fraction(rho) * (1 - Fraction(tol))) ** hg.r
     y_hi = (Fraction(rho) * (1 + Fraction(tol))) ** hg.r
     at_lo = _scaled_shift(q, y_lo)[0]

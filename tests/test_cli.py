@@ -196,6 +196,11 @@ class TestCospectral:
 
 
 class TestSuiteCommand:
+    def test_help_names_the_suite_of_each_option(self, capsys):
+        code, out, _ = run(capsys, "suite", "--help")
+        assert code == 0
+        assert "path-w ignores it" in out and "coalesce and bridge ignore it" in out
+
     def test_path_w_passes_and_emits_json(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--name", "path-w", "--r", "2,3",

@@ -170,7 +170,7 @@ def bisection_rho(hg):
     if not hg.edges:
         return 0.0
     red = reduce_polynomial(matching_polynomial_oracle(hg), hg.r, hg.n)
-    chain = _sturm_chain([red.q.coefficient(e) for e in range(red.q.degree() + 1)])
+    chain = _sturm_chain(red.q.to_dense()[::-1])
     lo, hi = 0.0, float(1 + max(abs(c) for _, c in red.q.terms())) ** (1.0 / hg.r)  # Cauchy
     while True:
         mid = 0.5 * (lo + hi)

@@ -49,33 +49,34 @@ TOL = 1e-10
 
 class TestRoots:
     def test_linear(self):
-        assert roots(SparsePolynomial({1: 1, 0: -1})) == [1 + 0j]
-        assert roots(SparsePolynomial({1: 1, 0: -2})) == [2 + 0j]
+        assert roots([1, -1]) == [1 + 0j]
+        assert roots([1, -2]) == [2 + 0j]
 
     def test_quadratic_factorable(self):
-        rs = roots(SparsePolynomial({2: 1, 1: -5, 0: 4}))
+        rs = roots([1, -5, 4])
         assert len(rs) == 2
         assert abs(rs[0] - 1) < 1e-12
         assert abs(rs[1] - 4) < 1e-12
 
     def test_multiplicity_repeats(self):
         # (y-2)^2
-        rs = roots(SparsePolynomial({2: 1, 1: -4, 0: 4}))
+        rs = roots([1, -4, 4])
         assert len(rs) == 2
         for z in rs:
             assert abs(z - 2) < 1e-6
 
     def test_complex_pair(self):
-        rs = roots(SparsePolynomial({2: 1, 0: 1}))
+        rs = roots([1, 0, 1])
         assert sorted(z.imag for z in rs) == pytest.approx([-1.0, 1.0])
 
     def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            roots(SparsePolynomial.one())
+        for q in ([1], [], [0, 1, -1]):
+            with pytest.raises(ValueError):
+                roots(q)
 
     def test_residuals_small(self):
         q = SparsePolynomial({5: 1, 3: -17, 1: 12, 0: -3})
-        for z in roots(q):
+        for z in roots(q.to_dense()):
             assert abs(q.evaluate(z)) < 1e-9 * sum(abs(c) for _, c in q.terms())
 
 
@@ -132,7 +133,7 @@ class TestSpectralRadius:
         if hg.num_edges < 2:
             return
         e = pendant_edges(hg)[0]
-        smaller = hg.delete_edges([e])
+        smaller = build(hg.r, hg.n, [f for f in hg.edges if f != e])
         assert spectral_radius(smaller) < spectral_radius(hg) - 1e-9
 
 
@@ -319,7 +320,26 @@ class TestSpectralSummary:
         assert s.me == matching_energy(power_input)
         assert len(s.q_roots) == reduce_polynomial(
             matching_polynomial(power_input), 3, power_input.n
-        ).nu
+        ).q.degree()
+
+    @pytest.mark.parametrize("power_input", [False, True])
+    def test_energy_needs_no_reduction(self, monkeypatch, power_input):
+        import hypermatch.matching as matching
+        import hypermatch.spectra as spectra
+
+        hg = family_r(3, 1, 1, 2, 4).hg if power_input else spider(3, 2)
+        clear_polynomial_cache()
+        me, summary = matching_energy(hg), spectral_summary(hg)
+
+        def fail(*args):
+            raise AssertionError("the ME path reduced phi")
+
+        monkeypatch.setattr(matching, "reduce_polynomial", fail)
+        monkeypatch.setattr(spectra, "reduce_polynomial", fail, raising=False)
+        clear_polynomial_cache()
+        assert matching_energy(hg) == me
+        clear_polynomial_cache()
+        assert spectral_summary(hg) == summary
 
     def test_rho_is_the_unseeded_spectral_radius(self):
         rng = random.Random(21)
@@ -621,7 +641,7 @@ class TestTreeCharPoly:
             tree_char_poly(loose_path(3, 1).hg)
 
     def test_edgeless_input_of_any_r(self):
-        assert tree_char_poly(isolated(3, 4)) == SparsePolynomial.x_power(3)
+        assert tree_char_poly(isolated(3, 4)) == SparsePolynomial({3: 1})
 
     def test_requires_forest(self):
         from hypermatch import build
