@@ -7,16 +7,21 @@ cannot be computed fails only that case) / standard output closed early
 (as by `| head`), 2 usage or input error (an invalid HG_TOL too) or a
 root-finding failure outside the suites. The HG_TOL environment variable
 (default 1e-10) is the one tolerance setting.
+
+A thin layer over the library, with one parser per process: `construct`
+reads `families._FAMILIES`, and `suite` passes on only the options given
+that the suite's signature takes, so the suites state their own defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
-from .families import ConstructionSpec
+from .families import _FAMILIES
 from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size
 from .matching import matching_polynomial, matching_polynomial_oracle
 from .spectra import RootFindingError, matching_energy, spectral_radius, spectral_summary
@@ -75,11 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="edge size (>= 2)")
     p.add_argument("--params", type=_int_list, required=True, help="comma-separated integers")
     p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
+    p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("matchpoly", help="matching polynomial of a hypergraph JSON file")
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true", help="use brute-force enumeration (also for hypergraphs with cycles)")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_matchpoly)
 
     for name, help_text in (
         ("rho", "spectral radius of a hypergraph JSON file"),
@@ -89,32 +96,42 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         p.add_argument("--summary", action="store_true", help="print the full spectral summary JSON")
+        p.set_defaults(run=_cmd_scalar)
 
     p = sub.add_parser("cospectral", help="compare matching polynomials of two files")
     p.add_argument("lhs")
     p.add_argument("rhs")
+    p.set_defaults(run=_cmd_cospectral)
 
-    p = sub.add_parser("suite", help="run a deterministic verification suite "
+    # an option left out stays unset, and the suite's signature gives its default
+    p = sub.add_parser("suite", argument_default=argparse.SUPPRESS,
+                       help="run a deterministic verification suite "
                        "(rho and ME must agree to 10 * HG_TOL)")
     p.add_argument("--name", required=True, choices=sorted(SUITES))
-    p.add_argument("--r", type=_int_list, default=[2, 3, 4, 5], help="edge sizes, e.g. 2,3,4")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--r", dest="r_list", metavar="R", type=_int_list,
+                   help="edge sizes, e.g. 2,3,4 (default 2,3,4,5)")
+    p.add_argument("--seed", type=int,
                    help="random seed of coalesce and bridge (default 0); path-w ignores it")
-    p.add_argument("--trials", type=int, default=25,
+    p.add_argument("--trials", type=int,
                    help="random trials of coalesce and bridge (default 25); path-w ignores it")
-    p.add_argument("--m-max", type=int, default=4,
+    p.add_argument("--m-max", type=int,
                    help="largest copy count of coalesce and bridge (default 4); path-w ignores it")
-    p.add_argument("--m-range", type=_int_range, default=(6, 10),
+    p.add_argument("--m-range", type=_int_range,
                    help="path-w's values of m, lo:hi inclusive (default 6:10); coalesce and bridge ignore it")
-    p.add_argument("--n-range", type=_int_range, default=(6, 10),
+    p.add_argument("--n-range", type=_int_range,
                    help="path-w's values of n, lo:hi inclusive (default 6:10); coalesce and bridge ignore it")
     p.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
+    p.set_defaults(run=_cmd_suite)
     return top
 
 
 def _cmd_construct(args) -> int:
-    spec = ConstructionSpec(args.family, args.r, tuple(args.params))
-    built = spec.build()
+    if args.family not in _FAMILIES:
+        raise HypergraphError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
+    build, arity = _FAMILIES[args.family]
+    if len(args.params) != arity:
+        raise HypergraphError(f"family {args.family} takes {arity} parameter(s), got {len(args.params)}")
+    built = build(args.r, *args.params)
     payload = built.hg.to_json_dict()
     payload["anchors"] = dict(sorted(built.anchors.items()))
     _emit(json.dumps(payload, indent=2), args.output)
@@ -128,12 +145,12 @@ def _cmd_matchpoly(args) -> int:
     return 0
 
 
-def _cmd_scalar(args, which: str) -> int:
+def _cmd_scalar(args) -> int:
     hg = _load_hypergraph(args.file)
     if args.summary:
         print(json.dumps(spectral_summary(hg).to_json_dict(), indent=2))
     else:
-        value = spectral_radius(hg) if which == "rho" else matching_energy(hg)
+        value = spectral_radius(hg) if args.command == "rho" else matching_energy(hg)
         print(f"{value:.15g}")
     return 0
 
@@ -149,12 +166,9 @@ def _cmd_cospectral(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    kwargs = {"r_list": tuple(args.r)}
-    if args.name == "path-w":
-        kwargs.update(m_range=args.m_range, n_range=args.n_range)
-    else:
-        kwargs.update(seed=args.seed, trials=args.trials, m_max=args.m_max)
-    report = run_suite(args.name, **kwargs)
+    # pass on the options given that this suite takes; the rest are ignored
+    takes = inspect.signature(SUITES[args.name]).parameters
+    report = run_suite(args.name, **{k: v for k, v in vars(args).items() if k in takes})
     print(report.human_table())
     if args.json_path:
         with open(args.json_path, "w") as fh:
@@ -164,23 +178,16 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "construct":
-            code = _cmd_construct(args)
-        elif args.command == "matchpoly":
-            code = _cmd_matchpoly(args)
-        elif args.command in ("rho", "me"):
-            code = _cmd_scalar(args, args.command)
-        elif args.command == "cospectral":
-            code = _cmd_cospectral(args)
-        else:
-            code = _cmd_suite(args)
+        code = args.run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

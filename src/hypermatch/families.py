@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size, disjoint_union, isolated
+from .hypergraph import HypergraphError, UniformHypergraph, _integer, _shared_edge_size, disjoint_union, isolated
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
     edges = []
     top = -1
     for e in graph_edges:
-        pair = tuple(sorted(int(v) for v in e))
+        pair = tuple(sorted(_integer(v, "a vertex", e) for v in e))
         if len(pair) != 2 or pair[0] == pair[1] or pair[0] < 0:
             raise HypergraphError(f"not a simple graph edge: {list(e)}")
         if pair in seen:
@@ -81,7 +81,7 @@ def attach_pendant(hg: UniformHypergraph, v: int) -> UniformHypergraph:
     The fresh vertices are hg.n .. hg.n+r-2; the tip anchor convention
     used by the families below is the lowest fresh index, hg.n.
     """
-    hg._check_vertex(v)
+    v = hg._check_vertex(v)
     new_edge = (v, *range(hg.n, hg.n + hg.r - 1))
     return UniformHypergraph(hg.r, hg.n + hg.r - 1, hg.edges + (tuple(sorted(new_edge)),))
 
@@ -136,9 +136,7 @@ def family_z(r: int, size: int) -> Anchored:
     return family_t(r, 1, size - 2)
 
 
-# -- declarative construction specs (CLI surface) -------------------------
-
-# family name -> (constructor, number of parameters after r)
+# family name -> (constructor, number of parameters after r), for `hypermatch construct`
 _FAMILIES = {
     "LoosePath": (loose_path, 1),
     "T": (family_t, 2),
@@ -147,29 +145,6 @@ _FAMILIES = {
     "W": (family_w, 1),
     "Z": (family_z, 1),
 }
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Declarative description of a parametric family: name + r + params."""
-
-    family: str
-    r: int
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise HypergraphError(
-                f"unknown family {self.family!r}; choose from {sorted(_FAMILIES)}"
-            )
-        arity = _FAMILIES[self.family][1]
-        if len(self.params) != arity:
-            raise HypergraphError(
-                f"family {self.family} takes {arity} parameter(s), got {len(self.params)}"
-            )
-
-    def build(self) -> Anchored:
-        return _FAMILIES[self.family][0](self.r, *self.params)
 
 
 # -- gluing operations -----------------------------------------------------
@@ -184,8 +159,8 @@ def coalesce(
     vertices follow order-preservingly at indices g.n and up.
     """
     r = _shared_edge_size(g, h)
-    g._check_vertex(u)
-    h._check_vertex(v)
+    u = g._check_vertex(u)
+    v = h._check_vertex(v)
     remap = {}
     nxt = g.n
     for w in range(h.n):
@@ -202,7 +177,7 @@ def coalesce_power(g: UniformHypergraph, u: int, m: int) -> UniformHypergraph:
     """m copies of g sharing the single vertex u (which keeps its index)."""
     if m < 1:
         raise HypergraphError(f"copy count must be >= 1, got {m}")
-    g._check_vertex(u)
+    u = g._check_vertex(u)
     out = g
     for _ in range(m - 1):
         out = coalesce(out, u, g, u)
@@ -238,8 +213,8 @@ def bridge(
     if m < 1:
         raise HypergraphError(f"copy count must be >= 1, got {m}")
     r = _shared_edge_size(g, h)
-    g._check_vertex(u)
-    h._check_vertex(v)
+    u = g._check_vertex(u)
+    v = h._check_vertex(v)
     edges = list(g.edges)
     internal_base = g.n + m * h.n
     for i in range(m):
@@ -269,7 +244,6 @@ def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHyper
 
 __all__ = [
     "Anchored",
-    "ConstructionSpec",
     "attach_pendant",
     "bridge",
     "coalesce",

@@ -94,25 +94,25 @@ class UniformHypergraph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        v = self._check_vertex(v)
         return sum(1 for e in self.edges if v in e)
 
-    def _check_vertex(self, v: int):
+    def _check_vertex(self, v: int) -> int:
+        """v as a plain int (by `_integer`'s rule) if it is a vertex of self."""
+        v = _integer(v, "a vertex")
         if not 0 <= v < self.n:
             raise HypergraphError(f"vertex {v} not in 0..{self.n - 1}")
+        return v
 
     # -- deletion calculus ----------------------------------------------
 
     def delete_vertex(self, v: int) -> "UniformHypergraph":
         """Remove v and every edge incident with it; survivors are renumbered
         order-preservingly to 0..n-2."""
-        self._check_vertex(v)
         return self.delete_vertices([v])
 
     def delete_vertices(self, vs: Iterable[int]) -> "UniformHypergraph":
-        gone = set(vs)
-        for v in gone:
-            self._check_vertex(v)
+        gone = {self._check_vertex(v) for v in vs}
         remap = {}
         for w in range(self.n):
             if w not in gone:

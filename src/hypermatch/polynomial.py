@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Mapping
 
 
@@ -9,30 +10,37 @@ class PolynomialShapeError(ValueError):
     """A polynomial violated an expected exponent structure."""
 
 
+def _integer(value, what: str) -> int:
+    """value as a plain int: ints and other integer types (such as numpy's)
+    pass; floats, strings and bools raise TypeError instead of truncating."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 class SparsePolynomial:
     """Integer-coefficient polynomial stored as exponent -> coefficient.
 
     Zero coefficients are never stored, equality is exact term-wise
     equality, and coefficients are Python ints (arbitrary precision).
+    Exponents and coefficients must be integers (see `_integer`).
     Instances are immutable: every operation returns a new value.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int]):
-        acc: dict[int, int] = {}
-        for exp, coef in terms.items():
-            exp = int(exp)
-            coef = int(coef)
+        pairs = [(_integer(exp, "exponent"), _integer(coef, "coefficient"))
+                 for exp, coef in terms.items()]
+        for exp, _ in pairs:
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
-            if coef:
-                total = acc.get(exp, 0) + coef
-                if total:
-                    acc[exp] = total
-                else:
-                    acc.pop(exp, None)
-        self._terms = acc
+        self._terms = {exp: coef for exp, coef in pairs if coef}
 
     # -- constructors -------------------------------------------------
 

@@ -1,14 +1,27 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
+import inspect
 import json
 import math
 import os
+import re
 import sys
 
 import pytest
 
 from conftest import spider
-from hypermatch.cli import main
+from hypermatch import (
+    UniformHypergraph,
+    family_q,
+    family_r,
+    family_t,
+    family_w,
+    family_z,
+    loose_path,
+    run_suite,
+)
+from hypermatch.cli import _int_list, _int_range, main
+from hypermatch.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -46,6 +59,27 @@ class TestConstruct:
     def test_bad_arity_exits_2(self, capsys):
         code, _, err = run(capsys, "construct", "--family", "T", "--r", "3", "--params", "1")
         assert code == 2
+        assert "family T takes 2 parameter(s), got 1" in err
+
+    @pytest.mark.parametrize("family, params, constructor", [
+        pytest.param("LoosePath", (3,), loose_path, id="LoosePath"),
+        pytest.param("T", (1, 2), family_t, id="T"),
+        pytest.param("Q", (1, 2, 1), family_q, id="Q"),
+        pytest.param("R", (1, 3, 1, 3), family_r, id="R"),
+        pytest.param("W", (6,), family_w, id="W"),
+        pytest.param("Z", (4,), family_z, id="Z"),
+    ])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_every_family_matches_its_constructor(self, capsys, family, params, constructor, r):
+        code, out, err = run(
+            capsys, "construct", "--family", family, "--r", str(r),
+            "--params", ",".join(map(str, params)),
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        direct = constructor(r, *params)
+        assert UniformHypergraph.from_json_dict(data) == direct.hg
+        assert data["anchors"] == direct.anchors
 
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "construct", "--family", "W")[0] == 2
@@ -201,6 +235,33 @@ class TestSuiteCommand:
         assert code == 0
         assert "path-w ignores it" in out and "coalesce and bridge ignore it" in out
 
+    def test_help_states_the_signature_defaults(self, capsys, monkeypatch):
+        # the suite functions hold the defaults; the help prose repeats them
+        monkeypatch.setenv("COLUMNS", "500")  # one line per option
+        code, out, _ = run(capsys, "suite", "--help")
+        assert code == 0
+        stated = {}
+        for option, value in re.findall(r"^ +--([\w-]+) .*\(default ([^)]+)\)", out, re.M):
+            parse = _int_range if ":" in value else _int_list
+            stated["r_list" if option == "r" else option.replace("-", "_")] = tuple(parse(value))
+        taken = set()
+        for suite in SUITES.values():
+            for name, param in inspect.signature(suite).parameters.items():
+                default = param.default
+                assert stated[name] == (default if isinstance(default, tuple) else (default,)), name
+                taken.add(name)
+        assert set(stated) == taken
+
+    @pytest.mark.parametrize("name, ignored", [
+        *[pytest.param(name, (), id=name) for name in sorted(SUITES)],
+        # the benchmark passes these to path-w, whose signature takes none of them
+        pytest.param("path-w", ("--seed", "4", "--trials", "10", "--m-max", "2"), id="path-w-ignored"),
+    ])
+    def test_json_report_is_the_library_report(self, tmp_path, capsys, name, ignored):
+        path = tmp_path / "report.json"
+        assert run(capsys, "suite", "--name", name, "--r", "3", *ignored, "--json", str(path))[0] == 0
+        assert path.read_text() == run_suite(name, r_list=(3,)).to_json() + "\n"
+
     def test_path_w_passes_and_emits_json(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--name", "path-w", "--r", "2,3",
@@ -304,6 +365,18 @@ class TestSuiteCommand:
         code, out, _ = run(capsys, "suite", "--name", "path-w")
         assert code == 1
         assert "FAIL" in out
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr("hypermatch.cli._build_parser", rebuilt)
+    path = construct_file(tmp_path, capsys, "p1.json", "LoosePath", 4, "1")
+    code, out, _ = run(capsys, "rho", str(path))
+    assert code == 0 and float(out) == pytest.approx(1.0)
+    code, out, _ = run(capsys, "suite", "--name", "path-w", "--r", "3", "--m-range", "6:6", "--n-range", "6:6")
+    assert code == 0 and "suite path-w: PASS" in out
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from conftest import supertrees_with_vertex
 from hypermatch import (
-    ConstructionSpec,
     HypergraphError,
     are_isomorphic,
     attach_pendant,
@@ -79,10 +78,24 @@ class TestPower:
         assert hg.edges == ((0, 1), (1, 2))
 
     def test_rejects_non_simple(self):
-        with pytest.raises(HypergraphError):
+        with pytest.raises(HypergraphError, match="not a simple graph edge"):
             power([[0, 0]], 3)
-        with pytest.raises(HypergraphError):
+        with pytest.raises(HypergraphError, match="duplicate graph edge"):
             power([[0, 1], [1, 0]], 3)
+
+    @pytest.mark.parametrize("edges, r", [
+        ([(0, 1.9), (1, 2)], 3),  # int() would read 1.9 as 1
+        ([(0, 1.0)], 3),
+        ([("0", "1")], 3),
+        ([(True, 2)], 2),
+    ])
+    def test_rejects_non_integer_vertices(self, edges, r):
+        with pytest.raises(HypergraphError, match="vertex must be an integer"):
+            power(edges, r)
+
+    def test_integer_type_vertices_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert power([(np.int64(0), np.int32(1))], 3) == power([(0, 1)], 3)
 
 
 class TestAttachPendant:
@@ -144,31 +157,6 @@ class TestNamedFamilies:
             family_w(3, 4)
         with pytest.raises(HypergraphError):
             family_z(3, 1)
-
-
-class TestConstructionSpec:
-    def test_build_matches_direct(self):
-        spec = ConstructionSpec("R", 3, (1, 1, 2, 4))
-        assert spec.build().hg == family_r(3, 1, 1, 2, 4).hg
-
-    @pytest.mark.parametrize("family, params, direct", [
-        ("LoosePath", (3,), lambda: loose_path(4, 3)),
-        ("T", (1, 2), lambda: family_t(4, 1, 2)),
-        ("Q", (1, 2, 1), lambda: family_q(4, 1, 2, 1)),
-        ("R", (1, 3, 1, 3), lambda: family_r(4, 1, 3, 1, 3)),
-        ("W", (6,), lambda: family_w(4, 6)),
-        ("Z", (4,), lambda: family_z(4, 4)),
-    ])
-    def test_every_family_builds_with_its_constructor(self, family, params, direct):
-        assert ConstructionSpec(family, 4, params).build() == direct()
-
-    def test_arity_checked(self):
-        with pytest.raises(HypergraphError, match="parameter"):
-            ConstructionSpec("T", 3, (1,))
-
-    def test_unknown_family(self):
-        with pytest.raises(HypergraphError, match="unknown family"):
-            ConstructionSpec("X", 3, (1,))
 
 
 class TestCoalesce:

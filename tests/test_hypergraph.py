@@ -14,7 +14,10 @@ from hypermatch import (
     UniformHypergraph,
     are_isomorphic,
     attach_pendant,
+    bridge,
     build,
+    coalesce,
+    coalesce_power,
     disjoint_union,
     family_q,
     family_r,
@@ -207,6 +210,35 @@ class TestDeletion:
     def test_delete_unknown_vertex(self):
         with pytest.raises(HypergraphError):
             isolated(2).delete_vertex(5)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 1.5, True, "1"])
+    def test_non_integer_vertex_rejected(self, v):
+        # the range check alone would read 0.5 as a vertex and True as 1
+        hg = build(2, 3, [[0, 1]])
+        for call in (
+            lambda: hg.degree(v),
+            lambda: hg.delete_vertex(v),
+            lambda: hg.delete_vertices([v]),
+            lambda: attach_pendant(hg, v),
+            lambda: coalesce(hg, v, hg, 0),
+            lambda: coalesce(hg, 0, hg, v),
+            lambda: coalesce_power(hg, v, 2),
+            lambda: bridge(hg, v, hg, 0, 1),
+            lambda: bridge(hg, 0, hg, v, 1),
+        ):
+            with pytest.raises(HypergraphError, match="vertex must be an integer"):
+                call()
+
+    def test_integer_type_vertex_accepted(self):
+        np = pytest.importorskip("numpy")
+        hg = build(2, 3, [[0, 1]])
+        one = np.int64(1)
+        assert hg.degree(one) == 1
+        assert hg.delete_vertex(one) == hg.delete_vertices([one]) == isolated(2, 2)
+        assert attach_pendant(hg, one) == attach_pendant(hg, 1)
+        assert coalesce(hg, one, hg, np.int32(0)) == coalesce(hg, 1, hg, 0)
+        assert coalesce_power(hg, one, 2) == coalesce_power(hg, 1, 2)
+        assert bridge(hg, one, hg, np.uint8(0), 2) == bridge(hg, 1, hg, 0, 2)
 
     def test_delete_vertex_renumbers_order_preservingly(self):
         hg = build(2, 4, [[0, 1], [2, 3]])

@@ -101,6 +101,25 @@ def test_int_scaling_from_either_side():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         SparsePolynomial({-1: 2})
+    with pytest.raises(ValueError):
+        SparsePolynomial({-1: 0})
+
+
+@pytest.mark.parametrize("terms", [
+    {1: 2.5, 0: 1}, {1: 2, 0.9: 1}, {2.0: 3}, {1: 2.0},
+    {"2": 3}, {2: "3"}, {True: 1}, {1: True}, {1: False},
+])
+def test_non_integer_terms_rejected(terms):
+    # int() would read {1: 2.5, 0.9: 1} as 2x + 1 and {"2": "3"} as 3x^2
+    with pytest.raises(TypeError, match="must be an integer"):
+        SparsePolynomial(terms)
+
+
+def test_integer_type_terms_accepted():
+    np = pytest.importorskip("numpy")
+    p = SparsePolynomial({np.int64(2): np.int64(3), np.int32(0): np.uint8(0)})
+    assert p == SparsePolynomial({2: 3})
+    assert [type(v) for term in p.terms() for v in term] == [int, int]
 
 
 @given(coeff_lists, coeff_lists)
