@@ -1,5 +1,6 @@
 """Family constructors, anchors, and gluing operations."""
 
+import argparse
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from hypermatch import (
     power,
     random_supertree,
 )
+from hypermatch.cli import _cmd_construct
 
 
 class TestLoosePath:
@@ -157,6 +159,23 @@ class TestNamedFamilies:
             family_w(3, 4)
         with pytest.raises(HypergraphError):
             family_z(3, 1)
+
+
+class TestConstructionSpec:
+    """A construct request, family name and parameters, is checked against
+    `families._FAMILIES` before anything is built."""
+
+    @staticmethod
+    def _construct(family, r, params):
+        return _cmd_construct(argparse.Namespace(family=family, r=r, params=list(params), output=None))
+
+    def test_arity_checked(self):
+        with pytest.raises(HypergraphError, match="parameter"):
+            self._construct("T", 3, (1,))
+
+    def test_unknown_family(self):
+        with pytest.raises(HypergraphError, match="unknown family"):
+            self._construct("X", 3, (1,))
 
 
 class TestCoalesce:
