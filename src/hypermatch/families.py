@@ -7,7 +7,10 @@ stated at specific vertices and tests must address them directly.
 
 Fresh vertices always take the next free indices in a fixed order (left
 operand first, then per-copy blocks, then gluing-edge internals), so all
-outputs are reproducible labeled objects.
+outputs are reproducible labeled objects. Every integer parameter (edge
+size, lengths, family parameters, copy and edge counts, vertices) is
+read by the hypergraph's integer rule: numpy integers pass, and floats,
+strings and bools raise HypergraphError.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ def loose_path(r: int, t: int) -> Anchored:
     t = 0 is the single vertex. Spine vertices are anchored as
     "v1".."v{t+1}" with vi at index (i-1)(r-1).
     """
+    r = _integer(r, "edge size r")
+    t = _integer(t, "path length")
     if r < 2:
         raise HypergraphError("edge size r must be >= 2")
     if t < 0:
@@ -102,6 +107,7 @@ def _with_pendants(r: int, length: int, spots: Sequence[int]) -> Anchored:
 
 def family_t(r: int, a: int, b: int) -> Anchored:
     """Loose path of length a+b with one pendant edge at v_{a+1}."""
+    a, b = (_integer(p, "a family T parameter") for p in (a, b))
     if a < 1 or b < 0:
         raise HypergraphError(f"family T needs a >= 1, b >= 0, got ({a}, {b})")
     return _with_pendants(r, a + b, [a + 1])
@@ -109,6 +115,7 @@ def family_t(r: int, a: int, b: int) -> Anchored:
 
 def family_q(r: int, a: int, b: int, c: int) -> Anchored:
     """Loose path of length a+b+c with pendant edges at v_{a+1} and v_{a+b+1}."""
+    a, b, c = (_integer(p, "a family Q parameter") for p in (a, b, c))
     if min(a, b, c) < 1:
         raise HypergraphError(f"family Q needs a,b,c >= 1, got ({a}, {b}, {c})")
     return _with_pendants(r, a + b + c, [a + 1, a + b + 1])
@@ -117,6 +124,7 @@ def family_q(r: int, a: int, b: int, c: int) -> Anchored:
 def family_r(r: int, a: int, b: int, c: int, d: int) -> Anchored:
     """Loose path of length a+b+c+d with pendant edges at v_{a+1},
     v_{a+b+1} and v_{a+b+c+1}."""
+    a, b, c, d = (_integer(p, "a family R parameter") for p in (a, b, c, d))
     if min(a, b, c, d) < 1:
         raise HypergraphError(f"family R needs a,b,c,d >= 1, got ({a}, {b}, {c}, {d})")
     return _with_pendants(r, a + b + c + d, [a + 1, a + b + 1, a + b + c + 1])
@@ -124,6 +132,7 @@ def family_r(r: int, a: int, b: int, c: int, d: int) -> Anchored:
 
 def family_w(r: int, size: int) -> Anchored:
     """The double-pendant path W_size = Q(1, size-4, 1); size >= 5, size edges."""
+    size = _integer(size, "the size of W")
     if size < 5:
         raise HypergraphError(f"family W needs size >= 5, got {size}")
     return family_q(r, 1, size - 4, 1)
@@ -131,6 +140,7 @@ def family_w(r: int, size: int) -> Anchored:
 
 def family_z(r: int, size: int) -> Anchored:
     """The single-pendant path Z_size = T(1, size-2); size >= 2, size edges."""
+    size = _integer(size, "the size of Z")
     if size < 2:
         raise HypergraphError(f"family Z needs size >= 2, got {size}")
     return family_t(r, 1, size - 2)
@@ -175,6 +185,7 @@ def coalesce(
 
 def coalesce_power(g: UniformHypergraph, u: int, m: int) -> UniformHypergraph:
     """m copies of g sharing the single vertex u (which keeps its index)."""
+    m = _integer(m, "copy count")
     if m < 1:
         raise HypergraphError(f"copy count must be >= 1, got {m}")
     u = g._check_vertex(u)
@@ -190,6 +201,8 @@ def coalesce_mixed(
     """copies_g copies of g and copies_h copies of h all sharing one vertex
     (u of the g's identified with v of the h's). The shared vertex ends up
     at index u when copies_g >= 1, else at v."""
+    copies_g = _integer(copies_g, "copy count")
+    copies_h = _integer(copies_h, "copy count")
     if copies_g < 0 or copies_h < 0 or copies_g + copies_h < 1:
         raise HypergraphError("need at least one copy in total")
     if copies_g == 0:
@@ -210,6 +223,7 @@ def bridge(
     blocks of h, then the m(r-2) internals; so the vertex count is
     g.n + m*h.n + m(r-2) and the edge count grows by m.
     """
+    m = _integer(m, "copy count")
     if m < 1:
         raise HypergraphError(f"copy count must be >= 1, got {m}")
     r = _shared_edge_size(g, h)
@@ -229,6 +243,8 @@ def bridge(
 def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHypergraph:
     """Uniform-attachment random supertree: start from one edge and attach
     num_edges - 1 pendant edges at uniformly random existing vertices."""
+    r = _integer(r, "edge size r")
+    num_edges = _integer(num_edges, "edge count")
     if num_edges < 1:
         raise HypergraphError("need at least one edge")
     if r < 2:

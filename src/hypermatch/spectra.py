@@ -35,8 +35,10 @@ Every result is kept in the record of its input (see
 `matching._memo`), so a suite that meets the same side twice pays
 once: the core that rho and the power test read, rho, the q roots with
 ME and its error bound (held to default_tol() on every read), and the
-exact characteristic polynomial. clear_polynomial_cache() forgets them
-all.
+exact characteristic polynomial. The r = 2 oracle is also kept per
+component, in the component's own record, so a tree that recurs across
+the disjoint unions of a suite is computed once.
+clear_polynomial_cache() forgets them all.
 """
 
 from __future__ import annotations
@@ -565,9 +567,14 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
 
 
 def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
+    """The product over the components, each kept in its own record.
+    Components are renumbered order-preservingly, so a component met
+    again, in hg or in another input, is an equal value and is served
+    from its record. A connected hg is its own one component: its entry
+    is filled by _tree_char_poly, with no call back into this function."""
     out = SparsePolynomial.one()
     for comp in hg.components():
         if comp.num_edges != comp.n - 1:
             raise HypergraphError("not a forest: a component has a cycle")
-        out = out * _tree_char_poly(comp)
+        out = out * _memo(comp, "char_poly", _tree_char_poly)
     return out

@@ -7,11 +7,12 @@ exactly, spectral radius and matching energy (computed per side) equal
 to 10 * default_tol() (HG_TOL, default 1e-10), and for r = 2 the exact
 adjacency characteristic polynomials equal too. A suite then ANDs its
 own conditions into the case's verdict. Suites are deterministic given
-(seed, ranges, HG_TOL); the JSON serialization of a report is
-byte-for-byte reproducible (elapsed time is reported in the human table
-only). Failing cases carry a reproduction command, HG_TOL included.
-A side whose matching energy raises RootFindingError fails its own case
-only: the message goes under "error" and that side's ME is null.
+(seed, ranges, HG_TOL); the JSON serialization of a report, one line of
+compact JSON with sorted keys, is byte-for-byte reproducible (elapsed
+time is reported in the human table only). Failing cases carry a
+reproduction command, HG_TOL included. A side whose matching energy
+raises RootFindingError fails its own case only: the message goes under
+"error" and that side's ME is null.
 
 Suites meet the same input more than once: path-w's lhs at (m, n) is
 its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
@@ -21,6 +22,12 @@ is kept in the input's record (see `matching._memo`), so each distinct
 side is computed once per run and a repeat is served from its record.
 check_cospectral asks for each side's ME before its rho, whose search
 then starts from the roots of q that ME found.
+
+The sides themselves are built once too. path-w builds each loose path,
+each W and each union on first use at an edge size and keeps it for the
+rest of the grid, so a grid that runs no case builds nothing. bridge
+deletes each trial's two anchors and takes the closed form's factors
+phi_g, phi_h, phi_(g-u) and phi_(h-v) once per trial, for every m.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .families import (
     bridge,
@@ -76,7 +84,8 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        # compact: json.dumps takes its C encoder only without indent
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def human_table(self) -> str:
         lines = [f"suite {self.suite_name}: {len(self.cases)} case(s)"]
@@ -260,22 +269,26 @@ def suite_coalesce(
 
 
 def _bridged_closed_form(
-    g: UniformHypergraph, u: int, h: UniformHypergraph, v: int, m: int
-) -> SparsePolynomial:
-    """Closed form for phi of (g bridged to m copies of h) union (m-1)
-    extra copies of g:
+    g: UniformHypergraph, u: int, h: UniformHypergraph, v: int, m_max: int
+) -> list[SparsePolynomial]:
+    """Closed forms for phi of (g bridged to m copies of h) union (m-1)
+    extra copies of g, for m = 1..m_max:
 
         x^((m-1)(r-2)) * (phi_g phi_h)^(m-1)
             * (x^(r-2) phi_g phi_h - m phi_(g-u) phi_(h-v))
+
+    The anchor-deleted sides and the four factors are computed once for
+    all m.
     """
     r = g.r
-    phi_g = matching_polynomial(g)
-    phi_h = matching_polynomial(h)
-    phi_gu = matching_polynomial(g.delete_vertex(u))
-    phi_hv = matching_polynomial(h.delete_vertex(v))
-    gh = phi_g * phi_h
-    inner = gh.shift(r - 2) - phi_gu * phi_hv * m
-    return (gh ** (m - 1) * inner).shift((m - 1) * (r - 2))
+    gh = matching_polynomial(g) * matching_polynomial(h)
+    deleted = matching_polynomial(g.delete_vertex(u)) * matching_polynomial(h.delete_vertex(v))
+    out = []
+    power = SparsePolynomial.one()  # (phi_g phi_h)^(m-1)
+    for m in range(1, m_max + 1):
+        out.append((power * (gh.shift(r - 2) - deleted * m)).shift((m - 1) * (r - 2)))
+        power = power * gh
+    return out
 
 
 def suite_bridge(
@@ -302,6 +315,7 @@ def suite_bridge(
             h = random_supertree(r, rng.randint(1, 4), rng)
             u = rng.randrange(g.n)
             v = rng.randrange(h.n)
+            closed_forms = _bridged_closed_form(g, u, h, v, m_max)
             for m in range(1, m_max + 1):
                 bridged_gh = bridge(g, u, h, v, m)
                 bridged_hg = bridge(h, v, g, u, m)
@@ -321,8 +335,7 @@ def suite_bridge(
                     "u": u,
                     "v": v,
                 }
-                expected = _bridged_closed_form(g, u, h, v, m)
-                case["closed_form_equal"] = matching_polynomial(union_l) == expected
+                case["closed_form_equal"] = matching_polynomial(union_l) == closed_forms[m - 1]
                 case["rho_bridged_lhs"] = spectral_radius(bridged_gh)
                 case["rho_bridged_rhs"] = spectral_radius(bridged_hg)
                 case["passed"] = (
@@ -333,6 +346,27 @@ def suite_bridge(
                 report.cases.append(case)
 
     return _finalize(report, started, r_list, f"--seed {seed} --trials {trials} --m-max {m_max}")
+
+
+def _swap_sides(r: int):
+    """side(m, n): a loose path of length m-5 next to W_(n-1), at edge
+    size r. Each path, each W and each union is built on first use and
+    then kept, so a grid builds each once and an empty grid builds
+    nothing (an invalid size raises only where a case needs it)."""
+
+    @cache
+    def path(t: int) -> UniformHypergraph:
+        return loose_path(r, t).hg
+
+    @cache
+    def w(size: int) -> UniformHypergraph:
+        return family_w(r, size).hg
+
+    @cache
+    def side(m: int, n: int) -> UniformHypergraph:
+        return disjoint_union(path(m - 5), w(n - 1))
+
+    return side
 
 
 def suite_path_w(
@@ -349,10 +383,10 @@ def suite_path_w(
     report = SuiteReport("path-w")
 
     for r in r_list:
+        side = _swap_sides(r)
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
-                lhs = disjoint_union(loose_path(r, m - 5).hg, family_w(r, n - 1).hg)
-                rhs = disjoint_union(loose_path(r, n - 5).hg, family_w(r, m - 1).hg)
+                lhs, rhs = side(m, n), side(n, m)
                 case = check_cospectral(lhs, rhs, check_isomorphism=True)
                 case["params"] = {"part": "swap", "r": r, "m": m, "n": n}
                 case["passed"] = case["passed"] and case["isomorphic"] == (m == n)

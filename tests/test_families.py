@@ -3,6 +3,7 @@
 import argparse
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -96,7 +97,6 @@ class TestPower:
             power(edges, r)
 
     def test_integer_type_vertices_accepted(self):
-        np = pytest.importorskip("numpy")
         assert power([(np.int64(0), np.int32(1))], 3) == power([(0, 1)], 3)
 
 
@@ -159,6 +159,35 @@ class TestNamedFamilies:
             family_w(3, 4)
         with pytest.raises(HypergraphError):
             family_z(3, 1)
+
+
+_G = loose_path(3, 2).hg
+_INTEGER_PARAMETERS = [  # (constructor, valid arguments, positions of its integer parameters)
+    pytest.param(loose_path, (3, 2), (0, 1), id="loose_path"),
+    pytest.param(family_t, (3, 1, 1), (0, 1, 2), id="family_t"),
+    pytest.param(family_q, (3, 1, 1, 1), (0, 1, 2, 3), id="family_q"),
+    pytest.param(family_r, (3, 1, 1, 2, 4), (0, 1, 2, 3, 4), id="family_r"),
+    pytest.param(family_w, (3, 5), (0, 1), id="family_w"),
+    pytest.param(family_z, (3, 2), (0, 1), id="family_z"),
+    pytest.param(coalesce_power, (_G, 0, 2), (1, 2), id="coalesce_power"),
+    pytest.param(coalesce_mixed, (_G, 0, 1, _G, 2, 1), (1, 2, 4, 5), id="coalesce_mixed"),
+    pytest.param(bridge, (_G, 0, _G, 2, 1), (1, 3, 4), id="bridge"),
+    pytest.param(lambda r, m: random_supertree(r, m, random.Random(0)), (3, 4), (0, 1),
+                 id="random_supertree"),
+]
+
+
+@pytest.mark.parametrize("build, args, positions", _INTEGER_PARAMETERS)
+def test_integer_parameters(build, args, positions):
+    # each integer parameter follows the hypergraph's rule: a float, a
+    # string or a bool raises HypergraphError, where it was truncated, read
+    # as 0/1 or failed in range(); numpy integers pass
+    for i in positions:
+        for bad in (float(args[i]), args[i] + 0.5, str(args[i]), True):
+            with pytest.raises(HypergraphError, match="must be an integer"):
+                build(*args[:i], bad, *args[i + 1:])
+    numpy_args = [np.int64(a) if i in positions else a for i, a in enumerate(args)]
+    assert build(*numpy_args) == build(*args)
 
 
 class TestConstructionSpec:

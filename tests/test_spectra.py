@@ -441,6 +441,34 @@ class TestRecord:
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
 
+    def test_oracle_kept_per_component(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        self._count(monkeypatch, spectra, "_tree_char_poly", calls)
+        p, w = loose_path(2, 4).hg, family_w(2, 6).hg
+        clear_polynomial_cache()
+        first = disjoint_union(p, disjoint_union(p, w))
+        assert tree_char_poly(first) == matching_polynomial(first)
+        assert len(calls) == 2  # P and W: the second P is served from P's record
+        second = disjoint_union(p, loose_path(2, 2).hg)  # shares P with the first union
+        assert tree_char_poly(second) == matching_polynomial(second)
+        assert len(calls) == 3
+        assert tree_char_poly(p) == matching_polynomial(p)
+        assert len(calls) == 3
+
+    def test_connected_tree_is_its_own_component(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        for name in ("_forest_char_poly", "_tree_char_poly"):
+            self._count(monkeypatch, spectra, name, calls)
+        hg = random_supertree(2, 12, random.Random(3))
+        clear_polynomial_cache()
+        assert tree_char_poly(hg) == matching_polynomial(hg)
+        assert tree_char_poly(hg) == matching_polynomial(hg)
+        assert calls == ["_forest_char_poly", "_tree_char_poly"]
+
     def test_kept_bound_is_applied_at_every_read(self, monkeypatch):
         import hypermatch.spectra as spectra
 

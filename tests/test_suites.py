@@ -6,9 +6,11 @@ import time
 
 import pytest
 
+import hypermatch.suites as suites
 from hypermatch import (
     HypergraphError,
     SparsePolynomial,
+    UniformHypergraph,
     check_cospectral,
     clear_polynomial_cache,
     disjoint_union,
@@ -21,7 +23,7 @@ from hypermatch import (
     suite_coalesce,
     suite_path_w,
 )
-from hypermatch.suites import SuiteReport, _finalize
+from hypermatch.suites import SUITES, SuiteReport, _finalize
 
 
 @pytest.fixture
@@ -190,6 +192,14 @@ class TestSuites:
             warm = run().to_json()  # every side served from its record
             assert warm == cold
 
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_report_is_one_line_of_compact_json(self, name):
+        report = run_suite(name, r_list=(3,))
+        text = report.to_json()
+        assert "\n" not in text
+        assert json.loads(text) == report.to_json_dict()
+        assert run_suite(name, r_list=(3,)).to_json() == text
+
     def test_different_seeds_differ(self):
         a = suite_bridge(r_list=(3,), m_max=1, trials=3, seed=1)
         b = suite_bridge(r_list=(3,), m_max=1, trials=3, seed=2)
@@ -212,6 +222,45 @@ class TestSuites:
         table = report.human_table()
         assert "suite path-w: PASS" in table
         assert "elapsed" in table
+
+
+class TestBuildOnce:
+    """Each family member and anchor-deleted side is built once per run,
+    and only when a case needs it."""
+
+    @staticmethod
+    def _count(monkeypatch, name, calls):
+        real = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda *a: calls.append((name, *a)) or real(*a))
+
+    def test_path_w_builds_each_size_once(self, monkeypatch):
+        calls = []
+        for name in ("loose_path", "family_w"):
+            self._count(monkeypatch, name, calls)
+        report = suite_path_w(r_list=(3,))
+        assert report.passed and len(report.cases) == 25
+        assert sorted(calls) == sorted(
+            [("loose_path", 3, t) for t in range(1, 6)] + [("family_w", 3, s) for s in range(5, 10)]
+        )
+
+    @pytest.mark.parametrize("grid", [{"m_range": (10, 6)}, {"n_range": (10, 6)}])
+    def test_path_w_empty_grid_builds_nothing(self, monkeypatch, grid):
+        calls = []
+        for name in ("loose_path", "family_w"):
+            self._count(monkeypatch, name, calls)
+        report = suite_path_w(r_list=(3,), **grid)
+        assert calls == []
+        assert not report.passed and "no case ran" in report.notes
+
+    def test_bridge_deletes_each_anchor_once_per_trial(self, monkeypatch):
+        calls = []
+        real = UniformHypergraph.delete_vertex
+        monkeypatch.setattr(
+            UniformHypergraph, "delete_vertex", lambda hg, v: calls.append(v) or real(hg, v)
+        )
+        report = suite_bridge(r_list=(3,), m_max=3, trials=4)
+        assert report.passed and len(report.cases) == 12
+        assert len(calls) == 2 * 4
 
 
 class TestFailureReporting:
