@@ -54,6 +54,7 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
     Original vertices keep their (low) indices; fresh vertices are
     allocated per edge in input order. r = 2 returns the graph itself.
     """
+    r = _integer(r, "edge size r")
     seen = set()
     edges = []
     top = -1

@@ -318,7 +318,7 @@ def _centre_codes(core) -> str:
     needs no count of its degree-1 vertices, r less its neighbours
     there. Labels copy their children's, so a path costs characters
     quadratic in its height: on a 2-core x86 machine a code of
-    `loose_path(r, 5000)` takes 12-18 ms and its phi 1.4 s.
+    `loose_path(r, 5000)` takes 15-20 ms and its phi 2.0-2.1 s.
     """
     _, roots, child_edges = core
     c = len(child_edges)

@@ -19,10 +19,15 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   hypertree form of Godsil's tree recurrence). A degree-1 vertex u has
   A_u = x and B_u = 1, so the pass visits only the core, the roots and
   the vertices of degree >= 2, and each edge's degree-1 vertices enter
-  as a count (see `rooted_superforest`). The polynomials are dense
-  integer lists indexed by the matching size k. Results are memoized
-  in the record of the whole input hypergraph, which the numeric layer
-  and isomorphism share (see `_memo`), with the core phi is read from.
+  as a count (see `rooted_superforest`). The pass runs on the unsigned
+  counts m(., k), each polynomial packed into one int with count k in
+  slot k (Kronecker substitution), so every product and sum is one C
+  big-int operation; the signs (-1)^k come in at the end. A slot is as
+  many whole bytes as the Hosoya index Z(H), the number of matchings,
+  which bounds every count formed, so no slot carries; a first pass with
+  zero-width slots returns Z(H). Results are memoized in the record of
+  the whole input hypergraph, which the numeric layer and isomorphism
+  share (see `_memo`), with the core phi is read from.
 
 Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
 terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
@@ -34,6 +39,7 @@ far better conditioned than on phi itself with its zero cluster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .hypergraph import UniformHypergraph, rooted_superforest
@@ -129,59 +135,51 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     return _memo(hg, "phi", _phi_superforest)
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two coefficient lists; [] is the zero polynomial.
-
-    May return one of its arguments, so no list is changed in place."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return []
-    if len(b) == 1:
-        c = b[0]
-        return a if c == 1 else [c * v for v in a]
-    size = len(a)
-    out = [0] * (size + len(b) - 1)
-    for j, c in enumerate(b):
-        out[j : j + size] = [o + c * v for o, v in zip(out[j : j + size], a)]
-    return out
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    return [v + w for v, w in zip(a, b)] + a[len(b) :]
+def _count_pass(roots, child_edges, bits: int) -> int:
+    """The root product of the bottom-up pass on packed counts: slot k,
+    bits k*bits to (k+1)*bits - 1, holds m(H,k). At bits = 0 the slots
+    all add up, and the result is the Hosoya index Z(H), the number of
+    matchings of H."""
+    # A_w and B_w are single ints, slot k holding m(T_w,k), resp.
+    # m(T_w - w,k); a matching of T_w avoids w or holds one edge e at w,
+    # and the rest of it has one edge fewer, so A_w = B_w + (total << bits)
+    # with total = sum_e Q_e prod_{e' != e} P_e'. A degree-1 vertex has
+    # A = B = 1, so P_e and Q_e are products over the vertices of degree
+    # >= 2 alone. Invariant: each slot of every int formed here counts
+    # matchings of a sub-hyperforest of H (a product is a disjoint union,
+    # and total, partial or not, counts the matchings of T_w that hold w),
+    # so it is at most Z(H) < 2^bits, and no slot carries into the next.
+    # A first factor is taken as is, not multiplied by 1, and each child's
+    # ints are dropped once read: both copy whole ints.
+    a: list = [None] * len(child_edges)
+    b: list = [None] * len(child_edges)
+    for w in range(len(child_edges) - 1, -1, -1):  # children before parents
+        prod_p, total = 1, 0  # prod of P_e, and total, over the edges so far
+        for below, _ in child_edges[w]:
+            p = q = 1
+            for u in below:
+                p, q = (a[u], b[u]) if p == 1 else (p * a[u], q * b[u])
+                a[u] = b[u] = None
+            if not total:  # the first edge (total >= 1 after any edge)
+                prod_p, total = p, q
+            elif not below:  # P_e = Q_e = 1
+                total += prod_p
+            else:
+                total = total * p + prod_p * q
+                prod_p *= p
+        a[w] = prod_p + (total << bits)
+        b[w] = prod_p
+    return math.prod(a[root] for root in roots)
 
 
 def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
     _, roots, child_edges = _core(hg)
-
-    # Bottom-up, on coefficient lists indexed by the matching size k (the
-    # vertex count fixes the exponents). x * B_w keeps B_w's list, and each
-    # Q_e prod_{e' != e} P_e' covers r vertices fewer, so it enters A_w
-    # one k further down: A_w[k] = B_w[k] - total[k - 1]. A degree-1
-    # vertex has A = x and B = 1, both the list [1], so P_e and Q_e are
-    # products over the vertices of degree >= 2 alone.
-    a: list = [None] * len(child_edges)
-    b: list = [None] * len(child_edges)
-    for w in range(len(child_edges) - 1, -1, -1):  # children before parents
-        prod_p = [1]  # prod of P_e over the edges so far
-        total = []  # sum_e Q_e prod_{e' != e} P_e' over the edges so far
-        for below, _ in child_edges[w]:
-            p = q = [1]
-            for u in below:
-                p = _mul(p, a[u])
-                q = _mul(q, b[u])
-                a[u] = b[u] = None
-            total = _add(_mul(total, p), _mul(prod_p, q))
-            prod_p = _mul(prod_p, p)
-        a[w] = _add(prod_p, [0] + [-c for c in total])
-        b[w] = prod_p
-
-    coeffs = [1]
-    for root in roots:
-        coeffs = _mul(coeffs, a[root])
-    return SparsePolynomial({hg.n - k * hg.r: c for k, c in enumerate(coeffs)})
+    width = (_count_pass(roots, child_edges, 0).bit_length() + 7) // 8  # bytes of Z(H)
+    packed = _count_pass(roots, child_edges, 8 * width)
+    nu = (packed.bit_length() - 1) // (8 * width)  # m(H,nu) > 0 is the top slot
+    data = packed.to_bytes((nu + 1) * width, "little")
+    counts = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return SparsePolynomial({hg.n - k * hg.r: -c if k & 1 else c for k, c in enumerate(counts)})
 
 
 @dataclass(frozen=True)

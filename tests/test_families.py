@@ -164,6 +164,7 @@ class TestNamedFamilies:
 _G = loose_path(3, 2).hg
 _INTEGER_PARAMETERS = [  # (constructor, valid arguments, positions of its integer parameters)
     pytest.param(loose_path, (3, 2), (0, 1), id="loose_path"),
+    pytest.param(power, ([[0, 1], [1, 2]], 3), (1,), id="power"),
     pytest.param(family_t, (3, 1, 1), (0, 1, 2), id="family_t"),
     pytest.param(family_q, (3, 1, 1, 1), (0, 1, 2, 3), id="family_q"),
     pytest.param(family_r, (3, 1, 1, 2, 4), (0, 1, 2, 3, 4), id="family_r"),

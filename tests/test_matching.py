@@ -6,6 +6,7 @@ with it.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from hypermatch import (
     bridge,
     build,
     coalesce,
+    coalesce_power,
     disjoint_union,
     family_r,
     family_w,
@@ -225,6 +227,28 @@ class TestLargeInputs:
         for _ in range(m - 1):
             padded = disjoint_union(padded, g.hg)
         assert matching_polynomial(padded) == _bridged_closed_form(g.hg, u, h.hg, v, m)[-1]
+
+    @staticmethod
+    def _phi_of_counts(hg, counts):
+        return SparsePolynomial({hg.n - k * hg.r: (-1) ** k * c for k, c in enumerate(counts)})
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_long_loose_path_matches_closed_form(self, r):
+        # m(P_t, k) = C(t - k + 1, k); Z(P_t) is a Fibonacci number of
+        # about 1390 bits, so every packed count slot is that wide
+        t = 2000
+        counts = [math.comb(t - k + 1, k) for k in range((t + 1) // 2 + 1)]
+        assert sum(counts).bit_length() > 1000
+        hg = loose_path(r, t).hg
+        assert matching_polynomial(hg) == self._phi_of_counts(hg, counts)
+
+    @pytest.mark.parametrize("r, k", [(2, 1), (2, 300), (3, 2), (3, 50), (5, 300)])
+    def test_spider_matches_closed_form(self, r, k):
+        # k legs of two edges at one hub: a matching takes j outer edges,
+        # or one hub edge and j - 1 outer edges of the other legs
+        hg = coalesce_power(loose_path(r, 2).hg, 0, k)
+        counts = [math.comb(k, j) + k * math.comb(k - 1, j - 1) if j else 1 for j in range(k + 1)]
+        assert matching_polynomial(hg) == self._phi_of_counts(hg, counts)
 
 
 class TestEdgeCycleOracle:
