@@ -67,13 +67,10 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
         seen.add(pair)
         edges.append(pair)
         top = max(top, pair[1])
-    n0 = top + 1
-    if r == 2:
-        return UniformHypergraph(2, n0, tuple(edges))
     if r < 2:
         raise HypergraphError("edge size r must be >= 2")
     out = []
-    nxt = n0
+    nxt = top + 1
     for a, b in edges:
         fresh = range(nxt, nxt + r - 2)
         nxt += r - 2

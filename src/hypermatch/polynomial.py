@@ -1,4 +1,10 @@
-"""Exact sparse univariate polynomials over the integers."""
+"""Exact sparse univariate polynomials over the integers.
+
+Every SparsePolynomial holds exponents >= 0 and nonzero Python-int
+coefficients. The constructor and every argument of scale, shift and **
+read integers by `_integer`'s rule, and every result is built by
+`_from_terms`, the one place that drops zero coefficients.
+"""
 
 from __future__ import annotations
 
@@ -26,10 +32,11 @@ def _integer(value, what: str) -> int:
 class SparsePolynomial:
     """Integer-coefficient polynomial stored as exponent -> coefficient.
 
-    Zero coefficients are never stored, equality is exact term-wise
-    equality, and coefficients are Python ints (arbitrary precision).
-    Exponents and coefficients must be integers (see `_integer`).
-    Instances are immutable: every operation returns a new value.
+    Exponents are ints >= 0 and coefficients nonzero Python ints
+    (arbitrary precision): inputs are read by `_integer`'s rule, so numpy
+    integers become ints and floats, strings and bools raise TypeError.
+    Every result is built by `_from_terms`. Equality is exact term-wise
+    equality. Instances are immutable: every operation returns a new value.
     """
 
     __slots__ = ("_terms",)
@@ -81,19 +88,11 @@ class SparsePolynomial:
             return NotImplemented
         acc = dict(self._terms)
         for exp, coef in other._terms.items():
-            total = acc.get(exp, 0) + coef
-            if total:
-                acc[exp] = total
-            else:
-                acc.pop(exp, None)
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = acc
-        return out
+            acc[exp] = acc.get(exp, 0) + coef
+        return _from_terms(acc)
 
     def __neg__(self) -> "SparsePolynomial":
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, SparsePolynomial):
@@ -109,18 +108,13 @@ class SparsePolynomial:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                total = acc.get(e, 0) + c1 * c2
-                if total:
-                    acc[e] = total
-                else:
-                    acc.pop(e, None)
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = acc
-        return out
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return _from_terms(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SparsePolynomial":
+        k = _integer(k, "power")
         if k < 0:
             raise ValueError("negative power")
         out = SparsePolynomial.one()
@@ -133,19 +127,15 @@ class SparsePolynomial:
         return out
 
     def scale(self, c: int) -> "SparsePolynomial":
-        if not c:
-            return SparsePolynomial.zero()
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = {e: c * v for e, v in self._terms.items()}
-        return out
+        c = _integer(c, "scale factor")
+        return _from_terms({e: c * v for e, v in self._terms.items()})
 
     def shift(self, k: int) -> "SparsePolynomial":
         """Multiply by x**k."""
+        k = _integer(k, "shift")
         if k < 0:
             raise ValueError("negative shift")
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return _from_terms({e + k: c for e, c in self._terms.items()})
 
     def derivative(self) -> "SparsePolynomial":
         return SparsePolynomial({e - 1: e * c for e, c in self._terms.items() if e})
@@ -198,3 +188,11 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
+
+
+def _from_terms(terms: dict[int, int]) -> SparsePolynomial:
+    """The one constructor of results: terms maps int exponents >= 0 to
+    int coefficients, already checked; its zero coefficients are dropped."""
+    out = SparsePolynomial.__new__(SparsePolynomial)
+    out._terms = {e: c for e, c in terms.items() if c}
+    return out

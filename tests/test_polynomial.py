@@ -122,6 +122,31 @@ def test_integer_type_terms_accepted():
     assert [type(v) for term in p.terms() for v in term] == [int, int]
 
 
+@pytest.mark.parametrize("bad", [2.5, "2", True])
+@pytest.mark.parametrize("op", [
+    lambda p, v: p.scale(v), lambda p, v: p.shift(v), lambda p, v: p ** v, lambda p, v: v * p,
+])
+def test_non_integer_arguments_rejected(op, bad):
+    # once p.shift(1.5) was x^3.5 + 3x^1.5, p.scale(2.5) 2.5x^2 + 7.5 and p ** True p
+    with pytest.raises(TypeError):
+        op(SparsePolynomial({2: 1, 0: 3}), bad)
+
+
+def test_integer_type_arguments_give_plain_ints():
+    np = pytest.importorskip("numpy")
+    p = SparsePolynomial({2: 1, 0: 3})
+    results = [p.scale(np.int64(3)), p.shift(np.int32(2)), p ** np.uint8(2), p.scale(np.int8(0))]
+    assert results == [SparsePolynomial({2: 3, 0: 9}), SparsePolynomial({4: 1, 2: 3}),
+                       SparsePolynomial({4: 1, 2: 6, 0: 9}), SparsePolynomial.zero()]
+    assert {type(v) for q in results for term in q.terms() for v in term} <= {int}
+
+
+def test_numpy_scale_factor_does_not_overflow():
+    np = pytest.importorskip("numpy")
+    p = SparsePolynomial({1: 1}).scale(np.int64(2**62)) * SparsePolynomial({0: 4})
+    assert p == SparsePolynomial({1: 2**64})
+
+
 @given(coeff_lists, coeff_lists)
 def test_multiplication_matches_dense_oracle(a, b):
     lhs = from_ascending(a) * from_ascending(b)

@@ -383,6 +383,20 @@ class TestSpectralSummary:
             spectral_summary(random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng))
         assert len(calls) / 200 <= 4
 
+    def test_unseeded_search_takes_few_passes(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        real_pass = spectra._tree_pass
+        monkeypatch.setattr(spectra, "_tree_pass", lambda *a: calls.append(1) or real_pass(*a))
+        rng = random.Random(0)
+        for _ in range(200):
+            hg = random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng)
+            clear_polynomial_cache()  # no q roots in the record: the search seeds itself
+            spectral_radius(hg)
+        # the search takes about 10.5 passes here; a plain bisection takes far more
+        assert len(calls) / 200 <= 12
+
     def test_reads_the_tolerance_once(self, monkeypatch):
         import hypermatch.spectra as spectra
 
