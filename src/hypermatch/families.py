@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .hypergraph import HypergraphError, UniformHypergraph, _integer, _shared_edge_size, disjoint_union, isolated
+from .hypergraph import HypergraphError, UniformHypergraph, _integer, _shared_edge_size, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,6 @@ def loose_path(r: int, t: int) -> Anchored:
     """
     r = _integer(r, "edge size r")
     t = _integer(t, "path length")
-    if r < 2:
-        raise HypergraphError("edge size r must be >= 2")
     if t < 0:
         raise HypergraphError("path length must be >= 0")
     n = t * (r - 1) + 1
@@ -67,8 +65,6 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
         seen.add(pair)
         edges.append(pair)
         top = max(top, pair[1])
-    if r < 2:
-        raise HypergraphError("edge size r must be >= 2")
     out = []
     nxt = top + 1
     for a, b in edges:
@@ -255,22 +251,3 @@ def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHyper
         n += r - 1
     return UniformHypergraph(r, n, tuple(edges))
 
-
-__all__ = [
-    "Anchored",
-    "attach_pendant",
-    "bridge",
-    "coalesce",
-    "coalesce_mixed",
-    "coalesce_power",
-    "disjoint_union",
-    "family_q",
-    "family_r",
-    "family_t",
-    "family_w",
-    "family_z",
-    "isolated",
-    "loose_path",
-    "power",
-    "random_supertree",
-]

@@ -1,9 +1,12 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
-matching-polynomial identities, plus supertree validation, the rooting
-of a superforest into its core, the vertices of degree >= 2 where edges
-meet, with each edge's degree-1 vertices as a count, and superforest
-isomorphism by one canonical code per input, built from its core. Each
-input's core and code are kept in its cache record (see `matching._memo`).
+matching-polynomial identities, plus the rooting of a superforest into
+its core, the vertices of degree >= 2 where edges meet, with each edge's
+degree-1 vertices as a count, which also decides the supertree test,
+and superforest isomorphism by one canonical code per input, built from
+its core. This module holds the per-input cache: one record per whole
+input, a dict of its results by name, filled by `_memo`, which keeps
+each input's core and code here and phi, rho and ME in `matching` and
+`spectra`.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -14,7 +17,7 @@ equal as plain values.
 from __future__ import annotations
 
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -133,57 +136,42 @@ class UniformHypergraph:
 
     # -- connectivity ---------------------------------------------------
 
-    def _vertex_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            for v in e:
-                adj[v].extend(w for w in e if w != v)
-        return adj
-
-    def component_vertex_sets(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest member."""
-        adj = self._vertex_adjacency()
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            queue = deque([start])
-            comp = [start]
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
-
     def components(self) -> list["UniformHypergraph"]:
-        """Connected components, each renumbered order-preservingly."""
-        out = []
-        for comp in self.component_vertex_sets():
-            remap = {v: i for i, v in enumerate(comp)}
-            inside = set(comp)
-            edges = tuple(
-                tuple(remap[w] for w in e) for e in self.edges if e[0] in inside
-            )
-            out.append(UniformHypergraph(self.r, len(comp), edges))
-        return out
+        """Connected components, ordered by smallest member, each renumbered
+        order-preservingly: one union-find over the edges (Tarjan, J. ACM
+        1975), with every set's smallest vertex as its root."""
+        parent = list(range(self.n))
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        return len(self.component_vertex_sets()) == 1
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]  # path halving
+                v = parent[v]
+            return v
+
+        for e in self.edges:
+            tops = [find(v) for v in e]
+            low = min(tops)
+            for t in tops:
+                parent[t] = low
+        top = [find(v) for v in range(self.n)]
+        members: dict[int, list[int]] = {}  # by root, so by smallest member
+        index = []  # each vertex's index in its component
+        for v, t in enumerate(top):
+            comp = members.setdefault(t, [])
+            index.append(len(comp))
+            comp.append(v)
+        edges: dict[int, list[Edge]] = {t: [] for t in members}
+        for e in self.edges:
+            edges[top[e[0]]].append(tuple(index[v] for v in e))
+        return [UniformHypergraph(self.r, len(members[t]), tuple(edges[t])) for t in members]
 
     def is_supertree(self) -> bool:
-        """Connected and acyclic (the vertex-edge incidence graph is a tree).
-
-        Equivalent count form: connected and n == m(r-1) + 1.
-        """
-        return self.is_connected() and self.n == self.num_edges * (self.r - 1) + 1
+        """Connected and acyclic (the vertex-edge incidence graph is a
+        tree): `rooted_superforest` finds no cycle and exactly one root."""
+        try:
+            return len(rooted_superforest(self)[1]) == 1
+        except HypergraphError:
+            return False
 
     # -- serialization ---------------------------------------------------
 
@@ -297,6 +285,45 @@ def rooted_superforest(hg: UniformHypergraph):
     return vertices, roots, child_edges
 
 
+# One record per whole input, a dict of its results by name. CPython dict
+# setdefault and item stores are atomic, and each result is immutable, so
+# concurrent callers at worst compute a result twice; callers needing full
+# isolation can clear or ignore the cache.
+_CACHE: dict[UniformHypergraph, dict] = {}
+
+
+def _record(hg: UniformHypergraph) -> dict:
+    """The cache record of hg, created empty on first use."""
+    rec = _CACHE.get(hg)
+    return rec if rec is not None else _CACHE.setdefault(hg, {})
+
+
+def _memo(hg: UniformHypergraph, name: str, compute):
+    """The result `name` of hg: the one kept in its record, else
+    compute(hg), kept. The names are "core", "phi", "rho", "energy" (the
+    q roots, ME and its error bound), "char_poly" and "code" (the
+    canonical code of isomorphism); no result is None.
+    An error that compute raises, such as a cycle, is raised on every
+    call, and nothing is kept."""
+    rec = _record(hg)
+    out = rec.get(name)
+    if out is None:
+        out = rec[name] = compute(hg)
+    return out
+
+
+def _core(hg: UniformHypergraph):
+    """The core of hg (see `rooted_superforest`), kept in its record:
+    phi, rho, the power-forest test of ME and isomorphism all read it,
+    so each input is rooted once."""
+    return _memo(hg, "core", rooted_superforest)
+
+
+def clear_polynomial_cache():
+    """Forget every per-input result, each name that `_memo` lists."""
+    _CACHE.clear()
+
+
 # -- isomorphism ---------------------------------------------------------
 
 
@@ -369,7 +396,5 @@ def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
         return False
     if g.edges and h.edges and g.r != h.r:
         return False
-    from .matching import _core, _memo  # matching, which holds the records, imports this module
-
     code_g, code_h = (_memo(x, "code", lambda x: _centre_codes(_core(x))) for x in (g, h))
     return code_g == code_h

@@ -25,9 +25,9 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   big-int operation; the signs (-1)^k come in at the end. A slot is as
   many whole bytes as the Hosoya index Z(H), the number of matchings,
   which bounds every count formed, so no slot carries; a first pass with
-  zero-width slots returns Z(H). Results are memoized in the record of
-  the whole input hypergraph, which the numeric layer and isomorphism
-  share (see `_memo`), with the core phi is read from.
+  zero-width slots returns Z(H). phi is memoized in the record of the
+  whole input hypergraph, beside the core it is read from, which the
+  numeric layer and isomorphism share (see `hypergraph._memo`).
 
 Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
 terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph, rooted_superforest
+from .hypergraph import UniformHypergraph, _core, _memo
 from .polynomial import PolynomialShapeError, SparsePolynomial
 
 
@@ -85,45 +85,6 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     return SparsePolynomial(
         {hg.n - k * hg.r: (-1) ** k * c for k, c in enumerate(counts)}
     )
-
-
-# One record per whole input, a dict of its results by name. CPython dict
-# setdefault and item stores are atomic, and each result is immutable, so
-# concurrent callers at worst compute a result twice; callers needing full
-# isolation can clear or ignore the cache.
-_CACHE: dict[UniformHypergraph, dict] = {}
-
-
-def _record(hg: UniformHypergraph) -> dict:
-    """The cache record of hg, created empty on first use."""
-    rec = _CACHE.get(hg)
-    return rec if rec is not None else _CACHE.setdefault(hg, {})
-
-
-def _memo(hg: UniformHypergraph, name: str, compute):
-    """The result `name` of hg: the one kept in its record, else
-    compute(hg), kept. The names are "core", "phi", "rho", "energy" (the
-    q roots, ME and its error bound), "char_poly" and "code" (the
-    canonical code of isomorphism); no result is None.
-    An error that compute raises, such as a cycle, is raised on every
-    call, and nothing is kept."""
-    rec = _record(hg)
-    out = rec.get(name)
-    if out is None:
-        out = rec[name] = compute(hg)
-    return out
-
-
-def _core(hg: UniformHypergraph):
-    """The core of hg (see `rooted_superforest`), kept in its record:
-    phi, rho, the power-forest test of ME and isomorphism all read it,
-    so each input is rooted once."""
-    return _memo(hg, "core", rooted_superforest)
-
-
-def clear_polynomial_cache():
-    """Forget every per-input result, each name that `_memo` lists."""
-    _CACHE.clear()
 
 
 def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:

@@ -32,7 +32,7 @@ superforest takes the eigenvalues of the companion matrix of q, which
 carry no error bound: their matching energy is not certified.
 
 Every result is kept in the record of its input (see
-`matching._memo`), so a suite that meets the same side twice pays
+`hypergraph._memo`), so a suite that meets the same side twice pays
 once: the core that rho and the power test read, rho, the q roots with
 ME and its error bound (held to default_tol() on every read), and the
 exact characteristic polynomial. The r = 2 oracle is also kept per
@@ -50,8 +50,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .hypergraph import HypergraphError, UniformHypergraph
-from .matching import _core, _memo, _record, matching_polynomial
+from .hypergraph import HypergraphError, UniformHypergraph, _core, _memo, _record
+from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10

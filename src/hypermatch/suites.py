@@ -18,7 +18,7 @@ Suites meet the same input more than once: path-w's lhs at (m, n) is
 its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
 and bridge's unions at m = 1 are the bridged objects themselves. Every
 per-input result, phi, rho, ME and the r = 2 characteristic polynomial,
-is kept in the input's record (see `matching._memo`), so each distinct
+is kept in the input's record (see `hypergraph._memo`), so each distinct
 side is computed once per run and a repeat is served from its record.
 check_cospectral asks for each side's ME before its rho, whose search
 then starts from the roots of q that ME found.
@@ -44,11 +44,10 @@ from .families import (
     coalesce_mixed,
     family_r,
     family_w,
-    isolated,
     loose_path,
     random_supertree,
 )
-from .hypergraph import UniformHypergraph, _shared_edge_size, are_isomorphic, disjoint_union
+from .hypergraph import UniformHypergraph, _shared_edge_size, are_isomorphic, disjoint_union, isolated
 from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
 from .spectra import (

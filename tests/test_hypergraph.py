@@ -6,7 +6,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import pendant_edges, small_hypergraphs, supertrees, supertrees_with_vertex
 from hypermatch import (
@@ -320,8 +320,30 @@ class TestSupertree:
     def test_overlapping_edges_fail_the_count(self):
         # two 3-edges sharing two vertices: connected but 4 != 2*2+1
         hg = build(3, 4, [[0, 1, 2], [0, 1, 3]])
-        assert hg.is_connected()
+        assert len(hg.components()) == 1
         assert not hg.is_supertree()
+
+    @settings(max_examples=200)
+    @given(small_hypergraphs(rs=(2, 3, 4)))
+    @example(isolated(0, 3))
+    def test_components_and_supertree_test_match_a_reference(self, hg):
+        # cycles, edges sharing two vertices and isolated vertices included
+        blocks = [{v} for v in range(hg.n)]
+        merged = True
+        while merged:  # merge every two blocks that one edge meets, until stable
+            merged = False
+            for e in hg.edges:
+                hit = [b for b in blocks if b.intersection(e)]
+                if len(hit) > 1:
+                    blocks = [b for b in blocks if not b.intersection(e)] + [set().union(*hit)]
+                    merged = True
+        expected = []
+        for block in sorted(sorted(b) for b in blocks):
+            index = {v: i for i, v in enumerate(block)}
+            edges = [[index[v] for v in e] for e in hg.edges if e[0] in index]
+            expected.append(build(hg.r, len(block), edges))
+        assert hg.components() == expected
+        assert hg.is_supertree() == (len(blocks) == 1 and hg.n == hg.num_edges * (hg.r - 1) + 1)
 
     def test_pendant_peeling_preserves_supertree(self):
         import random
@@ -428,7 +450,7 @@ class TestIsomorphism:
     @settings(max_examples=200, deadline=None)
     @given(superforest_relatives())
     def test_agrees_with_brute_force(self, relatives):
-        import hypermatch.matching as matching
+        import hypermatch.hypergraph as hypergraph
 
         a, copy, other = relatives
         isomorphic = brute_force_isomorphic(a, other)
@@ -437,7 +459,7 @@ class TestIsomorphism:
         # the kept codes are a canonical key: equal, and hashing equal, exactly
         # for isomorphic inputs of one r, whatever their n and m
         assert all(are_isomorphic(x, x) for x in relatives)  # each code is kept
-        code, copy_code, other_code = (matching._record(x)["code"] for x in relatives)
+        code, copy_code, other_code = (hypergraph._record(x)["code"] for x in relatives)
         assert code == copy_code and hash(code) == hash(copy_code)
         assert (code == other_code) == isomorphic
 

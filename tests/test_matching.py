@@ -203,7 +203,7 @@ class TestSuperforestRequirement:
     @settings(max_examples=60)
     @given(small_hypergraphs())
     def test_raises_exactly_on_cycles(self, hg):
-        acyclic = hg.num_edges * (hg.r - 1) == hg.n - len(hg.component_vertex_sets())
+        acyclic = hg.num_edges * (hg.r - 1) == hg.n - len(hg.components())
         if acyclic:
             assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
             assert are_isomorphic(hg, hg)

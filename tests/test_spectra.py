@@ -433,7 +433,7 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        for module, name in ((matching, "rooted_superforest"), (matching, "_phi_superforest"),
+        for module, name in ((hypergraph, "rooted_superforest"), (matching, "_phi_superforest"),
                              (spectra, "_search_radius"), (spectra, "_certify_energy"),
                              (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
@@ -509,7 +509,7 @@ class TestRecord:
         assert matching_energy(hg) == me
 
     def test_rho_when_me_misses_its_tolerance(self, monkeypatch):
-        import hypermatch.matching as matching
+        import hypermatch.hypergraph as hypergraph
 
         hg = family_w(3, 7).hg
         monkeypatch.setenv("HG_TOL", "1e-300")
@@ -517,11 +517,11 @@ class TestRecord:
         for fn in (matching_energy, spectral_summary):
             with pytest.raises(RootFindingError, match="only certain"):
                 fn(hg)
-        assert "energy" in matching._record(hg)  # its roots seed the search
+        assert "energy" in hypergraph._record(hg)  # its roots seed the search
         assert spectral_radius(hg) == _search_radius(hg, None)
 
     def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
-        import hypermatch.matching as matching
+        import hypermatch.hypergraph as hypergraph
 
         real_eigvalsh = np.linalg.eigvalsh
 
@@ -536,7 +536,7 @@ class TestRecord:
         for fn in (matching_energy, matching_energy, spectral_summary):
             with pytest.raises(RootFindingError, match="within twice its error bound"):
                 fn(hg)
-        assert "energy" not in matching._record(hg)
+        assert "energy" not in hypergraph._record(hg)
         monkeypatch.undo()
         assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), rel=TOL)
 
@@ -578,10 +578,10 @@ class TestRecord:
             matching_energy(inputs[0])
 
     def test_a_cycle_raises_every_time(self, monkeypatch):
-        import hypermatch.matching as matching
+        import hypermatch.hypergraph as hypergraph
 
         calls = []
-        self._count(monkeypatch, matching, "rooted_superforest", calls)
+        self._count(monkeypatch, hypergraph, "rooted_superforest", calls)
         cyclic = build(3, 7, [[0, 1, 2], [1, 2, 3], [4, 5, 6]])  # two edges share two vertices
         other = loose_path(3, 3).hg  # n, m and r as cyclic's
         entry_points = [
@@ -594,13 +594,13 @@ class TestRecord:
             for fn in entry_points:
                 with pytest.raises(HypergraphError, match="has a cycle"):
                     fn(cyclic)
-        assert "core" not in matching._record(cyclic)
-        assert "code" not in matching._record(cyclic)
+        assert "core" not in hypergraph._record(cyclic)
+        assert "code" not in hypergraph._record(cyclic)
         # are_isomorphic roots `other` once; every other call roots `cyclic` again
         assert len(calls) == 2 * len(entry_points) + 1
 
     def test_any_order_of_requests_gives_the_same_results(self, monkeypatch):
-        import hypermatch.matching as matching
+        import hypermatch.hypergraph as hypergraph
 
         rng = random.Random(12)
         g = random_supertree(3, 9, rng)
@@ -620,8 +620,8 @@ class TestRecord:
             "iso": lambda hg: are_isomorphic(hg, hg),
         }
         cores = []
-        real = matching.rooted_superforest
-        monkeypatch.setattr(matching, "rooted_superforest", lambda hg: cores.append(hg) or real(hg))
+        real = hypergraph.rooted_superforest
+        monkeypatch.setattr(hypergraph, "rooted_superforest", lambda hg: cores.append(hg) or real(hg))
         for hg in inputs:
             results = set()
             for order in itertools.permutations(requests):
