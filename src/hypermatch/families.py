@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .hypergraph import HypergraphError, UniformHypergraph, _integer, _shared_edge_size, disjoint_union
+from .hypergraph import HypergraphError, UniformHypergraph, _edge_size, _integer, _shared_edge_size, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def loose_path(r: int, t: int) -> Anchored:
     t = 0 is the single vertex. Spine vertices are anchored as
     "v1".."v{t+1}" with vi at index (i-1)(r-1).
     """
-    r = _integer(r, "edge size r")
+    r = _edge_size(r)
     t = _integer(t, "path length")
     if t < 0:
         raise HypergraphError("path length must be >= 0")
@@ -52,7 +52,7 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
     Original vertices keep their (low) indices; fresh vertices are
     allocated per edge in input order. r = 2 returns the graph itself.
     """
-    r = _integer(r, "edge size r")
+    r = _edge_size(r)
     seen = set()
     edges = []
     top = -1
@@ -237,12 +237,10 @@ def bridge(
 def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHypergraph:
     """Uniform-attachment random supertree: start from one edge and attach
     num_edges - 1 pendant edges at uniformly random existing vertices."""
-    r = _integer(r, "edge size r")
+    r = _edge_size(r)
     num_edges = _integer(num_edges, "edge count")
     if num_edges < 1:
         raise HypergraphError("need at least one edge")
-    if r < 2:
-        raise HypergraphError("edge size r must be >= 2")
     edges = [tuple(range(r))]
     n = r
     for _ in range(num_edges - 1):

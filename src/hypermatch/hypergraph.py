@@ -2,11 +2,18 @@
 matching-polynomial identities, plus the rooting of a superforest into
 its core, the vertices of degree >= 2 where edges meet, with each edge's
 degree-1 vertices as a count, which also decides the supertree test,
-and superforest isomorphism by one canonical code per input, built from
-its core. This module holds the per-input cache: one record per whole
-input, a dict of its results by name, filled by `_memo`, which keeps
-each input's core and code here and phi, rho and ME in `matching` and
-`spectra`.
+and superforest isomorphism by one canonical code per core shape.
+
+This module holds the cache, two kinds of record, each a dict of
+results by name:
+* one per whole input, filled by `_memo`, which keeps what depends on r:
+  the core and its shape here, phi in `matching`, rho, ME and the r = 2
+  oracle in `spectra`;
+* one per core shape, the core without its counts of degree-1 vertices,
+  filled by `_shape_memo`, which keeps what does not depend on r: the
+  canonical code here, the matching counts in `matching` and the roots
+  of q in `spectra`. One family member at r = 2..5 has one shape, so
+  these are computed once for all four.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -43,6 +50,15 @@ def _integer(value, what: str, edge=None) -> int:
     raise HypergraphError(f"{what} must be an integer, got {value!r}{where}")
 
 
+def _edge_size(r) -> int:
+    """r as a plain int (by `_integer`'s rule) if it is an edge size, >= 2:
+    the one check of r, which constructors make before building any edge."""
+    r = _integer(r, "edge size r")
+    if r < 2:
+        raise HypergraphError(f"edge size r must be >= 2, got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class UniformHypergraph:
     """An r-uniform hypergraph on vertices 0..n-1.
@@ -61,10 +77,8 @@ class UniformHypergraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        r = _integer(self.r, "edge size r")
+        r = _edge_size(self.r)
         n = _integer(self.n, "vertex count")
-        if r < 2:
-            raise HypergraphError(f"edge size r must be >= 2, got {r}")
         if n < 0:
             raise HypergraphError(f"vertex count must be >= 0, got {n}")
         edges = tuple(self.edges)
@@ -285,26 +299,30 @@ def rooted_superforest(hg: UniformHypergraph):
     return vertices, roots, child_edges
 
 
-# One record per whole input, a dict of its results by name. CPython dict
+# One record per whole input, a dict of its results by name, and one per
+# core shape (see `_shape`), keyed by the shape itself. CPython dict
 # setdefault and item stores are atomic, and each result is immutable, so
 # concurrent callers at worst compute a result twice; callers needing full
 # isolation can clear or ignore the cache.
-_CACHE: dict[UniformHypergraph, dict] = {}
+_CACHE: dict[UniformHypergraph | tuple, dict] = {}
 
 
-def _record(hg: UniformHypergraph) -> dict:
-    """The cache record of hg, created empty on first use."""
-    rec = _CACHE.get(hg)
-    return rec if rec is not None else _CACHE.setdefault(hg, {})
+def _record(key: UniformHypergraph | tuple) -> dict:
+    """The cache record of an input or a core shape, created empty on
+    first use."""
+    rec = _CACHE.get(key)
+    return rec if rec is not None else _CACHE.setdefault(key, {})
 
 
 def _memo(hg: UniformHypergraph, name: str, compute):
     """The result `name` of hg: the one kept in its record, else
-    compute(hg), kept. The names are "core", "phi", "rho", "energy" (the
-    q roots, ME and its error bound), "char_poly" and "code" (the
-    canonical code of isomorphism); no result is None.
-    An error that compute raises, such as a cycle, is raised on every
-    call, and nothing is kept."""
+    compute(hg), kept. Per input, the names are "core", "shape" (the
+    record of its core shape, see `_shape`), "phi", "rho", "energy" (the
+    q roots, ME and its error bound) and "char_poly"; the results that
+    depend on the core shape alone, not on r, are kept in the shape's
+    record by `_shape_memo`.
+    No result is None. An error that compute raises, such as a cycle,
+    is raised on every call, and nothing is kept."""
     rec = _record(hg)
     out = rec.get(name)
     if out is None:
@@ -319,22 +337,61 @@ def _core(hg: UniformHypergraph):
     return _memo(hg, "core", rooted_superforest)
 
 
+def _shape_key(core) -> tuple:
+    """The shape of a core: its roots, and for each index the `below`
+    tuple of each child edge, without the counts of degree-1 vertices,
+    which are the only part of the core that depends on r (an edge's
+    count is r - 1 - len(below)). Inputs that differ only in r, such as
+    one family member at r = 2..5, have one shape."""
+    _, roots, child_edges = core
+    return tuple(roots), tuple([tuple([below for below, _ in kids]) for kids in child_edges])
+
+
+def _shape(hg: UniformHypergraph) -> dict:
+    """The record of hg's core shape, kept in hg's record, so the shape is
+    built and hashed once per input. It is shared by every input of that
+    shape, whatever its r; its names are "shape" (the shape itself, as
+    first met, so that it is kept once), "counts" (the matching counts
+    m(H,0..nu)), "spectrum" (the roots of q, with what ME needs) and
+    "code" (the canonical code of isomorphism)."""
+    return _memo(hg, "shape", _find_shape)
+
+
+def _find_shape(hg: UniformHypergraph) -> dict:
+    key = _shape_key(_core(hg))
+    rec = _record(key)
+    rec.setdefault("shape", key)
+    return rec
+
+
+def _shape_memo(hg: UniformHypergraph, name: str, compute):
+    """The result `name` of hg's core shape: the one kept in the shape's
+    record, else compute(shape), kept. compute sees only the shape, so
+    the result is the same whichever input of that shape asks first. As
+    with `_memo`, an error is raised on every call and never kept."""
+    rec = _shape(hg)
+    out = rec.get(name)
+    if out is None:
+        out = rec[name] = compute(rec["shape"])
+    return out
+
+
 def clear_polynomial_cache():
-    """Forget every per-input result, each name that `_memo` lists."""
+    """Forget every result, per input and per shape (see `_memo`)."""
     _CACHE.clear()
 
 
 # -- isomorphism ---------------------------------------------------------
 
 
-def _centre_codes(core) -> str:
-    """The canonical code of a superforest, from its core (see
-    rooted_superforest): the Aho-Hopcroft-Ullman labels of the
-    components of its vertex-edge incidence forest, each rooted at its
-    centre, sorted and concatenated. A label is its node's sorted child
-    labels, concatenated, inside "()" for a vertex or "[]" for an edge.
-    Labels are balanced, so a code splits back into them, and
-    superforests of one r have equal codes exactly when isomorphic.
+def _centre_codes(shape) -> str:
+    """The canonical code of a superforest, from its core shape (see
+    `_shape_key`): the Aho-Hopcroft-Ullman labels of the components of
+    its vertex-edge incidence forest, each rooted at its centre, sorted
+    and concatenated. A label is its node's sorted child labels,
+    concatenated, inside "()" for a vertex or "[]" for an edge. Labels
+    are balanced, so a code splits back into them, and superforests of
+    one r have equal codes exactly when isomorphic.
 
     The leaves of that forest are the vertices of degree 1 (an edge node
     has r >= 2 neighbours), so every component has even diameter and
@@ -343,15 +400,16 @@ def _centre_codes(core) -> str:
     core: the peel runs on the core indices (nodes 0..c-1, a root of
     degree 1 as peeled) and the edges (nodes c on), and an edge's label
     needs no count of its degree-1 vertices, r less its neighbours
-    there. Labels copy their children's, so a path costs characters
-    quadratic in its height: on a 2-core x86 machine a code of
-    `loose_path(r, 5000)` takes 15-20 ms and its phi 2.0-2.1 s.
+    there; so the code depends on the shape alone, not on r. Labels
+    copy their children's, so a path costs characters quadratic in its
+    height: on a 2-core x86 machine a code of `loose_path(r, 5000)`
+    takes 15-20 ms and its phi 2.0-2.1 s.
     """
-    _, roots, child_edges = core
-    c = len(child_edges)
+    roots, belows = shape
+    c = len(belows)
     adj: list = [[] for _ in range(c)]
-    for w, below_w in enumerate(child_edges):
-        for below, _ in below_w:
+    for w, below_w in enumerate(belows):
+        for below in below_w:
             for u in (w, *below):
                 adj[u].append(len(adj))
             adj.append((w, *below))
@@ -387,7 +445,7 @@ def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
     """Edge-preserving vertex bijection test for superforests.
 
     After the n, m and r screens, compares the canonical codes of g and
-    h, each computed once from its input's core and kept in its record
+    h, each computed once per core shape and kept in the shape's record
     (see _centre_codes, also for the cost on long paths). Edgeless
     hypergraphs with the same n are isomorphic whatever their r. Raises
     HypergraphError on a cycle, unless n, m or r tell g and h apart.
@@ -396,5 +454,5 @@ def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
         return False
     if g.edges and h.edges and g.r != h.r:
         return False
-    code_g, code_h = (_memo(x, "code", lambda x: _centre_codes(_core(x))) for x in (g, h))
+    code_g, code_h = (_shape_memo(x, "code", _centre_codes) for x in (g, h))
     return code_g == code_h

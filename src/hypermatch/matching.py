@@ -25,15 +25,19 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   big-int operation; the signs (-1)^k come in at the end. A slot is as
   many whole bytes as the Hosoya index Z(H), the number of matchings,
   which bounds every count formed, so no slot carries; a first pass with
-  zero-width slots returns Z(H). phi is memoized in the record of the
-  whole input hypergraph, beside the core it is read from, which the
-  numeric layer and isomorphism share (see `hypergraph._memo`).
+  zero-width slots returns Z(H). The pass reads only the core's shape,
+  not the counts of degree-1 vertices, so the counts m(H,0..nu) do not
+  depend on r: they are kept once per core shape (see
+  `hypergraph._shape_memo`), and phi, which places them at the
+  exponents n - k r, is kept in the record of the whole input (see
+  `hypergraph._memo`).
 
 Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
 terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
 highest degree first, are phi's, (-1)^k m(H,k) for k = 0..nu. The
-numeric layer reads q as that list; root finding on the degree-nu q is
-far better conditioned than on phi itself with its zero cluster.
+numeric layer reads q off the kept counts, at any r; root finding on
+the degree-nu q is far better conditioned than on phi itself with its
+zero cluster.
 `reduce_polynomial` makes the factorization explicit, with shape checks.
 """
 
@@ -42,8 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph, _core, _memo
-from .polynomial import PolynomialShapeError, SparsePolynomial
+from .hypergraph import UniformHypergraph, _memo, _shape_memo
+from .polynomial import PolynomialShapeError, SparsePolynomial, _from_terms
 
 
 def _edge_masks(hg: UniformHypergraph) -> list[int]:
@@ -96,7 +100,7 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     return _memo(hg, "phi", _phi_superforest)
 
 
-def _count_pass(roots, child_edges, bits: int) -> int:
+def _count_pass(roots, belows, bits: int) -> int:
     """The root product of the bottom-up pass on packed counts: slot k,
     bits k*bits to (k+1)*bits - 1, holds m(H,k). At bits = 0 the slots
     all add up, and the result is the Hosoya index Z(H), the number of
@@ -112,11 +116,11 @@ def _count_pass(roots, child_edges, bits: int) -> int:
     # so it is at most Z(H) < 2^bits, and no slot carries into the next.
     # A first factor is taken as is, not multiplied by 1, and each child's
     # ints are dropped once read: both copy whole ints.
-    a: list = [None] * len(child_edges)
-    b: list = [None] * len(child_edges)
-    for w in range(len(child_edges) - 1, -1, -1):  # children before parents
+    a: list = [None] * len(belows)
+    b: list = [None] * len(belows)
+    for w in range(len(belows) - 1, -1, -1):  # children before parents
         prod_p, total = 1, 0  # prod of P_e, and total, over the edges so far
-        for below, _ in child_edges[w]:
+        for below in belows[w]:
             p = q = 1
             for u in below:
                 p, q = (a[u], b[u]) if p == 1 else (p * a[u], q * b[u])
@@ -133,14 +137,26 @@ def _count_pass(roots, child_edges, bits: int) -> int:
     return math.prod(a[root] for root in roots)
 
 
-def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
-    _, roots, child_edges = _core(hg)
-    width = (_count_pass(roots, child_edges, 0).bit_length() + 7) // 8  # bytes of Z(H)
-    packed = _count_pass(roots, child_edges, 8 * width)
+def _superforest_counts(shape) -> tuple[int, ...]:
+    """The counts m(H,0..nu) of a superforest from its core shape (see
+    `hypergraph._shape_key`), which they depend on alone."""
+    roots, belows = shape
+    width = (_count_pass(roots, belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
+    packed = _count_pass(roots, belows, 8 * width)
     nu = (packed.bit_length() - 1) // (8 * width)  # m(H,nu) > 0 is the top slot
     data = packed.to_bytes((nu + 1) * width, "little")
-    counts = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    return SparsePolynomial({hg.n - k * hg.r: -c if k & 1 else c for k, c in enumerate(counts)})
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+
+
+def _shape_counts(hg: UniformHypergraph) -> tuple[int, ...]:
+    """The counts m(H,0..nu) of a superforest, kept once per core shape."""
+    return _shape_memo(hg, "counts", _superforest_counts)
+
+
+def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
+    n, r = hg.n, hg.r
+    counts = _shape_counts(hg)
+    return _from_terms({n - k * r: -c if k & 1 else c for k, c in enumerate(counts)})
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,18 @@ exactly when every R_w(x) > 0. A degree-1 vertex has R = x, so a pass
 visits only the core (the roots and the vertices of degree >= 2) and
 takes an edge's k degree-1 vertices as the factor x^-k. A safeguarded
 Newton search over float passes of the recursion brackets rho between
-adjacent floats. When the matching energy of the same input has been
-computed first, its roots mu of q are at hand, and the search starts just
-above (max |mu|)^(1/r), since rho^r is the largest |mu|: three passes or
-so instead of ten, and the same float.
+adjacent floats. When the matching energy of an input with the same
+core shape, at any r, has been computed first, the roots mu of q are at
+hand, and the search starts just above (max |mu|)^(1/r), since rho^r is
+the largest |mu|: three passes or so instead of ten, and the same float.
 
 The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
 matching energy, the sum of |x_i| over all roots of phi: each nonzero
 root mu of q yields exactly r roots of phi of modulus |mu|**(1/r) and
-the zero root adds nothing, hence ME = r * sum |mu|**(1/r). q is read
-off phi as its coefficient list, highest degree first (see `matching`).
+the zero root adds nothing, hence ME = r * sum |mu|**(1/r). q's
+coefficient list, highest degree first, is (-1)^k m(H,k) for
+k = 0..nu, read off the matching counts (see `matching`), which do not
+depend on r; nor do its roots.
 
 Most superforests are power superforests: every edge has at most two
 vertices of degree >= 2, so the input is the r-th power G^(r) of an
@@ -31,13 +33,17 @@ error bound from Weyl's inequality and no root finding. Every other
 superforest takes the eigenvalues of the companion matrix of q, which
 carry no error bound: their matching energy is not certified.
 
-Every result is kept in the record of its input (see
-`hypergraph._memo`), so a suite that meets the same side twice pays
-once: the core that rho and the power test read, rho, the q roots with
-ME and its error bound (held to default_tol() on every read), and the
-exact characteristic polynomial. The r = 2 oracle is also kept per
-component, in the component's own record, so a tree that recurs across
-the disjoint unions of a suite is computed once.
+Every result is kept, so a suite that meets the same side twice pays
+once. What depends on r is kept in the record of its input (see
+`hypergraph._memo`): rho, ME with its error bound (held to
+default_tol() on every read) and the exact characteristic polynomial.
+The r = 2 oracle is also kept per component, in the component's own
+record, so a tree that recurs across the disjoint unions of a suite is
+computed once. The spectrum of q, the roots mu and, for a power
+superforest, the base forest's eigenvalues with their Weyl error bound,
+is kept once per core shape (see `hypergraph._shape_memo`), so one
+family member at r = 2..5 pays for one eigenproblem or one companion
+root-finding, and for one sum over its roots per r.
 clear_polynomial_cache() forgets them all.
 """
 
@@ -50,8 +56,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .hypergraph import HypergraphError, UniformHypergraph, _core, _memo, _record
-from .matching import matching_polynomial
+from .hypergraph import HypergraphError, UniformHypergraph, _core, _memo, _shape, _shape_memo
+from .matching import _shape_counts
 from .polynomial import SparsePolynomial
 
 DEFAULT_TOL = 1e-10
@@ -77,8 +83,15 @@ class RootFindingError(RuntimeError):
 
 
 def _evaluate(q: list[int], z):
-    """q at z, term by term from the highest degree."""
-    return sum(c * z**e for e, c in zip(range(len(q) - 1, -1, -1), q))
+    """q at z by Horner's rule. Float and complex products overflow to inf
+    or nan without raising, so a value that is not finite raises
+    OverflowError here."""
+    value = 0.0
+    for c in q:
+        value = value * z + c
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OverflowError(f"q at {z!r} is {value!r}")
+    return value
 
 
 def roots(q: list[int]) -> list[complex]:
@@ -97,7 +110,11 @@ def roots(q: list[int]) -> list[complex]:
         raise ValueError("roots() needs a nonconstant q with q[0] != 0")
     sizes = [abs(c) for c in q]  # the coefficient scale at z is sizes at max(1, |z|)
     try:
-        out = [complex(z) for z in np.roots(np.array([float(c) for c in q]))]
+        # the companion matrix that np.roots builds, without its checks
+        p = np.array([float(c) for c in q])
+        companion = np.eye(len(q) - 1, k=-1)
+        companion[0] = -p[1:] / p[0]
+        out = [complex(z) for z in np.linalg.eigvals(companion).tolist()]
         bad = [z for z in out if abs(_evaluate(q, z)) > 1e-6 * _evaluate(sizes, max(1.0, abs(z)))]
     except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalues did not converge: {exc}") from exc
@@ -264,8 +281,9 @@ def spectral_radius(hg: UniformHypergraph) -> float:
     x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
     rooted superforest is positive (Heilmann-Lieb, Godsil); see
     _search_radius. The search starts from the largest |mu|^(1/r) of the
-    roots mu of q when the record has them (from matching_energy or
-    spectral_summary), and from its own bound otherwise: the same float
+    roots mu of q when the record of hg's core shape has them (from
+    matching_energy or spectral_summary of any input of that shape, at
+    any r), and from its own bound otherwise: the same float
     either way. Never computes phi. An edgeless hypergraph has spectral
     radius 0; a hypergraph with a cycle raises HypergraphError. The
     result is accurate to the last bits of a float, so it takes no
@@ -275,8 +293,10 @@ def spectral_radius(hg: UniformHypergraph) -> float:
 
 
 def _seeded_radius(hg: UniformHypergraph) -> float:
-    energy = _record(hg).get("energy")
-    q_roots = energy[0] if energy is not None else ()
+    # the roots of q depend on the core shape alone, so they seed the
+    # search at every r once any input of that shape has found them
+    spectrum = _shape(hg).get("spectrum")
+    q_roots = spectrum[0] if spectrum is not None else ()
     # rho^r is the largest |mu| (rho is the largest root of phi)
     seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
     return _search_radius(hg, seed)
@@ -360,25 +380,26 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
             lo = x
 
 
-def _base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
+def _base_forest(shape) -> tuple[int, list[list[int]]] | None:
     """The ordinary forest G with hg = G^(r), as (vertex count, edges) on a
     compact vertex index, or None unless hg is a power superforest.
 
-    Read from the core of hg: each edge keeps its vertices of degree >= 2
-    (those below it, and the one it hangs from unless that is a root of
-    degree 0 or 1), padded with its degree-1 vertices up to two. In a
-    superforest two edges meet in at most one vertex, which has degree
-    >= 2 and so is kept, so G has the same edge-intersection graph, hence
-    the same matching counts, as hg."""
-    _, roots, child_edges = _core(hg)
-    inner = [True] * len(child_edges)  # of degree >= 2
+    Read from the shape of hg's core (see `hypergraph._shape_key`): each
+    edge keeps its vertices of degree >= 2 (those below it, and the one
+    it hangs from unless that is a root of degree 0 or 1), padded with
+    its degree-1 vertices up to two. In a superforest two edges meet in
+    at most one vertex, which has degree >= 2 and so is kept, so G has
+    the same edge-intersection graph, hence the same matching counts, as
+    hg."""
+    roots, belows = shape
+    inner = [True] * len(belows)  # of degree >= 2
     for root in roots:
-        inner[root] = len(child_edges[root]) >= 2
+        inner[root] = len(belows[root]) >= 2
     index = list(accumulate(inner, initial=0))  # G's vertex of each core index of degree >= 2
     size = index.pop()
     pairs = []
-    for w, below_w in enumerate(child_edges):
-        for below, _ in below_w:
+    for w, below_w in enumerate(belows):
+        for below in below_w:
             pair = [index[u] for u in below]
             if inner[w]:
                 pair.append(index[w])
@@ -391,34 +412,49 @@ def _base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
     return size, pairs
 
 
-def _power_roots_and_energy(r: int, nu: int, size: int, pairs) -> tuple[tuple[complex, ...], float, float]:
-    """The roots of q, ME and its error bound for G^(r), for the forest G
-    on `size` vertices with edges `pairs` and matching number nu, from
-    G's eigenvalues.
+_EPS = float(np.finfo(float).eps)
+
+
+def _power_spectrum(nu: int, size: int, pairs) -> tuple[tuple[complex, ...], list[float], float, float]:
+    """The spectrum (see `_spectrum`) of G^(r), for the forest G on `size`
+    vertices with edges `pairs` and matching number nu, from G's
+    eigenvalues.
 
     For a forest G, phi(G) is the characteristic polynomial of its
     adjacency matrix (Godsil-Gutman), and G^(r) has the q of G, so the
     roots of q are the squares of the nu positive eigenvalues lam of G
     and ME = r * sum lam^(2/r). By Weyl's inequality each computed
-    eigenvalue is within delta = 4 size eps lam_max of the true one, which
-    bounds the error of ME by 2 delta sum lam^(2/r) / (lam - delta).
+    eigenvalue is within delta = 4 size eps lam_max of the true one.
     Raises RootFindingError when the nu-th eigenvalue is within 2 delta
     of zero."""
-    adj = np.zeros((size, size))
-    a, b = np.array(pairs).T
-    adj[a, b] = adj[b, a] = 1.0
-    eig = np.linalg.eigvalsh(adj)
+    adj = np.zeros(size * size)
+    adj[[a * size + b for a, b in pairs] + [b * size + a for a, b in pairs]] = 1.0
+    eig = np.linalg.eigvalsh(adj.reshape(size, size)).tolist()
     lam = eig[size - nu :]
-    delta = 4.0 * size * np.finfo(float).eps * eig[-1]
+    delta = 4.0 * size * _EPS * eig[-1]
     if lam[0] <= 2.0 * delta:
         raise RootFindingError(
             f"smallest positive eigenvalue {lam[0]:.3g} of the base forest is within "
             f"twice its error bound {delta:.3g}"
         )
-    terms = lam ** (2.0 / r)
-    me = r * float(terms.sum())
-    bound = 2.0 * delta * float((terms / (lam - delta)).sum())
-    return tuple(complex(x * x) for x in lam.tolist()), me, bound
+    return tuple(complex(x * x) for x in lam), lam, 2.0, delta
+
+
+def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, float | None]:
+    """What the matching energy needs of a core shape with matching counts
+    `counts`, at any r: (q_roots, values, power, delta), the roots mu of
+    q and values v with ME = r * sum v^(power/r). For a power
+    superforest the values are the eigenvalues lam of the base forest
+    (power 2), each within delta of the true one; otherwise they are
+    the moduli |mu| of the companion roots of q (power 1), with no
+    error bound (delta None)."""
+    # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
+    q = [-c if k & 1 else c for k, c in enumerate(counts)]
+    base = _base_forest(shape)
+    if base is not None:
+        return _power_spectrum(len(q) - 1, *base)
+    q_roots = tuple(roots(q))
+    return q_roots, [abs(mu) for mu in q_roots], 1.0, None
 
 
 def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
@@ -432,18 +468,20 @@ def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[comple
 
 
 def _certify_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float, float | None]:
-    """The roots of q, ME and its error bound: from one symmetric
-    eigenproblem for a power superforest, else from the companion roots
-    of q, which carry no bound (None)."""
+    """The roots of q, ME and its error bound (None where the spectrum
+    has none), from the spectrum of hg's core shape, which is found once
+    for every r. With each eigenvalue lam of a base forest within delta
+    of the true one, the error of ME is at most
+    2 delta sum lam^(2/r) / (lam - delta)."""
     if not hg.edges:
         return (), 0.0, 0.0
-    # phi's coefficients are q's, as every m(H,k) with k <= nu is positive
-    q = [c for _, c in matching_polynomial(hg).terms()]
-    base = _base_forest(hg)
-    if base is not None:
-        return _power_roots_and_energy(hg.r, len(q) - 1, *base)
-    q_roots = tuple(roots(q))
-    return q_roots, hg.r * sum(abs(mu) ** (1.0 / hg.r) for mu in q_roots), None
+    q_roots, values, power, delta = _shape_memo(hg, "spectrum", lambda shape: _spectrum(shape, _shape_counts(hg)))
+    r = hg.r
+    terms = [v ** (power / r) for v in values]
+    me = r * math.fsum(terms)
+    if delta is None:
+        return q_roots, me, None
+    return q_roots, me, 2.0 * delta * math.fsum(t / (v - delta) for t, v in zip(terms, values))
 
 
 def matching_energy(hg: UniformHypergraph) -> float:

@@ -19,7 +19,10 @@ its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
 and bridge's unions at m = 1 are the bridged objects themselves. Every
 per-input result, phi, rho, ME and the r = 2 characteristic polynomial,
 is kept in the input's record (see `hypergraph._memo`), so each distinct
-side is computed once per run and a repeat is served from its record.
+side is computed once per run and a repeat is served from its record;
+what does not depend on r, the matching counts, the roots of q and the
+canonical code, is kept once per core shape, so a side whose shape was
+met at another r does not pay for them again.
 check_cospectral asks for each side's ME before its rho, whose search
 then starts from the roots of q that ME found.
 

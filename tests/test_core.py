@@ -29,8 +29,13 @@ from hypermatch import (
     reduce_polynomial,
     spectral_radius,
 )
-from hypermatch.hypergraph import rooted_superforest
-from hypermatch.spectra import _base_forest
+from hypermatch.hypergraph import _shape_key, rooted_superforest
+from hypermatch.spectra import _base_forest as _base_forest_of_shape
+
+
+def _base_forest(hg):
+    """The base forest of hg, read from the shape of its core."""
+    return _base_forest_of_shape(_shape_key(rooted_superforest(hg)))
 
 
 def relabelled(hg, rng):

@@ -2,6 +2,7 @@
 
 import argparse
 import random
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ def test_integer_parameters(build, args, positions):
                 build(*args[:i], bad, *args[i + 1:])
     numpy_args = [np.int64(a) if i in positions else a for i, a in enumerate(args)]
     assert build(*numpy_args) == build(*args)
+
+
+@pytest.mark.parametrize("r", [1, 0, -3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(loose_path, id="loose_path"),
+        pytest.param(lambda r, m: random_supertree(r, m, random.Random(0)), id="random_supertree"),
+    ],
+)
+def test_edge_size_checked_before_any_edge_is_built(build, r):
+    # a million edges would take most of a second to build before the
+    # hypergraph's own check of r; the constructor checks r first
+    started = time.perf_counter()
+    with pytest.raises(HypergraphError, match="edge size r must be >= 2"):
+        build(r, 10**6)
+    assert time.perf_counter() - started < 0.1
 
 
 class TestConstructionSpec:

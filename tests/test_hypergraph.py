@@ -458,8 +458,8 @@ class TestIsomorphism:
         assert are_isomorphic(a, other) == isomorphic
         # the kept codes are a canonical key: equal, and hashing equal, exactly
         # for isomorphic inputs of one r, whatever their n and m
-        assert all(are_isomorphic(x, x) for x in relatives)  # each code is kept
-        code, copy_code, other_code = (hypergraph._record(x)["code"] for x in relatives)
+        assert all(are_isomorphic(x, x) for x in relatives)  # each code is kept, per core shape
+        code, copy_code, other_code = (hypergraph._shape(x)["code"] for x in relatives)
         assert code == copy_code and hash(code) == hash(copy_code)
         assert (code == other_code) == isomorphic
 

@@ -35,6 +35,7 @@ from hypermatch import (
     matching_counts,
     matching_polynomial,
     matching_polynomial_oracle,
+    power,
     random_supertree,
     reduce_polynomial,
     roots,
@@ -205,11 +206,19 @@ class TestMatchingEnergy:
         )
 
     def test_overflow_raises_root_finding_error(self):
+        import hypermatch.hypergraph as hypergraph
+
         # no power of a forest, so q of degree 501 goes to the companion
-        # roots, and overflows a float in the residual guard
-        with pytest.raises(RootFindingError, match="overflows") as info:
-            matching_energy(spider(3, 333))
-        assert isinstance(info.value.__cause__, OverflowError)
+        # roots, and overflows a float in the residual guard: on every
+        # call, at either r of the one core shape, and nothing is kept
+        members = [spider(r, 333) for r in (3, 4)]
+        clear_polynomial_cache()
+        for hg in (*members, members[0]):
+            with pytest.raises(RootFindingError, match="overflows") as info:
+                matching_energy(hg)
+            assert isinstance(info.value.__cause__, OverflowError)
+            assert "energy" not in hypergraph._record(hg)
+            assert "spectrum" not in hypergraph._shape(hg)
 
     def test_agrees_with_full_root_sum(self):
         rng = random.Random(17)
@@ -261,9 +270,10 @@ class TestPowerSuperforests:
     @settings(max_examples=80, deadline=None)
     @given(power_superforests())
     def test_base_forest_has_the_same_matching_counts(self, hg):
+        from hypermatch.hypergraph import _shape_key, rooted_superforest
         from hypermatch.spectra import _base_forest
 
-        size, pairs = _base_forest(hg)
+        size, pairs = _base_forest(_shape_key(rooted_superforest(hg)))
         assert matching_counts(build(2, size, pairs)) == matching_counts(hg)
 
     @settings(max_examples=40, deadline=None)
@@ -434,12 +444,15 @@ class TestRecord:
 
         calls = []
         for module, name in ((hypergraph, "rooted_superforest"), (matching, "_phi_superforest"),
-                             (spectra, "_search_radius"), (spectra, "_certify_energy"),
+                             (matching, "_superforest_counts"), (spectra, "_search_radius"),
+                             (spectra, "_certify_energy"), (spectra, "_power_spectrum"), (spectra, "roots"),
                              (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
+        per_input = ["rooted_superforest", "_phi_superforest", "_search_radius", "_certify_energy"]
         clear_polynomial_cache()
         for _ in range(2):
+            assert matching_polynomial(inputs[0]) == matching_polynomial(inputs[0])
             cold = [spectral_summary(hg) for hg in inputs]
             warm = [spectral_summary(hg) for hg in inputs]
             assert cold == warm
@@ -449,11 +462,26 @@ class TestRecord:
             assert are_isomorphic(inputs[0], inputs[0]) and are_isomorphic(inputs[0], inputs[0])
             assert are_isomorphic(inputs[1], other) == are_isomorphic(other, inputs[1])
             assert sorted(calls) == sorted(
-                ["rooted_superforest", "_phi_superforest", "_search_radius", "_certify_energy"] * 2
+                (per_input + ["_superforest_counts"]) * 2 + ["roots", "_power_spectrum"]
                 + ["rooted_superforest", "_tree_char_poly"] + ["_centre_codes"] * 3
             )
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
+            # one core shape at every r: its counts, its spectrum (from the
+            # eigenproblem of the base forest, or from the roots of q off the
+            # power route) and its code once, rho and the rest once per r
+            for member, rs, spectrum in ((lambda r: family_w(r, 7).hg, (2, 3, 4, 5), "_power_spectrum"),
+                                         (lambda r: spider(r, 2), (3, 4, 5), "roots")):
+                members = [member(r) for r in rs]
+                for hg in members * 2:
+                    spectral_summary(hg)
+                    matching_polynomial(hg)
+                    assert are_isomorphic(hg, hg)
+                assert sorted(calls) == sorted(
+                    per_input * len(rs) + ["_superforest_counts", spectrum, "_centre_codes"]
+                )
+                calls.clear()
+            clear_polynomial_cache()
 
     def test_oracle_kept_per_component(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -531,14 +559,17 @@ class TestRecord:
             return eig
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        hg = family_w(3, 7).hg
+        members = [family_w(r, 7).hg for r in (3, 4)]  # one core shape
         clear_polynomial_cache()
-        for fn in (matching_energy, matching_energy, spectral_summary):
-            with pytest.raises(RootFindingError, match="within twice its error bound"):
-                fn(hg)
-        assert "energy" not in hypergraph._record(hg)
+        for hg in members:
+            for fn in (matching_energy, matching_energy, spectral_summary):
+                with pytest.raises(RootFindingError, match="within twice its error bound"):
+                    fn(hg)
+            assert "energy" not in hypergraph._record(hg)
+            assert "spectrum" not in hypergraph._shape(hg)
         monkeypatch.undo()
-        assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), rel=TOL)
+        for hg in members:
+            assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), rel=TOL)
 
     def test_root_finding_error_is_raised_every_time(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -569,6 +600,7 @@ class TestRecord:
         inputs = [spider(4, 3), random_supertree(3, 20, rng), random_supertree(2, 30, rng)]
         expected = [(spectral_radius(hg), matching_polynomial(hg)) for hg in inputs]
         monkeypatch.setattr(matching, "_phi_superforest", refuse)
+        monkeypatch.setattr(matching, "_superforest_counts", refuse)
         clear_polynomial_cache()
         for hg, (rho, phi) in zip(inputs, expected):
             assert spectral_radius(hg) == rho
@@ -640,6 +672,68 @@ class TestRecord:
             assert me_l == me_r == me == summary.me
             assert phi == matching_polynomial_oracle(hg) and iso is True
             assert char_equal is (True if hg.r == 2 else None)
+
+
+class TestSharedAcrossEdgeSizes:
+    """One core shape met at several edge sizes: every result of each
+    input is bit-identical whether it is computed cold or after the
+    same shape at another r, in either order of r."""
+
+    @staticmethod
+    def _results(hg):
+        import hypermatch.hypergraph as hypergraph
+
+        phi = matching_polynomial(hg)
+        rho = spectral_radius(hg)  # unseeded when cold, seeded by the shape's roots of q after another r
+        summary = spectral_summary(hg)
+        assert are_isomorphic(hg, hg)
+        return phi, rho, matching_energy(hg), summary, hypergraph._shape(hg)["code"]
+
+    def _assert_order_free(self, members):
+        from hypermatch.hypergraph import _shape_key, rooted_superforest
+
+        assert len({_shape_key(rooted_superforest(hg)) for hg in members}) == 1
+        cold = []
+        for hg in members:
+            clear_polynomial_cache()
+            cold.append(self._results(hg))
+        for order in (members, members[::-1]):
+            clear_polynomial_cache()
+            warm = {hg: self._results(hg) for hg in order}
+            assert [warm[hg] for hg in members] == cold
+
+    @pytest.mark.parametrize("family", ["R(1,1,2,4)", "W(9)", "LoosePath(7)"])
+    def test_named_family(self, family):
+        make = {
+            "R(1,1,2,4)": lambda r: family_r(r, 1, 1, 2, 4).hg,
+            "W(9)": lambda r: family_w(r, 9).hg,
+            "LoosePath(7)": lambda r: loose_path(r, 7).hg,
+        }[family]
+        self._assert_order_free([make(r) for r in (2, 3, 4, 5)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_powers_of_trees(self, seed):
+        rng = random.Random(seed)
+        tree = random_supertree(2, rng.randint(4, 14), rng)
+        self._assert_order_free([power(tree.edges, r) for r in (2, 3, 4, 5)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_supertrees_off_the_power_route(self, seed):
+        def member(r):
+            # a centre edge with an edge at each of its first three vertices
+            # (so no power of a forest), then edges that each hang from one
+            # of the first three vertices of an earlier edge, drawn alike at
+            # every r >= 3: one core shape
+            rng = random.Random(seed)
+            edges = [tuple(range(r))]
+            n = r
+            for i in range(rng.randint(7, 17)):
+                v = i if i < 3 else rng.choice(edges)[rng.randrange(3)]
+                edges.append((v, *range(n, n + r - 1)))
+                n += r - 1
+            return build(r, n, edges)
+
+        self._assert_order_free([member(r) for r in (3, 4, 5)])
 
 
 class TestDefaultTol:

@@ -224,6 +224,42 @@ class TestSuites:
         assert "elapsed" in table
 
 
+class TestSharedAcrossEdgeSizes:
+    """A suite meets one core shape at several r, and the results kept per
+    shape must not depend on which r met it first."""
+
+    # coalesce's gluings and every bridge case draw their supertrees from
+    # one generator across r, so at r = 5 alone they draw others: those
+    # cases are compared on a cold cache by the test below instead
+    @pytest.mark.parametrize("name", ["coalesce", "path-w"])
+    def test_r5_cases_as_in_a_cold_r5_run(self, name):
+        clear_polynomial_cache()
+        every_r = [c for c in json.loads(run_suite(name).to_json())["cases"] if c["params"]["r"] == 5]
+        clear_polynomial_cache()
+        alone = json.loads(run_suite(name, r_list=(5,)).to_json())["cases"]
+        assert len(every_r) == len(alone)
+        for shared, cold in zip(every_r, alone):
+            if shared["params"]["part"] != "gluing":
+                assert shared == cold, shared["params"]
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_case_as_on_a_cold_cache(self, name, monkeypatch):
+        clear_polynomial_cache()
+        warm = run_suite(name).to_json_dict()
+        check = suites.check_cospectral
+
+        def cold_check(*args, **kwargs):
+            clear_polynomial_cache()
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "check_cospectral", cold_check)
+        cold = run_suite(name).to_json_dict()
+        assert len(cold["cases"]) == len(warm["cases"])
+        for case, warm_case in zip(cold["cases"], warm["cases"]):
+            assert case == warm_case, case["params"]
+        assert cold == warm
+
+
 class TestBuildOnce:
     """Each family member and anchor-deleted side is built once per run,
     and only when a case needs it."""
