@@ -1,19 +1,18 @@
 """Uniform hypergraphs with the exact deletion calculus used by the
 matching-polynomial identities, plus the rooting of a superforest into
-its core, the vertices of degree >= 2 where edges meet, with each edge's
-degree-1 vertices as a count, which also decides the supertree test,
-and superforest isomorphism by one canonical code per core shape.
+its core shape, how the vertices of degree >= 2 meet in edges, which
+does not depend on r and also decides the supertree test, and
+superforest isomorphism by one canonical code per core shape.
 
 This module holds the cache, two kinds of record, each a dict of
 results by name:
 * one per whole input, filled by `_memo`, which keeps what depends on r:
-  the core and its shape here, phi in `matching`, rho, ME and the r = 2
-  oracle in `spectra`;
-* one per core shape, the core without its counts of degree-1 vertices,
-  filled by `_shape_memo`, which keeps what does not depend on r: the
-  canonical code here, the matching counts in `matching` and the roots
-  of q in `spectra`. One family member at r = 2..5 has one shape, so
-  these are computed once for all four.
+  the record of its core shape here, phi in `matching`, rho, ME and the
+  r = 2 oracle in `spectra`;
+* one per core shape, filled by `_shape_memo`, which keeps what does
+  not depend on r: the canonical code here, the matching counts in
+  `matching` and the roots of q in `spectra`. One family member at
+  r = 2..5 has one shape, so these are computed once for all four.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -183,7 +182,7 @@ class UniformHypergraph:
         """Connected and acyclic (the vertex-edge incidence graph is a
         tree): `rooted_superforest` finds no cycle and exactly one root."""
         try:
-            return len(rooted_superforest(self)[1]) == 1
+            return len(rooted_superforest(self)[1][0]) == 1
         except HypergraphError:
             return False
 
@@ -249,27 +248,27 @@ def rooted_superforest(hg: UniformHypergraph):
 
     phi, the spectral radius, the power-forest test and isomorphism
     depend only on this core: the vertices of degree >= 2, where edges
-    meet, and the number of degree-1 vertices in each edge. Its indices
-    0..c-1 number every root and vertex of degree >= 2 breadth first,
-    parents first. Returns (vertices, roots, child_edges): the vertex of
-    each index, the indices of the roots, and for each index, one pair
-    per edge hanging below it (the tuple of the indices of the edge's
-    other vertices of degree >= 2, its number of other degree-1
-    vertices). A root may have degree 0 or 1. Every edge is entered from
-    the first of its vertices reached; reaching a vertex twice means a
-    cycle, and raises HypergraphError.
+    meet. Its indices 0..c-1 number every root and vertex of degree >= 2
+    breadth first, parents first. Returns (vertices, shape): the vertex
+    of each index, and the core shape (roots, belows), the indices of
+    the roots and, for each index, one tuple per edge hanging below it,
+    of the indices of the edge's other vertices of degree >= 2. The
+    shape does not depend on r: an edge's other r - 1 - len(below)
+    vertices have degree 1, so inputs that differ only in r, such as one
+    family member at r = 2..5, have one shape. A root may have degree 0
+    or 1. Every edge is entered from the first of its vertices reached;
+    reaching a vertex twice means a cycle, and raises HypergraphError.
     """
     edges = hg.edges
     incident: list[list[int]] = [[] for _ in range(hg.n)]
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
-    width = hg.r - 1  # vertices of an edge besides the one it is entered from
     index = [-1] * hg.n  # the core index of each root and vertex of degree >= 2 reached
     taken = [False] * len(edges)
     vertices: list[int] = []
     roots: list[int] = []
-    child_edges: list[list[tuple[tuple[int, ...], int]]] = []
+    belows: list[tuple[tuple[int, ...], ...]] = []
     for root in range(hg.n):
         inc = incident[root]
         if index[root] >= 0 or (len(inc) == 1 and taken[inc[0]]):  # reached already
@@ -294,9 +293,9 @@ def rooted_superforest(hg: UniformHypergraph):
                         index[u] = len(vertices)
                         below.append(len(vertices))
                         vertices.append(u)
-                kids.append((tuple(below), width - len(below)))
-            child_edges.append(kids)
-    return vertices, roots, child_edges
+                kids.append(tuple(below))
+            belows.append(tuple(kids))
+    return vertices, (tuple(roots), tuple(belows))
 
 
 # One record per whole input, a dict of its results by name, and one per
@@ -316,8 +315,8 @@ def _record(key: UniformHypergraph | tuple) -> dict:
 
 def _memo(hg: UniformHypergraph, name: str, compute):
     """The result `name` of hg: the one kept in its record, else
-    compute(hg), kept. Per input, the names are "core", "shape" (the
-    record of its core shape, see `_shape`), "phi", "rho", "energy" (the
+    compute(hg), kept. Per input, the names are "shape" (the record of
+    its core shape, see `_shape`), "phi", "rho", "energy" (the
     q roots, ME and its error bound) and "char_poly"; the results that
     depend on the core shape alone, not on r, are kept in the shape's
     record by `_shape_memo`.
@@ -328,23 +327,6 @@ def _memo(hg: UniformHypergraph, name: str, compute):
     if out is None:
         out = rec[name] = compute(hg)
     return out
-
-
-def _core(hg: UniformHypergraph):
-    """The core of hg (see `rooted_superforest`), kept in its record:
-    phi, rho, the power-forest test of ME and isomorphism all read it,
-    so each input is rooted once."""
-    return _memo(hg, "core", rooted_superforest)
-
-
-def _shape_key(core) -> tuple:
-    """The shape of a core: its roots, and for each index the `below`
-    tuple of each child edge, without the counts of degree-1 vertices,
-    which are the only part of the core that depends on r (an edge's
-    count is r - 1 - len(below)). Inputs that differ only in r, such as
-    one family member at r = 2..5, have one shape."""
-    _, roots, child_edges = core
-    return tuple(roots), tuple([tuple([below for below, _ in kids]) for kids in child_edges])
 
 
 def _shape(hg: UniformHypergraph) -> dict:
@@ -358,7 +340,7 @@ def _shape(hg: UniformHypergraph) -> dict:
 
 
 def _find_shape(hg: UniformHypergraph) -> dict:
-    key = _shape_key(_core(hg))
+    key = rooted_superforest(hg)[1]
     rec = _record(key)
     rec.setdefault("shape", key)
     return rec
@@ -386,12 +368,12 @@ def clear_polynomial_cache():
 
 def _centre_codes(shape) -> str:
     """The canonical code of a superforest, from its core shape (see
-    `_shape_key`): the Aho-Hopcroft-Ullman labels of the components of
-    its vertex-edge incidence forest, each rooted at its centre, sorted
-    and concatenated. A label is its node's sorted child labels,
-    concatenated, inside "()" for a vertex or "[]" for an edge. Labels
-    are balanced, so a code splits back into them, and superforests of
-    one r have equal codes exactly when isomorphic.
+    `rooted_superforest`): the Aho-Hopcroft-Ullman labels of the
+    components of its vertex-edge incidence forest, each rooted at its
+    centre, sorted and concatenated. A label is its node's sorted child
+    labels, concatenated, inside "()" for a vertex or "[]" for an edge.
+    Labels are balanced, so a code splits back into them, and
+    superforests of one r have equal codes exactly when isomorphic.
 
     The leaves of that forest are the vertices of degree 1 (an edge node
     has r >= 2 neighbours), so every component has even diameter and

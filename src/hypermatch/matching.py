@@ -18,15 +18,15 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   with P_e = prod_{u in e - w} A_u and Q_e = prod_{u in e - w} B_u (the
   hypertree form of Godsil's tree recurrence). A degree-1 vertex u has
   A_u = x and B_u = 1, so the pass visits only the core, the roots and
-  the vertices of degree >= 2, and each edge's degree-1 vertices enter
-  as a count (see `rooted_superforest`). The pass runs on the unsigned
-  counts m(., k), each polynomial packed into one int with count k in
-  slot k (Kronecker substitution), so every product and sum is one C
-  big-int operation; the signs (-1)^k come in at the end. A slot is as
-  many whole bytes as the Hosoya index Z(H), the number of matchings,
-  which bounds every count formed, so no slot carries; a first pass with
-  zero-width slots returns Z(H). The pass reads only the core's shape,
-  not the counts of degree-1 vertices, so the counts m(H,0..nu) do not
+  the vertices of degree >= 2. The pass runs on the unsigned counts
+  m(., k), each polynomial packed into one int with count k in slot k
+  (Kronecker substitution), so every product and sum is one C big-int
+  operation; the signs (-1)^k come in at the end. A slot is as many
+  whole bytes as the Hosoya index Z(H), the number of matchings, which
+  bounds every count formed, so no slot carries; a first pass with
+  zero-width slots returns Z(H). On counts a degree-1 vertex is the
+  factor 1, so the pass reads only the core shape that
+  `rooted_superforest` returns, and the counts m(H,0..nu) do not
   depend on r: they are kept once per core shape (see
   `hypergraph._shape_memo`), and phi, which places them at the
   exponents n - k r, is kept in the record of the whole input (see
@@ -139,7 +139,7 @@ def _count_pass(roots, belows, bits: int) -> int:
 
 def _superforest_counts(shape) -> tuple[int, ...]:
     """The counts m(H,0..nu) of a superforest from its core shape (see
-    `hypergraph._shape_key`), which they depend on alone."""
+    `hypergraph.rooted_superforest`), which they depend on alone."""
     roots, belows = shape
     width = (_count_pass(roots, belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
     packed = _count_pass(roots, belows, 8 * width)

@@ -56,7 +56,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .hypergraph import HypergraphError, UniformHypergraph, _core, _memo, _shape, _shape_memo
+from .hypergraph import HypergraphError, UniformHypergraph, _memo, _shape, _shape_memo
 from .matching import _shape_counts
 from .polynomial import SparsePolynomial
 
@@ -207,15 +207,17 @@ _SEED_MARGIN = 2.0**-30
 def _tree_pass(
     x: float,
     post: range,
-    child_edges: list[list[tuple[tuple[int, ...], int]]],
+    belows: tuple[tuple[tuple[int, ...], ...], ...],
     is_root: list[bool],
     r: int,
 ):
     """One bottom-up pass of R_w = x - sum_e prod_{u in e - w} 1/R_u,
     with its derivative D_w = 1 + sum_e (prod_u 1/R_u) sum_u D_u/R_u,
-    over the core that rooted_superforest returns, children first. A
-    degree-1 vertex has R = x and D/R = 1/x, so an edge's k of them enter
-    as the factor x^-k and the term k/x.
+    over the core shape that rooted_superforest returns, children first.
+    A degree-1 vertex has R = x and D/R = 1/x. An edge entered from w has
+    k = r - 1 - len(below) of them, so they enter as the factor x^-k and
+    the term k/x, read from one table by len(below): this is the only
+    place where r meets the core.
 
     Returns None if R_w <= 0 at a vertex that is not a component root:
     then x <= rho and nothing more is known. Otherwise returns
@@ -238,9 +240,12 @@ def _tree_pass(
     monotone, so it never decreases as x grows, and `above` changes
     only once along the floats.
     """
-    fold = [1.0]  # fold[k] = x^-k, by divisions, which stay monotone
-    for _ in range(r - 1):
-        fold.append(fold[-1] / x)
+    p = 1.0
+    fold = [(p, 0.0)]  # (x^-k, k/x) for k = 0..r-1, by divisions, which stay monotone
+    for k in range(1, r):
+        p /= x
+        fold.append((p, k / x))
+    fold.reverse()  # fold[j] for an edge with len(below) = j, so k = r - 1 - j
     n = len(is_root)
     big_r = [0.0] * n
     ratio = [0.0] * n  # D_w / R_w
@@ -249,9 +254,8 @@ def _tree_pass(
     for w in post:  # the vertices of a component, then its root
         s = x
         d = 1.0
-        for below, k in child_edges[w]:
-            p = fold[k]
-            t = k / x
+        for below in belows[w]:
+            p, t = fold[len(below)]
             total += t
             for u in below:
                 p /= big_r[u]
@@ -276,18 +280,15 @@ def _tree_pass(
 
 def spectral_radius(hg: UniformHypergraph) -> float:
     """Largest root of the matching polynomial of a superforest, kept in
-    the record of hg.
+    the record of hg, found by _search_radius.
 
-    x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
-    rooted superforest is positive (Heilmann-Lieb, Godsil); see
-    _search_radius. The search starts from the largest |mu|^(1/r) of the
-    roots mu of q when the record of hg's core shape has them (from
-    matching_energy or spectral_summary of any input of that shape, at
-    any r), and from its own bound otherwise: the same float
-    either way. Never computes phi. An edgeless hypergraph has spectral
-    radius 0; a hypergraph with a cycle raises HypergraphError. The
-    result is accurate to the last bits of a float, so it takes no
-    tolerance.
+    The search starts from the largest |mu|^(1/r) of the roots mu of q
+    when the record of hg's core shape has them (from matching_energy or
+    spectral_summary of any input of that shape, at any r), and from its
+    own bound otherwise: the same float either way. Never computes phi.
+    An edgeless hypergraph has spectral radius 0; a hypergraph with a
+    cycle raises HypergraphError. The result is accurate to the last
+    bits of a float, so it takes no tolerance.
     """
     return _memo(hg, "rho", _seeded_radius)
 
@@ -323,32 +324,32 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
     """
     if not hg.edges:
         return 0.0
-    _, roots, child_edges = _core(hg)
-    post = range(len(child_edges) - 1, -1, -1)  # children before parents
-    is_root = [False] * len(child_edges)
+    roots, belows = _shape(hg)["shape"]
+    post = range(len(belows) - 1, -1, -1)  # children before parents
+    is_root = [False] * len(belows)
     for root in roots:
         is_root[root] = True
     # With every R_u >= c, R_w >= x - k / c^(r-1) for k child edges, so
     # x = c + k_max / c^(r-1), smallest at c^r = (r-1) k_max, is above rho.
     r = hg.r
-    k_max = max(map(len, child_edges))
+    k_max = max(map(len, belows))
     c = ((r - 1) * k_max) ** (1.0 / r)
     hi = c + k_max / c ** (r - 1)
     lo = 0.0  # a leaf has R = x, so 0 is never above rho
     res = None
     x = seed * (1.0 + _SEED_MARGIN) if seed is not None else 0.0
     if 0.0 < x < hi:  # false for nan
-        res = _tree_pass(x, post, child_edges, is_root, r)
+        res = _tree_pass(x, post, belows, is_root, r)
         if res is not None and res[0]:
             hi = x
         else:
             lo = x
             res = None
     if res is None:
-        res = _tree_pass(hi, post, child_edges, is_root, r)
+        res = _tree_pass(hi, post, belows, is_root, r)
         while res is None or not res[0]:  # only if rounding spoils the bound
             hi *= 2.0
-            res = _tree_pass(hi, post, child_edges, is_root, r)
+            res = _tree_pass(hi, post, belows, is_root, r)
     above, lower, upper = res
     floor = 0.0  # the best lower estimate, not certified
     step = 0.0
@@ -371,7 +372,7 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
             x = mid
             if not lo < x < hi:
                 return hi
-        res = _tree_pass(x, post, child_edges, is_root, r)
+        res = _tree_pass(x, post, belows, is_root, r)
         passes += 1
         above, lower, upper = res if res is not None else (False, None, None)
         if above:
@@ -384,7 +385,7 @@ def _base_forest(shape) -> tuple[int, list[list[int]]] | None:
     """The ordinary forest G with hg = G^(r), as (vertex count, edges) on a
     compact vertex index, or None unless hg is a power superforest.
 
-    Read from the shape of hg's core (see `hypergraph._shape_key`): each
+    Read from the shape of hg's core (see `rooted_superforest`): each
     edge keeps its vertices of degree >= 2 (those below it, and the one
     it hangs from unless that is a root of degree 0 or 1), padded with
     its degree-1 vertices up to two. In a superforest two edges meet in

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -30,6 +31,22 @@ def _no_ambient_tolerance(monkeypatch):
     """Every test starts at the default tolerance, whatever HG_TOL the
     shell exports; a test that needs another sets it itself."""
     monkeypatch.delenv("HG_TOL", raising=False)
+
+
+def assert_same_report(got: str, expected: str):
+    """Fail unless two suite reports, as written, are byte-identical. The
+    parsed reports are compared case by case first, so a mismatch names
+    the params of the first case that differs; a bare == on the strings
+    would have pytest render a diff of the whole one-line report, which
+    takes minutes on a large one."""
+    got_cases, expected_cases = (json.loads(text)["cases"] for text in (got, expected))
+    for i, (a, b) in enumerate(zip(got_cases, expected_cases)):
+        if a != b:
+            pytest.fail(f"case {i} differs: params {a.get('params')} against {b.get('params')}")
+    if len(got_cases) != len(expected_cases):
+        pytest.fail(f"{len(got_cases)} cases against {len(expected_cases)}")
+    if got != expected:
+        pytest.fail("reports differ in their bytes outside their cases or in formatting")
 
 
 @st.composite

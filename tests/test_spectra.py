@@ -270,10 +270,10 @@ class TestPowerSuperforests:
     @settings(max_examples=80, deadline=None)
     @given(power_superforests())
     def test_base_forest_has_the_same_matching_counts(self, hg):
-        from hypermatch.hypergraph import _shape_key, rooted_superforest
+        from hypermatch.hypergraph import rooted_superforest
         from hypermatch.spectra import _base_forest
 
-        size, pairs = _base_forest(_shape_key(rooted_superforest(hg)))
+        size, pairs = _base_forest(rooted_superforest(hg)[1])
         assert matching_counts(build(2, size, pairs)) == matching_counts(hg)
 
     @settings(max_examples=40, deadline=None)
@@ -626,7 +626,7 @@ class TestRecord:
             for fn in entry_points:
                 with pytest.raises(HypergraphError, match="has a cycle"):
                     fn(cyclic)
-        assert "core" not in hypergraph._record(cyclic)
+        assert "shape" not in hypergraph._record(cyclic)
         assert "code" not in hypergraph._record(cyclic)
         # are_isomorphic roots `other` once; every other call roots `cyclic` again
         assert len(calls) == 2 * len(entry_points) + 1
@@ -690,9 +690,9 @@ class TestSharedAcrossEdgeSizes:
         return phi, rho, matching_energy(hg), summary, hypergraph._shape(hg)["code"]
 
     def _assert_order_free(self, members):
-        from hypermatch.hypergraph import _shape_key, rooted_superforest
+        from hypermatch.hypergraph import rooted_superforest
 
-        assert len({_shape_key(rooted_superforest(hg)) for hg in members}) == 1
+        assert len({rooted_superforest(hg)[1] for hg in members}) == 1
         cold = []
         for hg in members:
             clear_polynomial_cache()
