@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "energy of r-uniform supertrees; cospectral-family verification.",
         epilog="The HG_TOL environment variable (default 1e-10) sets the relative "
         "tolerance to which the matching energy of a power superforest is "
-        "certified, and that of the suites' numeric comparisons.",
+        "certified (error bound <= HG_TOL * ME), and the absolute one of the "
+        "suites' numeric comparisons (|difference| <= 10 * HG_TOL).",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # an option left out stays unset, and the suite's signature gives its default
     p = sub.add_parser("suite", argument_default=argparse.SUPPRESS,
                        help="run a deterministic verification suite "
-                       "(rho and ME must agree to 10 * HG_TOL)")
+                       "(rho and ME must differ by at most 10 * HG_TOL, absolute)")
     p.add_argument("--name", required=True, choices=sorted(SUITES))
     p.add_argument("--r", dest="r_list", metavar="R", type=_int_list,
                    help="edge sizes, e.g. 2,3,4 (default 2,3,4,5)")

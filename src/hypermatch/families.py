@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+# disjoint_union is unused here, but the traced benchmark wraps it by its
+# name in this module (perfbench/tracing.py, SPANS["families.build"]).
 from .hypergraph import HypergraphError, UniformHypergraph, _edge_size, _integer, _shared_edge_size, disjoint_union
 
 

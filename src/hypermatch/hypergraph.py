@@ -5,14 +5,15 @@ does not depend on r and also decides the supertree test, and
 superforest isomorphism by one canonical code per core shape.
 
 This module holds the cache, two kinds of record, each a dict of
-results by name:
-* one per whole input, filled by `_memo`, which keeps what depends on r:
-  the record of its core shape here, phi in `matching`, rho, ME and the
-  r = 2 oracle in `spectra`;
+results by name. An input keeps what needs its labelled edges or a
+search; everything else is a view of its core shape:
+* one per whole input, filled by `_memo`: the record of its core shape
+  here, and rho and the r = 2 oracle in `spectra`;
 * one per core shape, filled by `_shape_memo`, which keeps what does
   not depend on r: the canonical code here, the matching counts in
-  `matching` and the roots of q in `spectra`. One family member at
-  r = 2..5 has one shape, so these are computed once for all four.
+  `matching` and the spectrum of q in `spectra`, from which phi and ME
+  are read on each call. One family member at r = 2..5 has one shape,
+  so these are computed once for all four.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -316,10 +317,9 @@ def _record(key: UniformHypergraph | tuple) -> dict:
 def _memo(hg: UniformHypergraph, name: str, compute):
     """The result `name` of hg: the one kept in its record, else
     compute(hg), kept. Per input, the names are "shape" (the record of
-    its core shape, see `_shape`), "phi", "rho", "energy" (the
-    q roots, ME and its error bound) and "char_poly"; the results that
-    depend on the core shape alone, not on r, are kept in the shape's
-    record by `_shape_memo`.
+    its core shape, see `_shape`), "rho" and "char_poly": what needs the
+    labelled edges or a search. Everything else is a view of the core
+    shape, read from the shape's record, which `_shape_memo` fills.
     No result is None. An error that compute raises, such as a cycle,
     is raised on every call, and nothing is kept."""
     rec = _record(hg)

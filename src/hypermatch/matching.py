@@ -28,9 +28,8 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   factor 1, so the pass reads only the core shape that
   `rooted_superforest` returns, and the counts m(H,0..nu) do not
   depend on r: they are kept once per core shape (see
-  `hypergraph._shape_memo`), and phi, which places them at the
-  exponents n - k r, is kept in the record of the whole input (see
-  `hypergraph._memo`).
+  `hypergraph._shape_memo`). phi is a view of them, built on each call
+  by placing them at the exponents n - k r.
 
 Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
 terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
@@ -46,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph, _memo, _shape_memo
+from .hypergraph import UniformHypergraph, _shape_memo
 from .polynomial import PolynomialShapeError, SparsePolynomial, _from_terms
 
 
@@ -92,12 +91,15 @@ def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
 
 
 def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
-    """phi of a superforest by one rooted-tree pass, memoized per input.
+    """phi of a superforest: the matching counts of its core shape, found
+    by one rooted-tree pass and kept once per shape, placed at the
+    exponents n - k r. Each call returns a new, equal value.
 
     Raises HypergraphError if hg has a cycle. Agrees exactly with
     matching_polynomial_oracle on every superforest.
     """
-    return _memo(hg, "phi", _phi_superforest)
+    n, r = hg.n, hg.r
+    return _from_terms({n - k * r: -c if k & 1 else c for k, c in enumerate(_shape_counts(hg))})
 
 
 def _count_pass(roots, belows, bits: int) -> int:
@@ -151,12 +153,6 @@ def _superforest_counts(shape) -> tuple[int, ...]:
 def _shape_counts(hg: UniformHypergraph) -> tuple[int, ...]:
     """The counts m(H,0..nu) of a superforest, kept once per core shape."""
     return _shape_memo(hg, "counts", _superforest_counts)
-
-
-def _phi_superforest(hg: UniformHypergraph) -> SparsePolynomial:
-    n, r = hg.n, hg.r
-    counts = _shape_counts(hg)
-    return _from_terms({n - k * r: -c if k & 1 else c for k, c in enumerate(counts)})
 
 
 @dataclass(frozen=True)

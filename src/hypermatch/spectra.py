@@ -33,17 +33,16 @@ error bound from Weyl's inequality and no root finding. Every other
 superforest takes the eigenvalues of the companion matrix of q, which
 carry no error bound: their matching energy is not certified.
 
-Every result is kept, so a suite that meets the same side twice pays
-once. What depends on r is kept in the record of its input (see
-`hypergraph._memo`): rho, ME with its error bound (held to
-default_tol() on every read) and the exact characteristic polynomial.
-The r = 2 oracle is also kept per component, in the component's own
-record, so a tree that recurs across the disjoint unions of a suite is
-computed once. The spectrum of q, the roots mu and, for a power
-superforest, the base forest's eigenvalues with their Weyl error bound,
-is kept once per core shape (see `hypergraph._shape_memo`), so one
-family member at r = 2..5 pays for one eigenproblem or one companion
-root-finding, and for one sum over its roots per r.
+An input keeps what needs its labelled edges or a search; everything
+else is a view of its core shape (see `hypergraph._memo`). The record
+of an input keeps rho and the exact characteristic polynomial, which
+is also kept per component, in the component's own record, so a tree
+that recurs across the disjoint unions of a suite is computed once.
+The spectrum of q, the roots mu and, for a power superforest, the base
+forest's eigenvalues with their Weyl error bound, is kept once per core
+shape (see `hypergraph._shape_memo`), so one family member at r = 2..5
+pays for one eigenproblem or one companion root-finding. ME and its
+bound are summed from it on each call, held to that call's default_tol().
 clear_polynomial_cache() forgets them all.
 """
 
@@ -64,10 +63,11 @@ DEFAULT_TOL = 1e-10
 
 
 def default_tol() -> float:
-    """The relative tolerance: the error bound that the matching energy of
-    a power superforest must meet, and (times 10) the suites' numeric
-    comparisons. HG_TOL if set, else DEFAULT_TOL; ValueError unless it
-    is finite and > 0."""
+    """The tolerance: HG_TOL if set, else DEFAULT_TOL; ValueError unless
+    it is finite and > 0. It is relative for the matching energy of a
+    power superforest, whose error bound must be at most tol * ME, and
+    absolute for the suites' numeric comparisons, where two values agree
+    when they differ by at most 10 * tol."""
     env = os.environ.get("HG_TOL")
     try:
         tol = float(env) if env else DEFAULT_TOL
@@ -458,31 +458,24 @@ def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, f
     return q_roots, [abs(mu) for mu in q_roots], 1.0, None
 
 
-def _q_roots_and_energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
-    """The roots of q (phi = x^z q(x^r)) and ME = r * sum |mu|^(1/r),
-    kept in the record of hg with the error bound of ME. Raises
-    RootFindingError, on every call, when that bound exceeds tol * ME."""
-    q_roots, me, bound = _memo(hg, "energy", _certify_energy)
-    if bound is not None and bound > tol * me:
-        raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
-    return q_roots, me
-
-
-def _certify_energy(hg: UniformHypergraph) -> tuple[tuple[complex, ...], float, float | None]:
-    """The roots of q, ME and its error bound (None where the spectrum
-    has none), from the spectrum of hg's core shape, which is found once
-    for every r. With each eigenvalue lam of a base forest within delta
-    of the true one, the error of ME is at most
-    2 delta sum lam^(2/r) / (lam - delta)."""
+def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
+    """The roots of q (phi = x^z q(x^r)) and ME = r * sum v^(power/r),
+    read from the spectrum of hg's core shape (see `_spectrum`), which is
+    found once for every r. With each eigenvalue lam of a base forest
+    within delta of the true one, the error of ME is at most
+    2 delta sum lam^(2/r) / (lam - delta); RootFindingError is raised,
+    on every call, when that bound exceeds tol * ME."""
     if not hg.edges:
-        return (), 0.0, 0.0
+        return (), 0.0
     q_roots, values, power, delta = _shape_memo(hg, "spectrum", lambda shape: _spectrum(shape, _shape_counts(hg)))
     r = hg.r
     terms = [v ** (power / r) for v in values]
     me = r * math.fsum(terms)
-    if delta is None:
-        return q_roots, me, None
-    return q_roots, me, 2.0 * delta * math.fsum(t / (v - delta) for t, v in zip(terms, values))
+    if delta is not None:
+        bound = 2.0 * delta * math.fsum(t / (v - delta) for t, v in zip(terms, values))
+        if bound > tol * me:
+            raise RootFindingError(f"matching energy {me!r} is only certain to {bound:.3g}")
+    return q_roots, me
 
 
 def matching_energy(hg: UniformHypergraph) -> float:
@@ -491,7 +484,7 @@ def matching_energy(hg: UniformHypergraph) -> float:
     default_tol(); any other superforest takes the companion roots of the
     reduced q, which carry no error bound. Raises RootFindingError when
     either route fails its check."""
-    return _q_roots_and_energy(hg, default_tol())[1]
+    return _energy(hg, default_tol())[1]
 
 
 def _sig15(x: float) -> float:
@@ -525,7 +518,7 @@ def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
     where the search starts, not its result: rho is the same float that
     spectral_radius(hg) returns on its own."""
     tol = default_tol()
-    q_roots, me = _q_roots_and_energy(hg, tol)
+    q_roots, me = _energy(hg, tol)
     return SpectralSummary(rho=spectral_radius(hg), me=me, q_roots=q_roots, tol=tol)
 
 

@@ -3,8 +3,9 @@ bridging, and path/double-pendant constructions.
 
 Each suite builds both sides of an identity and hands them to
 `check_cospectral`, which decides the case: matching polynomials equal
-exactly, spectral radius and matching energy (computed per side) equal
-to 10 * default_tol() (HG_TOL, default 1e-10), and for r = 2 the exact
+exactly, spectral radius and matching energy (computed per side)
+differing by at most 10 * default_tol() (HG_TOL, default 1e-10), an
+absolute difference, not a relative one, and for r = 2 the exact
 adjacency characteristic polynomials equal too. A suite then ANDs its
 own conditions into the case's verdict. Suites are deterministic given
 (seed, ranges, HG_TOL); the JSON serialization of a report, one line of
@@ -16,13 +17,14 @@ raises RootFindingError fails its own case only: the message goes under
 
 Suites meet the same input more than once: path-w's lhs at (m, n) is
 its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
-and bridge's unions at m = 1 are the bridged objects themselves. Every
-per-input result, phi, rho, ME and the r = 2 characteristic polynomial,
-is kept in the input's record (see `hypergraph._memo`), so each distinct
-side is computed once per run and a repeat is served from its record;
-what does not depend on r, the matching counts, the roots of q and the
+and bridge's unions at m = 1 are the bridged objects themselves. An
+input keeps what needs its labelled edges or a search, its core shape,
+rho and the r = 2 characteristic polynomial, in its record (see
+`hypergraph._memo`), so a repeated side is served from there. What does
+not depend on r, the matching counts, the spectrum of q and the
 canonical code, is kept once per core shape, so a side whose shape was
-met at another r does not pay for them again.
+met at another r does not pay for them again; phi and ME are views of
+them, read on each call.
 check_cospectral asks for each side's ME before its rho, whose search
 then starts from the roots of q that ME found.
 
@@ -131,12 +133,13 @@ def check_cospectral(
     """One decided cospectrality case: exact phi comparison plus spectral
     radius and matching energy computed on each side.
 
-    "passed" holds when phi is equal and rho and ME each agree to
-    10 * default_tol(). For r = 2 (the edge size the two sides share) the
-    exact adjacency characteristic polynomials are compared as well, as
-    "char_equal", and must be equal too. A side whose matching energy
-    raises RootFindingError gets ME None and fails the case, with the
-    message under "error". Callers AND their own conditions into "passed".
+    "passed" holds when phi is equal and rho and ME each differ by at
+    most 10 * default_tol(), an absolute difference. For r = 2 (the edge
+    size the two sides share) the exact adjacency characteristic
+    polynomials are compared as well, as "char_equal", and must be equal
+    too. A side whose matching energy raises RootFindingError gets ME
+    None and fails the case, with the message under "error". Callers AND
+    their own conditions into "passed".
     """
     r = _shared_edge_size(lhs, rhs)
     phi_l = matching_polynomial(lhs)

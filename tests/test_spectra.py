@@ -47,6 +47,10 @@ from hypermatch.spectra import _search_radius
 
 TOL = 1e-10
 
+# What an input's record may keep: what needs its labelled edges or a
+# search. Everything else, phi and ME among it, is a view of its shape.
+KEPT_PER_INPUT = {"shape", "rho", "char_poly"}
+
 
 class TestRoots:
     def test_linear(self):
@@ -217,7 +221,7 @@ class TestMatchingEnergy:
             with pytest.raises(RootFindingError, match="overflows") as info:
                 matching_energy(hg)
             assert isinstance(info.value.__cause__, OverflowError)
-            assert "energy" not in hypergraph._record(hg)
+            assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT
             assert "spectrum" not in hypergraph._shape(hg)
 
     def test_agrees_with_full_root_sum(self):
@@ -429,8 +433,10 @@ class TestSpectralSummary:
 
 
 class TestRecord:
-    """Each input keeps one record of phi, rho, ME with its q roots, and
-    the r = 2 characteristic polynomial, filled field by field."""
+    """Each input keeps one record of what needs its labelled edges or a
+    search: its core shape's record, rho and the r = 2 characteristic
+    polynomial, filled field by field. phi and ME are views of the core
+    shape's record, built on each call."""
 
     @staticmethod
     def _count(monkeypatch, module, name, calls):
@@ -443,13 +449,12 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        for module, name in ((hypergraph, "rooted_superforest"), (matching, "_phi_superforest"),
-                             (matching, "_superforest_counts"), (spectra, "_search_radius"),
-                             (spectra, "_certify_energy"), (spectra, "_power_spectrum"), (spectra, "roots"),
+        for module, name in ((hypergraph, "rooted_superforest"), (matching, "_superforest_counts"),
+                             (spectra, "_search_radius"), (spectra, "_power_spectrum"), (spectra, "roots"),
                              (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
-        per_input = ["rooted_superforest", "_phi_superforest", "_search_radius", "_certify_energy"]
+        per_input = ["rooted_superforest", "_search_radius"]
         clear_polynomial_cache()
         for _ in range(2):
             assert matching_polynomial(inputs[0]) == matching_polynomial(inputs[0])
@@ -515,8 +520,8 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        self._count(monkeypatch, spectra, "_certify_energy", calls)
-        hg = family_w(3, 7).hg  # a power superforest: ME keeps its error bound
+        self._count(monkeypatch, spectra, "_power_spectrum", calls)
+        hg = family_w(3, 7).hg  # a power superforest: its shape keeps the Weyl bound
         monkeypatch.delenv("HG_TOL", raising=False)
         clear_polynomial_cache()
         me = matching_energy(hg)
@@ -535,6 +540,7 @@ class TestRecord:
                     fn(hg)
         monkeypatch.delenv("HG_TOL")
         assert matching_energy(hg) == me
+        assert len(calls) == 1  # one eigenproblem, whatever HG_TOL read
 
     def test_rho_when_me_misses_its_tolerance(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph
@@ -545,7 +551,7 @@ class TestRecord:
         for fn in (matching_energy, spectral_summary):
             with pytest.raises(RootFindingError, match="only certain"):
                 fn(hg)
-        assert "energy" in hypergraph._record(hg)  # its roots seed the search
+        assert "spectrum" in hypergraph._shape(hg)  # its roots seed the search
         assert spectral_radius(hg) == _search_radius(hg, None)
 
     def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
@@ -565,7 +571,7 @@ class TestRecord:
             for fn in (matching_energy, matching_energy, spectral_summary):
                 with pytest.raises(RootFindingError, match="within twice its error bound"):
                     fn(hg)
-            assert "energy" not in hypergraph._record(hg)
+            assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT
             assert "spectrum" not in hypergraph._shape(hg)
         monkeypatch.undo()
         for hg in members:
@@ -599,8 +605,7 @@ class TestRecord:
         rng = random.Random(8)
         inputs = [spider(4, 3), random_supertree(3, 20, rng), random_supertree(2, 30, rng)]
         expected = [(spectral_radius(hg), matching_polynomial(hg)) for hg in inputs]
-        monkeypatch.setattr(matching, "_phi_superforest", refuse)
-        monkeypatch.setattr(matching, "_superforest_counts", refuse)
+        monkeypatch.setattr(matching, "_superforest_counts", refuse)  # the only way to phi
         clear_polynomial_cache()
         for hg, (rho, phi) in zip(inputs, expected):
             assert spectral_radius(hg) == rho
@@ -661,6 +666,7 @@ class TestRecord:
                 cores.clear()
                 got = {name: requests[name](hg) for name in order}
                 assert cores == [hg], order  # one core per input, whoever asks first
+                assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT, order
                 case = got["check"]
                 results.add((
                     case["rho_lhs"], case["rho_rhs"], case["me_lhs"], case["me_rhs"],

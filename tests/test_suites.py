@@ -57,6 +57,12 @@ class TestCheckCospectral:
         assert case["passed"] is True
         assert "char_equal" not in case  # only r = 2 has the char-poly oracle
 
+    def test_numeric_comparison_is_absolute(self):
+        # at the default HG_TOL, 10 * HG_TOL = 1e-9 bounds |a - b| whatever
+        # the size of a and b: 2e-9 apart fails at 1000, a relative 2e-12
+        assert not suites._close(1000.0, 1000.0 + 2e-9)
+        assert suites._close(0.5, 0.5 + 5e-10)
+
     def test_known_pair(self):
         r = 3
         lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
