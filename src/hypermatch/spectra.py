@@ -28,10 +28,12 @@ vertices of degree >= 2, so the input is the r-th power G^(r) of an
 ordinary forest G and has G's matching counts. phi(G) is then the
 characteristic polynomial of G's adjacency matrix, so the roots of q
 are lam^2 for the positive eigenvalues lam of G, and
-ME = r * sum lam^(2/r) comes from one symmetric eigenproblem, with an
-error bound from Weyl's inequality and no root finding. Every other
-superforest takes the eigenvalues of the companion matrix of q, which
-carry no error bound: their matching energy is not certified.
+ME = r * sum lam^(2/r). G is bipartite, so lam are the singular values
+of its biadjacency matrix, a problem of half the order of the
+adjacency matrix: one singular-value call, with an error bound from
+Weyl's inequality and no root finding. Every other superforest takes
+the eigenvalues of the companion matrix of q, which carry no error
+bound: their matching energy is not certified.
 
 An input keeps what needs its labelled edges or a search; everything
 else is a view of its core shape (see `hypergraph._memo`). The record
@@ -41,19 +43,39 @@ that recurs across the disjoint unions of a suite is computed once.
 The spectrum of q, the roots mu and, for a power superforest, the base
 forest's eigenvalues with their Weyl error bound, is kept once per core
 shape (see `hypergraph._shape_memo`), so one family member at r = 2..5
-pays for one eigenproblem or one companion root-finding. ME and its
-bound are summed from it on each call, held to that call's default_tol().
-clear_polynomial_cache() forgets them all.
+pays for one singular-value call or one companion root-finding. ME and
+its bound are summed from it on each call, held to that call's
+default_tol(). clear_polynomial_cache() forgets them all.
+
+This is the only module that imports numpy. When that import is the one
+that loads numpy, and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+and OMP_NUM_THREADS is set, OpenBLAS starts with one thread (see the
+comment at the import).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
+# OpenBLAS starts its thread pool, one thread per core, when numpy loads,
+# and starting a second thread costs more than it saves on the matrices
+# handed to LAPACK here. So when this import is the one that loads numpy,
+# and the caller has set no thread count, OpenBLAS starts with one thread.
+# The variable is removed right after, so later code and child processes
+# see the environment as it was.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" in sys.modules or any(name in os.environ for name in _THREAD_VARIABLES):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .hypergraph import HypergraphError, UniformHypergraph, _memo, _shape, _shape_memo
 from .matching import _shape_counts
@@ -418,21 +440,37 @@ _EPS = float(np.finfo(float).eps)
 
 def _power_spectrum(nu: int, size: int, pairs) -> tuple[tuple[complex, ...], list[float], float, float]:
     """The spectrum (see `_spectrum`) of G^(r), for the forest G on `size`
-    vertices with edges `pairs` and matching number nu, from G's
-    eigenvalues.
+    vertices with edges `pairs` and matching number nu, from the singular
+    values of G's biadjacency matrix.
 
     For a forest G, phi(G) is the characteristic polynomial of its
     adjacency matrix (Godsil-Gutman), and G^(r) has the q of G, so the
     roots of q are the squares of the nu positive eigenvalues lam of G
-    and ME = r * sum lam^(2/r). By Weyl's inequality each computed
-    eigenvalue is within delta = 4 size eps lam_max of the true one.
-    Raises RootFindingError when the nu-th eigenvalue is within 2 delta
+    and ME = r * sum lam^(2/r). G is bipartite: with one colour class as
+    the rows of B and the other as its columns, the adjacency matrix is
+    [[0, B], [B^T, 0]], whose positive eigenvalues are the nonzero
+    singular values of B (Golub-Kahan), nu of them. So lam are the nu
+    largest singular values of B, a problem of half the order, returned
+    ascending. By Weyl's inequality, which holds for singular values
+    too, each computed value is within delta = 4 size eps lam_max of the
+    true one. Raises RootFindingError when the nu-th is within 2 delta
     of zero."""
-    adj = np.zeros(size * size)
-    adj[[a * size + b for a, b in pairs] + [b * size + a for a, b in pairs]] = 1.0
-    eig = np.linalg.eigvalsh(adj.reshape(size, size)).tolist()
-    lam = eig[size - nu :]
-    delta = 4.0 * size * _EPS * eig[-1]
+    colour = [-1] * size
+    for a, b in pairs:  # parents first, so at most one end is coloured yet
+        if colour[a] < 0:
+            colour[a] = 1 - colour[b] if colour[b] >= 0 else 0
+        colour[b] = 1 - colour[a]
+    at = [0] * size  # each vertex's row (colour 0) or column (colour 1) of B
+    count = [0, 0]
+    for v, c in enumerate(colour):
+        at[v] = count[c]
+        count[c] += 1
+    rows, cols = count
+    biadj = np.zeros(rows * cols)
+    biadj[[at[a] * cols + at[b] if colour[a] == 0 else at[b] * cols + at[a] for a, b in pairs]] = 1.0
+    sv = np.linalg.svd(biadj.reshape(rows, cols), compute_uv=False).tolist()
+    lam = sv[nu - 1 :: -1]
+    delta = 4.0 * size * _EPS * sv[0]
     if lam[0] <= 2.0 * delta:
         raise RootFindingError(
             f"smallest positive eigenvalue {lam[0]:.3g} of the base forest is within "
@@ -445,10 +483,11 @@ def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, f
     """What the matching energy needs of a core shape with matching counts
     `counts`, at any r: (q_roots, values, power, delta), the roots mu of
     q and values v with ME = r * sum v^(power/r). For a power
-    superforest the values are the eigenvalues lam of the base forest
-    (power 2), each within delta of the true one; otherwise they are
-    the moduli |mu| of the companion roots of q (power 1), with no
-    error bound (delta None)."""
+    superforest the values are the positive eigenvalues lam of the base
+    forest (power 2), taken as the singular values of its biadjacency
+    matrix (see `_power_spectrum`), each within delta of the true one;
+    otherwise they are the moduli |mu| of the companion roots of q
+    (power 1), with no error bound (delta None)."""
     # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
     q = [-c if k & 1 else c for k, c in enumerate(counts)]
     base = _base_forest(shape)
@@ -480,10 +519,11 @@ def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], flo
 
 def matching_energy(hg: UniformHypergraph) -> float:
     """Sum of |x_i| over all roots of phi. For a power superforest it
-    comes from the eigenvalues of the base forest and is certified to
-    default_tol(); any other superforest takes the companion roots of the
-    reduced q, which carry no error bound. Raises RootFindingError when
-    either route fails its check."""
+    comes from the positive adjacency eigenvalues of the base forest,
+    taken as the singular values of its biadjacency matrix, and is
+    certified to default_tol(); any other superforest takes the companion
+    roots of the reduced q, which carry no error bound. Raises
+    RootFindingError when either route fails its check."""
     return _energy(hg, default_tol())[1]
 
 
@@ -512,8 +552,8 @@ class SpectralSummary:
 
 
 def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
-    """The roots of q once, for ME (as lam^2 for the eigenvalues lam of
-    the base forest of a power superforest), then rho from the tree
+    """The roots of q once, for ME (as lam^2 for the singular values lam
+    of the base forest of a power superforest), then rho from the tree
     recursion, whose search starts from those roots. The roots change
     where the search starts, not its result: rho is the same float that
     spectral_radius(hg) returns on its own."""

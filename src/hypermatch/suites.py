@@ -195,6 +195,13 @@ def _finalize(report: SuiteReport, started: float, r_list, options: str) -> Suit
     return report
 
 
+def _check_counts(**counts: int) -> None:
+    """ValueError naming the first count below 0; 0 runs no case of its kind."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _premise_pair(r: int):
     """The two triple-pendant caterpillars whose gluings stay cospectral:
     one with pendant spots at v2, v3, v5 (anchor: tip at v3), the other
@@ -216,8 +223,9 @@ def suite_coalesce(
     deleted sides have equal phi and are isomorphic, while the pair
     itself is not isomorphic); (b) sampled gluings onto random
     supertrees; (c) the full chain of mixed shared-vertex powers up to
-    m_max copies.
+    m_max copies. ValueError if trials or m_max is below 0.
     """
+    _check_counts(trials=trials, m_max=m_max)
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
@@ -307,8 +315,9 @@ def suite_bridge(
     For each sampled (G, H, u, v) and each copy count m <= m_max the two
     padded unions must be a passing cospectral case, their phi must match
     the closed form, and the two connected bridged objects must agree in
-    spectral radius.
+    spectral radius. ValueError if trials or m_max is below 0.
     """
+    _check_counts(trials=trials, m_max=m_max)
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)

@@ -316,6 +316,23 @@ class TestSuiteCommand:
         assert code == 1
         assert "suite path-w: 0 case(s)" in out and "note: no case ran" in out
 
+    @pytest.mark.parametrize("name", ["coalesce", "bridge"])
+    @pytest.mark.parametrize("options, named", [
+        (("--trials", "-5", "--m-max", "-2"), "trials"),
+        (("--trials", "1", "--m-max", "-2"), "m_max"),
+        (("--trials", "-1",), "trials"),
+    ])
+    def test_negative_count_exits_2(self, capsys, name, options, named):
+        code, out, err = run(capsys, "suite", "--name", name, "--r", "3", *options)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named} must be >= 0") and "Traceback" not in err
+
+    def test_bridge_with_no_copy_exits_1(self, capsys):
+        code, out, _ = run(capsys, "suite", "--name", "bridge", "--r", "3", "--m-max", "0")
+        assert code == 1
+        assert "note: no case ran" in out
+
     def test_bad_suite_name_exits_2(self, capsys):
         assert run(capsys, "suite", "--name", "wrong")[0] == 2
 

@@ -295,6 +295,64 @@ class TestPowerSuperforests:
         assert len(calls) == (1 if inner >= 3 else 0)
 
 
+def _assert_power_spectrum_is_eigvalsh(hg):
+    """_power_spectrum's values are the nu largest eigenvalues of the base
+    forest's adjacency matrix, built here, to within delta, ascending."""
+    from hypermatch.hypergraph import rooted_superforest
+    from hypermatch.spectra import _base_forest, _power_spectrum
+
+    size, pairs = _base_forest(rooted_superforest(hg)[1])
+    nu = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n).q.degree()
+    adj = np.zeros((size, size))
+    for a, b in pairs:
+        adj[a, b] = adj[b, a] = 1.0
+    want = np.linalg.eigvalsh(adj)[size - nu :]
+    q_roots, lam, power, delta = _power_spectrum(nu, size, pairs)
+    assert power == 2.0 and len(lam) == nu
+    assert lam == sorted(lam)
+    assert np.abs(np.array(lam) - want).max() <= delta
+    assert q_roots == tuple(complex(x * x) for x in lam)
+
+
+class TestSingularValueRoute:
+    """A power superforest's spectrum comes from the singular values of
+    its base forest's biadjacency matrix: the same values as the
+    eigenvalues of its adjacency matrix, in the same order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(power_superforests(max_vertices=30))
+    def test_values_are_the_top_eigenvalues(self, hg):
+        if hg.edges:  # an edgeless input has no spectrum to take
+            _assert_power_spectrum_is_eigvalsh(hg)
+
+    @pytest.mark.parametrize("hg", [
+        pytest.param(build(2, 6, [(0, v) for v in range(1, 6)]), id="star"),  # B is 1 x 5
+        pytest.param(power([(0, v) for v in range(1, 5)], 4), id="star-r4"),
+        pytest.param(build(2, 8, [(2 * i, 2 * i + 1) for i in range(4)]), id="disjoint-edges"),
+        pytest.param(build(3, 9, [(2, 5, 7)]), id="edge-beside-isolated"),
+        pytest.param(loose_path(2, 400).hg, id="loose-path-400"),
+    ])
+    def test_degenerate_shapes(self, hg):
+        _assert_power_spectrum_is_eigvalsh(hg)
+        if hg.r == 2:
+            assert matching_energy(hg) == pytest.approx(_eigvalsh_me(hg), rel=TOL)
+
+    @pytest.mark.parametrize("hg, on_power_route", [
+        (family_w(3, 9).hg, True),
+        (loose_path(2, 40).hg, True),
+        (spider(3, 2), False),
+        (spider(4, 3), False),
+    ])
+    def test_q_roots_sorted_on_both_routes(self, hg, on_power_route):
+        from hypermatch.hypergraph import rooted_superforest
+        from hypermatch.spectra import _base_forest
+
+        assert (_base_forest(rooted_superforest(hg)[1]) is not None) == on_power_route
+        clear_polynomial_cache()
+        q_roots = spectral_summary(hg).q_roots
+        assert list(q_roots) == sorted(q_roots, key=lambda z: (z.real, z.imag))
+
+
 class TestSpectralSummary:
     def test_fields_and_json(self):
         hg = family_w(3, 5).hg
@@ -473,7 +531,7 @@ class TestRecord:
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
             # one core shape at every r: its counts, its spectrum (from the
-            # eigenproblem of the base forest, or from the roots of q off the
+            # singular values of the base forest, or from the roots of q off the
             # power route) and its code once, rho and the rest once per r
             for member, rs, spectrum in ((lambda r: family_w(r, 7).hg, (2, 3, 4, 5), "_power_spectrum"),
                                          (lambda r: spider(r, 2), (3, 4, 5), "roots")):
@@ -540,7 +598,7 @@ class TestRecord:
                     fn(hg)
         monkeypatch.delenv("HG_TOL")
         assert matching_energy(hg) == me
-        assert len(calls) == 1  # one eigenproblem, whatever HG_TOL read
+        assert len(calls) == 1  # one singular-value call, whatever HG_TOL read
 
     def test_rho_when_me_misses_its_tolerance(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph
@@ -557,14 +615,14 @@ class TestRecord:
     def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph
 
-        real_eigvalsh = np.linalg.eigvalsh
+        real_svd = np.linalg.svd
 
-        def eigvalsh(a):  # the smallest positive eigenvalue reads 1e-15
-            eig = real_eigvalsh(a)
-            eig[np.flatnonzero(eig > 1e-8)[0]] = 1e-15
-            return eig
+        def svd(a, **kwargs):  # the smallest positive singular value reads 1e-15
+            sv = real_svd(a, **kwargs)
+            sv[np.flatnonzero(sv > 1e-8)[-1]] = 1e-15
+            return sv
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         members = [family_w(r, 7).hg for r in (3, 4)]  # one core shape
         clear_polynomial_cache()
         for hg in members:

@@ -182,6 +182,22 @@ class TestSuites:
         assert "no case ran" in report.notes
         assert "FAIL" in report.human_table()
 
+    @pytest.mark.parametrize("suite", [suite_coalesce, suite_bridge])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"trials": -1}, "trials"),
+        ({"m_max": -2}, "m_max"),
+        ({"trials": -5, "m_max": 1}, "trials"),
+        ({"trials": 1, "m_max": -1}, "m_max"),
+    ])
+    def test_negative_count_raises(self, suite, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            suite(r_list=(3,), **kwargs)
+
+    def test_zero_trials_keeps_the_other_parts(self):
+        report = suite_coalesce(r_list=(3,), trials=0, m_max=1)
+        assert report.passed
+        assert {c["params"]["part"] for c in report.cases} == {"premise", "chain"}
+
     def test_run_suite_dispatch(self):
         report = run_suite("path-w", r_list=(3,), m_range=(6, 6), n_range=(6, 7))
         assert report.suite_name == "path-w"
