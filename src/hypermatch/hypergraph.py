@@ -4,16 +4,22 @@ its core shape, how the vertices of degree >= 2 meet in edges, which
 does not depend on r and also decides the supertree test, and
 superforest isomorphism by one canonical code per core shape.
 
-This module holds the cache, two kinds of record, each a dict of
-results by name. An input keeps what needs its labelled edges or a
-search; everything else is a view of its core shape:
-* one per whole input, filled by `_memo`: the record of its core shape
-  here, and rho and the r = 2 oracle in `spectra`;
-* one per core shape, filled by `_shape_memo`, which keeps what does
-  not depend on r: the canonical code here, the matching counts in
-  `matching` and the spectrum of q in `spectra`, from which phi and ME
-  are read on each call. One family member at r = 2..5 has one shape,
-  so these are computed once for all four.
+This module holds the cache, and this is the one statement of what it
+keeps. Every costly result is computed when first asked for and kept
+with what it depends on, in one of two kinds of record, each a dict of
+results by name:
+* an input keeps only what must read its labelled edges: the record of
+  its core shape, and the r = 2 characteristic polynomial (filled by
+  `_memo`, also per component);
+* a core shape keeps what the shape determines (filled by
+  `_shape_memo`): the matching counts, the spectrum of q and the
+  canonical code, which do not depend on r, and rho under ("rho", r)
+  for each r. One family member at r = 2..5 has one shape, so it pays
+  once for the first three, and inputs with one shape at one r share
+  one rho.
+phi and ME are views of the shape's record, built on each call, so a
+changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
+everything.
 
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
@@ -299,11 +305,11 @@ def rooted_superforest(hg: UniformHypergraph):
     return vertices, (tuple(roots), tuple(belows))
 
 
-# One record per whole input, a dict of its results by name, and one per
-# core shape (see `_shape`), keyed by the shape itself. CPython dict
-# setdefault and item stores are atomic, and each result is immutable, so
-# concurrent callers at worst compute a result twice; callers needing full
-# isolation can clear or ignore the cache.
+# One record per whole input and one per core shape, keyed by the shape
+# itself (see the module docstring). CPython dict setdefault and item
+# stores are atomic, and each result is immutable, so concurrent callers
+# at worst compute a result twice; callers needing full isolation can
+# clear or ignore the cache.
 _CACHE: dict[UniformHypergraph | tuple, dict] = {}
 
 
@@ -316,12 +322,8 @@ def _record(key: UniformHypergraph | tuple) -> dict:
 
 def _memo(hg: UniformHypergraph, name: str, compute):
     """The result `name` of hg: the one kept in its record, else
-    compute(hg), kept. Per input, the names are "shape" (the record of
-    its core shape, see `_shape`), "rho" and "char_poly": what needs the
-    labelled edges or a search. Everything else is a view of the core
-    shape, read from the shape's record, which `_shape_memo` fills.
-    No result is None. An error that compute raises, such as a cycle,
-    is raised on every call, and nothing is kept."""
+    compute(hg), kept. No result is None. An error that compute raises,
+    such as a cycle, is raised on every call, and nothing is kept."""
     rec = _record(hg)
     out = rec.get(name)
     if out is None:
@@ -330,20 +332,16 @@ def _memo(hg: UniformHypergraph, name: str, compute):
 
 
 def _shape(hg: UniformHypergraph) -> dict:
-    """The record of hg's core shape, kept in hg's record, so the shape is
-    built and hashed once per input. It is shared by every input of that
-    shape, whatever its r; its names are "shape" (the shape itself, as
-    first met, so that it is kept once), "counts" (the matching counts
-    m(H,0..nu)), "spectrum" (the roots of q, with what ME needs) and
-    "code" (the canonical code of isomorphism)."""
-    return _memo(hg, "shape", _find_shape)
-
-
-def _find_shape(hg: UniformHypergraph) -> dict:
-    key = rooted_superforest(hg)[1]
-    rec = _record(key)
-    rec.setdefault("shape", key)
-    return rec
+    """The record of hg's core shape, kept in hg's record under "shape",
+    so the shape is built and hashed once per input. Its own "shape" is
+    the shape as first met, so that it is kept once."""
+    rec = _record(hg)
+    shape = rec.get("shape")
+    if shape is None:
+        key = rooted_superforest(hg)[1]
+        shape = rec["shape"] = _record(key)
+        shape.setdefault("shape", key)
+    return shape
 
 
 def _shape_memo(hg: UniformHypergraph, name: str, compute):
@@ -359,7 +357,7 @@ def _shape_memo(hg: UniformHypergraph, name: str, compute):
 
 
 def clear_polynomial_cache():
-    """Forget every result, per input and per shape (see `_memo`)."""
+    """Forget every result, per input and per shape."""
     _CACHE.clear()
 
 
@@ -385,7 +383,7 @@ def _centre_codes(shape) -> str:
     there; so the code depends on the shape alone, not on r. Labels
     copy their children's, so a path costs characters quadratic in its
     height: on a 2-core x86 machine a code of `loose_path(r, 5000)`
-    takes 15-20 ms and its phi 2.0-2.1 s.
+    takes 20-30 ms.
     """
     roots, belows = shape
     c = len(belows)

@@ -7,37 +7,12 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   over edges in sorted order. Slow but unarguable; it is the reference
   for everything else, and the only route for hypergraphs with cycles.
 * `matching_polynomial` needs a superforest (no cycles; it raises
-  `HypergraphError` otherwise) and computes phi in one bottom-up pass,
-  with each component rooted at its lowest vertex. For the subtree T_w
-  below a vertex w it keeps A_w = phi(T_w) and B_w = phi(T_w - w):
-  deleting w leaves every vertex u of a child edge e as the root of its
-  own subtree, so
+  `HypergraphError` otherwise) and places the matching counts of its
+  core shape, found by one bottom-up pass (see `_count_pass`), at the
+  exponents n - k r.
 
-      B_w = prod_e P_e,   A_w = x B_w - sum_e Q_e prod_{e' != e} P_e',
-
-  with P_e = prod_{u in e - w} A_u and Q_e = prod_{u in e - w} B_u (the
-  hypertree form of Godsil's tree recurrence). A degree-1 vertex u has
-  A_u = x and B_u = 1, so the pass visits only the core, the roots and
-  the vertices of degree >= 2. The pass runs on the unsigned counts
-  m(., k), each polynomial packed into one int with count k in slot k
-  (Kronecker substitution), so every product and sum is one C big-int
-  operation; the signs (-1)^k come in at the end. A slot is as many
-  whole bytes as the Hosoya index Z(H), the number of matchings, which
-  bounds every count formed, so no slot carries; a first pass with
-  zero-width slots returns Z(H). On counts a degree-1 vertex is the
-  factor 1, so the pass reads only the core shape that
-  `rooted_superforest` returns, and the counts m(H,0..nu) do not
-  depend on r: they are kept once per core shape (see
-  `hypergraph._shape_memo`). phi is a view of them, built on each call
-  by placing them at the exponents n - k r.
-
-Every m(H,k) with k <= nu(H) is positive, so phi has exactly nu + 1
-terms and phi(x) = x^z q(x^r) with z = n - r*nu: q's coefficients,
-highest degree first, are phi's, (-1)^k m(H,k) for k = 0..nu. The
-numeric layer reads q off the kept counts, at any r; root finding on
-the degree-nu q is far better conditioned than on phi itself with its
-zero cluster.
-`reduce_polynomial` makes the factorization explicit, with shape checks.
+`reduce_polynomial` makes the factorization phi(x) = x^z q(x^r)
+explicit, with shape checks.
 """
 
 from __future__ import annotations
@@ -49,16 +24,6 @@ from .hypergraph import UniformHypergraph, _shape_memo
 from .polynomial import PolynomialShapeError, SparsePolynomial, _from_terms
 
 
-def _edge_masks(hg: UniformHypergraph) -> list[int]:
-    masks = []
-    for e in hg.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
 def matching_counts(hg: UniformHypergraph) -> list[int]:
     """The counts m(H,0..nu): entry k is the number of k-sets of pairwise
     disjoint edges (m(H,0) = 1, and no entry follows nu).
@@ -66,7 +31,7 @@ def matching_counts(hg: UniformHypergraph) -> list[int]:
     Backtracking enumeration of every matching over edges in sorted
     order; this is the oracle the polynomial code is checked against.
     """
-    masks = _edge_masks(hg)
+    masks = [sum(1 << v for v in e) for e in hg.edges]  # an edge's vertices are distinct
     counts = [0] * (len(masks) + 1)
     counts[0] = 1
 
@@ -106,7 +71,19 @@ def _count_pass(roots, belows, bits: int) -> int:
     """The root product of the bottom-up pass on packed counts: slot k,
     bits k*bits to (k+1)*bits - 1, holds m(H,k). At bits = 0 the slots
     all add up, and the result is the Hosoya index Z(H), the number of
-    matchings of H."""
+    matchings of H.
+
+    The pass is the hypertree form of Godsil's tree recurrence. For the
+    subtree T_w below a vertex w, with A_w = phi(T_w) and
+    B_w = phi(T_w - w): deleting w leaves every vertex u of a child edge
+    e as the root of its own subtree, so
+
+        B_w = prod_e P_e,   A_w = x B_w - sum_e Q_e prod_{e' != e} P_e',
+
+    with P_e = prod_{u in e - w} A_u and Q_e = prod_{u in e - w} B_u. It
+    runs on the unsigned counts, each polynomial packed into one int
+    (Kronecker substitution), so every product and sum is one C big-int
+    operation; the signs (-1)^k come in at the end."""
     # A_w and B_w are single ints, slot k holding m(T_w,k), resp.
     # m(T_w - w,k); a matching of T_w avoids w or holds one edge e at w,
     # and the rest of it has one edge fewer, so A_w = B_w + (total << bits)
@@ -141,7 +118,9 @@ def _count_pass(roots, belows, bits: int) -> int:
 
 def _superforest_counts(shape) -> tuple[int, ...]:
     """The counts m(H,0..nu) of a superforest from its core shape (see
-    `hypergraph.rooted_superforest`), which they depend on alone."""
+    `hypergraph.rooted_superforest`), which they depend on alone. A
+    slot is as many whole bytes as Z(H), which bounds every count formed,
+    so a first pass at zero width sizes the second."""
     roots, belows = shape
     width = (_count_pass(roots, belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
     packed = _count_pass(roots, belows, 8 * width)
@@ -160,7 +139,9 @@ class ReducedPolynomial:
     """The factorization phi(x) = x^z * q(x^r).
 
     z is the multiplicity of the zero root of phi and q has degree
-    nu(H) with q(0) != 0.
+    nu(H) with q(0) != 0. Every m(H,k) with k <= nu(H) is positive, so
+    phi has exactly nu + 1 terms, and q's coefficients, highest degree
+    first, are phi's: (-1)^k m(H,k) for k = 0..nu.
     """
 
     z: int

@@ -1,51 +1,8 @@
 """Numeric layer: spectral radius, matching energy, polynomial roots,
 and the exact characteristic-polynomial bridge for ordinary forests.
-
-The spectral radius rho of a superforest is the largest root of its
-matching polynomial phi. It comes from the tree recursion, with no
-polynomial at all: root every component, and for each vertex w let
-R_w(x) = phi(T_w)/phi(T_w - w) for the subtree T_w below w. Then
-R_w = x - sum_{child edges e} prod_{u in e - w} 1/R_u, and x > rho
-exactly when every R_w(x) > 0. A degree-1 vertex has R = x, so a pass
-visits only the core (the roots and the vertices of degree >= 2) and
-takes an edge's k degree-1 vertices as the factor x^-k. A safeguarded
-Newton search over float passes of the recursion brackets rho between
-adjacent floats. When the matching energy of an input with the same
-core shape, at any r, has been computed first, the roots mu of q are at
-hand, and the search starts just above (max |mu|)^(1/r), since rho^r is
-the largest |mu|: three passes or so instead of ten, and the same float.
-
-The roots of the reduced polynomial q (phi = x^z q(x^r)) feed only the
-matching energy, the sum of |x_i| over all roots of phi: each nonzero
-root mu of q yields exactly r roots of phi of modulus |mu|**(1/r) and
-the zero root adds nothing, hence ME = r * sum |mu|**(1/r). q's
-coefficient list, highest degree first, is (-1)^k m(H,k) for
-k = 0..nu, read off the matching counts (see `matching`), which do not
-depend on r; nor do its roots.
-
-Most superforests are power superforests: every edge has at most two
-vertices of degree >= 2, so the input is the r-th power G^(r) of an
-ordinary forest G and has G's matching counts. phi(G) is then the
-characteristic polynomial of G's adjacency matrix, so the roots of q
-are lam^2 for the positive eigenvalues lam of G, and
-ME = r * sum lam^(2/r). G is bipartite, so lam are the singular values
-of its biadjacency matrix, a problem of half the order of the
-adjacency matrix: one singular-value call, with an error bound from
-Weyl's inequality and no root finding. Every other superforest takes
-the eigenvalues of the companion matrix of q, which carry no error
-bound: their matching energy is not certified.
-
-An input keeps what needs its labelled edges or a search; everything
-else is a view of its core shape (see `hypergraph._memo`). The record
-of an input keeps rho and the exact characteristic polynomial, which
-is also kept per component, in the component's own record, so a tree
-that recurs across the disjoint unions of a suite is computed once.
-The spectrum of q, the roots mu and, for a power superforest, the base
-forest's eigenvalues with their Weyl error bound, is kept once per core
-shape (see `hypergraph._shape_memo`), so one family member at r = 2..5
-pays for one singular-value call or one companion root-finding. ME and
-its bound are summed from it on each call, held to that call's
-default_tol(). clear_polynomial_cache() forgets them all.
+What each result is kept with is stated in `hypergraph`'s module
+docstring, and how it is computed in the docstring of the function
+that computes it: `_search_radius` for rho, `_energy` for ME.
 
 This is the only module that imports numpy. When that import is the one
 that loads numpy, and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
@@ -213,9 +170,10 @@ def largest_real_root(q: SparsePolynomial) -> float:
 
 
 # Passes of the safeguarded Newton search before plain bisection takes
-# over; on small supertrees about ten suffice when the search starts from
-# its bound and three or four from a seed, twenty to thirty on a loose
-# path of a thousand edges.
+# over, should the steps stall. It caps a search that goes wrong, not one
+# that converges: on loose paths, W and random supertrees at r = 2, 3 and 5
+# with up to 800 edges, and on 300 random supertrees with up to 40, the
+# longest search took 35 passes from its bound and 17 from a seed.
 _MAX_PASSES = 100
 
 # How far above a seed the first trial lies, relative to it (about 1e-9).
@@ -302,31 +260,31 @@ def _tree_pass(
 
 def spectral_radius(hg: UniformHypergraph) -> float:
     """Largest root of the matching polynomial of a superforest, kept in
-    the record of hg, found by _search_radius.
+    the record of hg's core shape under ("rho", r), found by
+    _search_radius.
 
     The search starts from the largest |mu|^(1/r) of the roots mu of q
-    when the record of hg's core shape has them (from matching_energy or
+    when the shape's record has them (from matching_energy or
     spectral_summary of any input of that shape, at any r), and from its
     own bound otherwise: the same float either way. Never computes phi.
     An edgeless hypergraph has spectral radius 0; a hypergraph with a
     cycle raises HypergraphError. The result is accurate to the last
     bits of a float, so it takes no tolerance.
     """
-    return _memo(hg, "rho", _seeded_radius)
+    rec = _shape(hg)
+    rho = rec.get(("rho", hg.r))
+    if rho is None:
+        q_roots = rec["spectrum"][0] if "spectrum" in rec else ()
+        # rho^r is the largest |mu| (rho is the largest root of phi)
+        seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
+        rho = rec[("rho", hg.r)] = _search_radius(rec["shape"], hg.r, seed)
+    return rho
 
 
-def _seeded_radius(hg: UniformHypergraph) -> float:
-    # the roots of q depend on the core shape alone, so they seed the
-    # search at every r once any input of that shape has found them
-    spectrum = _shape(hg).get("spectrum")
-    q_roots = spectrum[0] if spectrum is not None else ()
-    # rho^r is the largest |mu| (rho is the largest root of phi)
-    seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
-    return _search_radius(hg, seed)
-
-
-def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
-    """Largest root of the matching polynomial of a superforest.
+def _search_radius(shape, r: int, seed: float | None) -> float:
+    """Largest root of the matching polynomial of the superforest with
+    core shape `shape` (see `rooted_superforest`) and edge size r; 0.0
+    when it has no edge.
 
     x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
     rooted superforest is positive (Heilmann-Lieb, Godsil), so each pass
@@ -344,17 +302,16 @@ def _search_radius(hg: UniformHypergraph, seed: float | None) -> float:
     without a seed; seeds that are not finite and > 0, or not below the
     bound the search starts from without one, are ignored.
     """
-    if not hg.edges:
+    roots, belows = shape
+    k_max = max(map(len, belows), default=0)
+    if not k_max:
         return 0.0
-    roots, belows = _shape(hg)["shape"]
     post = range(len(belows) - 1, -1, -1)  # children before parents
     is_root = [False] * len(belows)
     for root in roots:
         is_root[root] = True
     # With every R_u >= c, R_w >= x - k / c^(r-1) for k child edges, so
     # x = c + k_max / c^(r-1), smallest at c^r = (r-1) k_max, is above rho.
-    r = hg.r
-    k_max = max(map(len, belows))
     c = ((r - 1) * k_max) ** (1.0 / r)
     hi = c + k_max / c ** (r - 1)
     lo = 0.0  # a leaf has R = x, so 0 is never above rho
@@ -487,7 +444,9 @@ def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, f
     forest (power 2), taken as the singular values of its biadjacency
     matrix (see `_power_spectrum`), each within delta of the true one;
     otherwise they are the moduli |mu| of the companion roots of q
-    (power 1), with no error bound (delta None)."""
+    (power 1), with no error bound (delta None). None of it depends on
+    r, and root finding on the degree-nu q is far better conditioned than
+    on phi with its zero cluster."""
     # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
     q = [-c if k & 1 else c for k, c in enumerate(counts)]
     base = _base_forest(shape)
@@ -500,7 +459,10 @@ def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, f
 def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
     """The roots of q (phi = x^z q(x^r)) and ME = r * sum v^(power/r),
     read from the spectrum of hg's core shape (see `_spectrum`), which is
-    found once for every r. With each eigenvalue lam of a base forest
+    found once for every r. ME is the sum of |x_i| over all roots of
+    phi: each nonzero root mu of q yields exactly r roots of phi of
+    modulus |mu|^(1/r), and the zero root adds nothing, hence
+    ME = r * sum |mu|^(1/r). With each eigenvalue lam of a base forest
     within delta of the true one, the error of ME is at most
     2 delta sum lam^(2/r) / (lam - delta); RootFindingError is raised,
     on every call, when that bound exceeds tol * ME."""

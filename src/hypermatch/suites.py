@@ -2,37 +2,16 @@
 bridging, and path/double-pendant constructions.
 
 Each suite builds both sides of an identity and hands them to
-`check_cospectral`, which decides the case: matching polynomials equal
-exactly, spectral radius and matching energy (computed per side)
-differing by at most 10 * default_tol() (HG_TOL, default 1e-10), an
-absolute difference, not a relative one, and for r = 2 the exact
-adjacency characteristic polynomials equal too. A suite then ANDs its
-own conditions into the case's verdict. Suites are deterministic given
-(seed, ranges, HG_TOL); the JSON serialization of a report, one line of
-compact JSON with sorted keys, is byte-for-byte reproducible (elapsed
-time is reported in the human table only). Failing cases carry a
-reproduction command, HG_TOL included. A side whose matching energy
-raises RootFindingError fails its own case only: the message goes under
-"error" and that side's ME is null.
+`check_cospectral`, which decides the case, and then ANDs its own
+conditions into the case's verdict. Suites are deterministic given
+(seed, ranges, HG_TOL), and a report's JSON is byte-for-byte
+reproducible (see `SuiteReport.to_json_dict`).
 
-Suites meet the same input more than once: path-w's lhs at (m, n) is
-its rhs at (n, m), neighbouring cases of coalesce's chain share a side,
-and bridge's unions at m = 1 are the bridged objects themselves. An
-input keeps what needs its labelled edges or a search, its core shape,
-rho and the r = 2 characteristic polynomial, in its record (see
-`hypergraph._memo`), so a repeated side is served from there. What does
-not depend on r, the matching counts, the spectrum of q and the
-canonical code, is kept once per core shape, so a side whose shape was
-met at another r does not pay for them again; phi and ME are views of
-them, read on each call.
-check_cospectral asks for each side's ME before its rho, whose search
-then starts from the roots of q that ME found.
-
-The sides themselves are built once too. path-w builds each loose path,
-each W and each union on first use at an edge size and keeps it for the
-rest of the grid, so a grid that runs no case builds nothing. bridge
-deletes each trial's two anchors and takes the closed form's factors
-phi_g, phi_h, phi_(g-u) and phi_(h-v) once per trial, for every m.
+Suites meet the same input, or its core shape at another r, more than
+once: path-w's lhs at (m, n) is its rhs at (n, m), neighbouring cases of
+coalesce's chain share a side, bridge's unions at m = 1 are the bridged
+objects themselves, and every suite runs each r. The cache of
+`hypergraph` serves each repeat from its record.
 """
 
 from __future__ import annotations
@@ -52,7 +31,7 @@ from .families import (
     loose_path,
     random_supertree,
 )
-from .hypergraph import UniformHypergraph, _shared_edge_size, are_isomorphic, disjoint_union, isolated
+from .hypergraph import UniformHypergraph, _integer, _shared_edge_size, are_isomorphic, disjoint_union, isolated
 from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
 from .spectra import (
@@ -195,11 +174,16 @@ def _finalize(report: SuiteReport, started: float, r_list, options: str) -> Suit
     return report
 
 
-def _check_counts(**counts: int) -> None:
-    """ValueError naming the first count below 0; 0 runs no case of its kind."""
-    for name, value in counts.items():
+def _counts(**counts) -> list[int]:
+    """The counts as plain ints, read by the hypergraph layer's rule for
+    integers (`hypergraph._integer`: bools and floats raise). ValueError
+    naming the first count that is no integer, else the first below 0;
+    0 runs no case of its kind."""
+    out = [_integer(value, name) for name, value in counts.items()]
+    for name, value in zip(counts, out):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    return out
 
 
 def _premise_pair(r: int):
@@ -223,9 +207,10 @@ def suite_coalesce(
     deleted sides have equal phi and are isomorphic, while the pair
     itself is not isomorphic); (b) sampled gluings onto random
     supertrees; (c) the full chain of mixed shared-vertex powers up to
-    m_max copies. ValueError if trials or m_max is below 0.
+    m_max copies. ValueError if trials or m_max is no integer or is
+    below 0.
     """
-    _check_counts(trials=trials, m_max=m_max)
+    trials, m_max = _counts(trials=trials, m_max=m_max)
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
@@ -315,9 +300,10 @@ def suite_bridge(
     For each sampled (G, H, u, v) and each copy count m <= m_max the two
     padded unions must be a passing cospectral case, their phi must match
     the closed form, and the two connected bridged objects must agree in
-    spectral radius. ValueError if trials or m_max is below 0.
+    spectral radius. ValueError if trials or m_max is no integer or is
+    below 0.
     """
-    _check_counts(trials=trials, m_max=m_max)
+    trials, m_max = _counts(trials=trials, m_max=m_max)
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
@@ -391,7 +377,14 @@ def suite_path_w(
     """The swap family: a loose path of length m-5 next to a
     double-pendant path with n-1 edges is cospectral with the (m, n)
     swap. Exhaustive over the given (m, n) grid; pairs with m != n must
-    additionally be non-isomorphic."""
+    additionally be non-isomorphic. ValueError, before any case runs, if
+    a range holds a value that is no integer (by `_counts`' rule), or is
+    not empty and starts below 6: side(m, n) holds W_(n-1), and W needs
+    5 edges, and the swap puts m in place of n."""
+    for name, (lo, hi) in (("m_range", m_range), ("n_range", n_range)):
+        lo, hi = _integer(lo, name), _integer(hi, name)
+        if lo <= hi and lo < 6:
+            raise ValueError(f"{name} must start at 6 or more, got {lo}:{hi}")
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     report = SuiteReport("path-w")

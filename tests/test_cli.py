@@ -328,6 +328,17 @@ class TestSuiteCommand:
         assert out == ""
         assert err.startswith(f"error: {named} must be >= 0") and "Traceback" not in err
 
+    @pytest.mark.parametrize("options, named", [
+        (("--m-range", "5:6"), "m_range"),
+        (("--m-range", "1:1"), "m_range"),
+        (("--n-range", "6:10", "--m-range", "6:6", "--n-range", "4:9"), "n_range"),
+    ])
+    def test_path_w_range_below_6_exits_2_naming_it(self, capsys, options, named):
+        code, out, err = run(capsys, "suite", "--name", "path-w", "--r", "3", *options)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named} must start at 6 or more") and "Traceback" not in err
+
     def test_bridge_with_no_copy_exits_1(self, capsys):
         code, out, _ = run(capsys, "suite", "--name", "bridge", "--r", "3", "--m-max", "0")
         assert code == 1

@@ -43,13 +43,19 @@ from hypermatch import (
     spectral_summary,
     tree_char_poly,
 )
+from hypermatch.hypergraph import rooted_superforest
 from hypermatch.spectra import _search_radius
 
 TOL = 1e-10
 
-# What an input's record may keep: what needs its labelled edges or a
-# search. Everything else, phi and ME among it, is a view of its shape.
-KEPT_PER_INPUT = {"shape", "rho", "char_poly"}
+# What an input's record may keep: what must read its labelled edges.
+# Everything else, rho among it, is kept with its core shape.
+KEPT_PER_INPUT = {"shape", "char_poly"}
+
+
+def _search(hg, seed=None):
+    """_search_radius on hg's core shape and edge size, with no record."""
+    return _search_radius(rooted_superforest(hg)[1], hg.r, seed)
 
 
 class TestRoots:
@@ -422,15 +428,15 @@ class TestSpectralSummary:
         for hg in inputs:
             # the summary's rho is searched from the roots of q, on a cold record
             clear_polynomial_cache()
-            assert spectral_summary(hg).rho == _search_radius(hg, None)
+            assert spectral_summary(hg).rho == _search(hg)
 
     def test_any_seed_gives_the_same_rho(self):
         for hg in (spider(3, 2), random_supertree(4, 20, random.Random(4)), loose_path(2, 30).hg):
-            rho = _search_radius(hg, None)
+            rho = _search(hg)
             seeds = [rho * 1.5, rho * 1e6, 1e300, rho * (1 + 1e-15), rho, rho * (1 - 1e-12),
                      rho * (1 - 1e-9), rho * 0.5, 1e-300, 0.0, -rho, math.nan, math.inf, -math.inf]
             for seed in seeds:
-                assert _search_radius(hg, seed) == rho, seed
+                assert _search(hg, seed) == rho, seed
 
     def test_plain_bisection_gives_the_same_rho(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -438,11 +444,11 @@ class TestSpectralSummary:
         rng = random.Random(30)
         inputs = [random_supertree(rng.randint(2, 5), rng.randint(1, 30), rng) for _ in range(60)]
         inputs += [spider(4, 2), family_w(5, 8).hg, loose_path(2, 40).hg]
-        expected = [(_search_radius(hg, None), spectral_summary(hg).q_roots) for hg in inputs]
+        expected = [(_search(hg), spectral_summary(hg).q_roots) for hg in inputs]
         monkeypatch.setattr(spectra, "_MAX_PASSES", 0)  # no Newton step at all
         for hg, (rho, q_roots) in zip(inputs, expected):
             seed = max(map(abs, q_roots)) ** (1.0 / hg.r)
-            assert _search_radius(hg, None) == _search_radius(hg, seed) == rho
+            assert _search(hg) == _search(hg, seed) == rho
 
     def test_seeded_search_takes_few_passes(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -491,10 +497,10 @@ class TestSpectralSummary:
 
 
 class TestRecord:
-    """Each input keeps one record of what needs its labelled edges or a
-    search: its core shape's record, rho and the r = 2 characteristic
-    polynomial, filled field by field. phi and ME are views of the core
-    shape's record, built on each call."""
+    """Each input keeps one record of what must read its labelled edges:
+    its core shape's record and the r = 2 characteristic polynomial,
+    filled field by field. rho is kept in the shape's record for each r,
+    and phi and ME are views of that record, built on each call."""
 
     @staticmethod
     def _count(monkeypatch, module, name, calls):
@@ -512,7 +518,8 @@ class TestRecord:
                              (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
-        per_input = ["rooted_superforest", "_search_radius"]
+        per_input = ["rooted_superforest"]
+        per_shape_and_r = ["_search_radius"]  # each input here has its own (shape, r)
         clear_polynomial_cache()
         for _ in range(2):
             assert matching_polynomial(inputs[0]) == matching_polynomial(inputs[0])
@@ -525,14 +532,14 @@ class TestRecord:
             assert are_isomorphic(inputs[0], inputs[0]) and are_isomorphic(inputs[0], inputs[0])
             assert are_isomorphic(inputs[1], other) == are_isomorphic(other, inputs[1])
             assert sorted(calls) == sorted(
-                (per_input + ["_superforest_counts"]) * 2 + ["roots", "_power_spectrum"]
+                (per_input + per_shape_and_r + ["_superforest_counts"]) * 2 + ["roots", "_power_spectrum"]
                 + ["rooted_superforest", "_tree_char_poly"] + ["_centre_codes"] * 3
             )
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
             # one core shape at every r: its counts, its spectrum (from the
             # singular values of the base forest, or from the roots of q off the
-            # power route) and its code once, rho and the rest once per r
+            # power route) and its code once, rho once per r, the core per input
             for member, rs, spectrum in ((lambda r: family_w(r, 7).hg, (2, 3, 4, 5), "_power_spectrum"),
                                          (lambda r: spider(r, 2), (3, 4, 5), "roots")):
                 members = [member(r) for r in rs]
@@ -541,10 +548,37 @@ class TestRecord:
                     matching_polynomial(hg)
                     assert are_isomorphic(hg, hg)
                 assert sorted(calls) == sorted(
-                    per_input * len(rs) + ["_superforest_counts", spectrum, "_centre_codes"]
+                    (per_input + per_shape_and_r) * len(rs) + ["_superforest_counts", spectrum, "_centre_codes"]
                 )
                 calls.clear()
             clear_polynomial_cache()
+
+    def test_rho_searched_once_per_shape_and_edge_size(self, monkeypatch):
+        import hypermatch.hypergraph as hypergraph
+        import hypermatch.spectra as spectra
+
+        calls = []
+        self._count(monkeypatch, spectra, "_search_radius", calls)
+        path = loose_path(3, 4).hg
+        relabelled = build(3, 9, [[0, 2, 3], [1, 2, 4], [4, 5, 6], [6, 7, 8]])  # 1 and 3 swapped
+        wider = loose_path(4, 4).hg
+        assert path != relabelled
+        assert len({rooted_superforest(hg)[1] for hg in (path, relabelled, wider)}) == 1
+        clear_polynomial_cache()
+        rho3 = spectral_radius(path)
+        assert spectral_radius(relabelled) == rho3
+        assert len(calls) == 1  # two labellings at r = 3 share one search
+        rho4 = spectral_radius(wider)
+        assert len(calls) == 2  # the same shape at r = 4 gets its own
+        rec = hypergraph._shape(path)
+        assert rec is hypergraph._shape(relabelled) is hypergraph._shape(wider)
+        assert rec[("rho", 3)] == rho3 and rec[("rho", 4)] == rho4
+        for hg, rho in ((relabelled, rho3), (wider, rho4)):
+            clear_polynomial_cache()
+            assert spectral_radius(hg) == rho == _search(hg)
+        assert _search_radius(rooted_superforest(isolated(4, 3))[1], 3, None) == 0.0
+        assert _search_radius(((), ()), 3, 1.0) == 0.0  # no vertex at all
+        assert spectral_radius(isolated(4, 3)) == 0.0
 
     def test_oracle_kept_per_component(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -610,7 +644,7 @@ class TestRecord:
             with pytest.raises(RootFindingError, match="only certain"):
                 fn(hg)
         assert "spectrum" in hypergraph._shape(hg)  # its roots seed the search
-        assert spectral_radius(hg) == _search_radius(hg, None)
+        assert spectral_radius(hg) == _search(hg)
 
     def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph

@@ -1,5 +1,6 @@
 """Suite harness: correctness, determinism, and failure reporting."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -25,6 +26,7 @@ from hypermatch import (
     suite_coalesce,
     suite_path_w,
 )
+from hypermatch.hypergraph import rooted_superforest
 from hypermatch.suites import SUITES, SuiteReport, _finalize
 
 
@@ -114,17 +116,18 @@ class TestCheckCospectral:
         seeds = []
         search = spectra._search_radius
         monkeypatch.setattr(
-            spectra, "_search_radius", lambda hg, seed: seeds.append((hg, seed)) or search(hg, seed)
+            spectra, "_search_radius",
+            lambda shape, r, seed: seeds.append((shape, r, seed)) or search(shape, r, seed),
         )
         r = 3
         lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
         rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
         clear_polynomial_cache()
         case = check_cospectral(lhs, rhs)
-        assert [hg for hg, _ in seeds] == [lhs, rhs]
-        for (hg, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
+        assert [(shape, r) for shape, r, _ in seeds] == [(rooted_superforest(hg)[1], hg.r) for hg in (lhs, rhs)]
+        for (shape, r, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
             assert seed == pytest.approx(rho, rel=1e-9)
-            assert rho == search(hg, None)
+            assert rho == search(shape, r, None)
         check_cospectral(rhs, lhs)  # both sides served from their records
         assert len(seeds) == 2
 
@@ -193,6 +196,48 @@ class TestSuites:
         with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
             suite(r_list=(3,), **kwargs)
 
+    @pytest.mark.parametrize("suite", [suite_coalesce, suite_bridge])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"trials": True}, "trials"),
+        ({"trials": 2.5}, "trials"),
+        ({"m_max": 2.0}, "m_max"),
+        ({"m_max": False}, "m_max"),
+        ({"trials": "3", "m_max": -1}, "trials"),
+    ])
+    def test_count_that_is_no_integer_raises(self, suite, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            suite(r_list=(3,), **kwargs)
+
+    def test_integer_types_count_as_their_value(self):
+        class Two:  # an integer type that is no int, as numpy's are
+            def __index__(self):
+                return 2
+
+        for suite in (suite_coalesce, suite_bridge):
+            report = suite(r_list=(3,), trials=Two(), m_max=Two())
+            assert report.to_json() == suite(r_list=(3,), trials=2, m_max=2).to_json()
+
+    @pytest.mark.parametrize("grid, name", [
+        ({"m_range": (5, 6)}, "m_range"),
+        ({"m_range": (1, 1)}, "m_range"),
+        ({"n_range": (0, 8)}, "n_range"),
+        ({"m_range": (3, 10), "n_range": (4, 10)}, "m_range"),
+        ({"m_range": (10, 6), "n_range": (5, 5)}, "n_range"),
+    ])
+    def test_path_w_range_below_6_raises_before_any_case(self, monkeypatch, grid, name):
+        monkeypatch.setattr(suites, "check_cospectral", lambda *a, **k: pytest.fail("a case ran"))
+        with pytest.raises(ValueError, match=f"^{name} must start at 6 or more, got "):
+            suite_path_w(r_list=(3,), **grid)
+
+    @pytest.mark.parametrize("grid, name", [
+        ({"m_range": (6.0, 7)}, "m_range"),
+        ({"m_range": (True, 7)}, "m_range"),
+        ({"n_range": (6, 6.5)}, "n_range"),
+    ])
+    def test_path_w_range_that_is_no_integer_raises(self, grid, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            suite_path_w(r_list=(3,), **grid)
+
     def test_zero_trials_keeps_the_other_parts(self):
         report = suite_coalesce(r_list=(3,), trials=0, m_max=1)
         assert report.passed
@@ -246,6 +291,30 @@ class TestSuites:
         table = report.human_table()
         assert "suite path-w: PASS" in table
         assert "elapsed" in table
+
+
+# sha256 of the cases of each default report, without ME and with each rho
+# as float.hex(). ME is left out because its last bits depend on LAPACK;
+# phi is exact, and rho depends only on IEEE +, -, * and / in
+# `spectra._tree_pass`, so these hold on every Python. A change that
+# alters phi or rho on purpose updates them and says why.
+GOLDEN_PHI_RHO = {
+    "coalesce": "f7d696bcbc7509e2439c111437a60f9f07775e7906362977722a11dd060da922",
+    "bridge": "6a2e1a85086234310a82a66d2ac9ea0f9f18fed42b5d4c6dcb255be6b16ea9f8",
+    "path-w": "5b003551eeedc0ca78ebf366ce61eda5b08cbad25f7ae1322ca32cf7b02b76fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PHI_RHO))
+def test_default_reports_keep_their_phi_and_rho(name):
+    cases = json.loads(run_suite(name).to_json())["cases"]
+    for case in cases:
+        del case["me_lhs"], case["me_rhs"]
+        for key in case:
+            if key.startswith("rho"):
+                case[key] = float.hex(case[key])
+    digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_PHI_RHO[name]
 
 
 class TestSharedAcrossEdgeSizes:
