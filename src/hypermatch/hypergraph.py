@@ -12,13 +12,11 @@ results by name:
   its core shape, and the r = 2 characteristic polynomial (filled by
   `_memo`, also per component);
 * a core shape keeps what the shape determines (filled by
-  `_shape_memo`): the matching counts, the spectrum of q and the
-  canonical code, which do not depend on r, and rho under ("rho", r)
-  for each r. One family member at r = 2..5 has one shape, so it pays
-  once for the first three, and inputs with one shape at one r share
-  one rho.
-phi and ME are views of the shape's record, built on each call, so a
-changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
+  `_shape_memo`): the matching counts, the spectrum of q, the canonical
+  code and rho^r, the top root of q. None of them depends on r, so one
+  family member at r = 2..5 pays once for each.
+phi, ME and rho are views of the shape's record, built on each call, so
+a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.
 
 Values are immutable; every operation returns a new hypergraph. Vertices

@@ -173,98 +173,91 @@ def largest_real_root(q: SparsePolynomial) -> float:
 # over, should the steps stall. It caps a search that goes wrong, not one
 # that converges: on loose paths, W and random supertrees at r = 2, 3 and 5
 # with up to 800 edges, and on 300 random supertrees with up to 40, the
-# longest search took 35 passes from its bound and 17 from a seed.
+# longest search took 19 passes from its bound and 15 from a seed.
 _MAX_PASSES = 100
 
 # How far above a seed the first trial lies, relative to it (about 1e-9).
 # Seeds from the roots of q of random supertrees with 4 to 40 edges were
-# within 8e-12 of rho; with 50 to 150 edges a quarter were more than this
-# below it, as companion roots of large q can be: the search then goes on
-# from the bound it starts from without a seed.
+# within 5e-11 of rho^r, relative; with 50 to 150 edges 45 of 150 were
+# more than this below it, as companion roots of large q can be: the
+# search then goes on from the bound it starts from without a seed.
 _SEED_MARGIN = 2.0**-30
 
 
 def _tree_pass(
-    x: float,
-    post: range,
+    y: float,
+    post: list[int],
     belows: tuple[tuple[tuple[int, ...], ...], ...],
     is_root: list[bool],
-    r: int,
 ):
-    """One bottom-up pass of R_w = x - sum_e prod_{u in e - w} 1/R_u,
-    with its derivative D_w = 1 + sum_e (prod_u 1/R_u) sum_u D_u/R_u,
+    """One bottom-up pass of T_w = 1 - (1/y) sum_e prod_{u in below_e} 1/T_u
+    and D_w = dT_w/dy = (1/y) sum_e (prod_u 1/T_u) (1/y + sum_u D_u/T_u)
     over the core shape that rooted_superforest returns, children first.
-    A degree-1 vertex has R = x and D/R = 1/x. An edge entered from w has
-    k = r - 1 - len(below) of them, so they enter as the factor x^-k and
-    the term k/x, read from one table by len(below): this is the only
-    place where r meets the core.
+    At y = x^r, T_w = R_w/x for R_w = phi(H_w)/phi(H_w - w), H_w the
+    branch at w: each of an edge's r - 1 other vertices gives a factor
+    1/x, and a degree-1 vertex has R = x, so T = 1. r does not appear.
 
-    Returns None if R_w <= 0 at a vertex that is not a component root:
-    then x <= rho and nothing more is known. Otherwise returns
+    Returns None if T_w <= 0 at a vertex that is not a component root:
+    then y <= rho^r and nothing more is known. Otherwise returns
     (above, lower, upper):
 
-    * above: every R_w > 0, which holds exactly when x > rho.
-    * lower: the largest Newton step x - R_c/D_c on the root R_c of a
-      component. Where the other R_w of its component are positive, R_c
-      is increasing and concave (each 1/R_u is positive, decreasing and
-      convex, and so are their products), so this step lands at or
-      below the top root of that component, from either side: lower is
-      at most rho.
-    * upper (None unless above): the largest Newton step on phi of a
-      component, x - 1/sum_w D_w/R_w over its vertices (phi of a
-      component is the product of its R_w). From above it lands near
-      rho, and quadratically close once x is; it is a guess, not a
-      bound.
+    * above: every T_w > 0, which holds exactly when y > rho^r.
+    * lower: the largest Newton step y - T_c/D_c on the root T_c of a
+      component. Where the other T_w of its component are positive, T_c
+      is increasing and concave (1/y and each 1/T_u are positive,
+      decreasing and convex, and so are their products), so this step
+      lands at or below the top root of that component, from either
+      side: lower is at most rho^r.
+    * upper (None unless above): the largest Newton step on the product
+      of a component's T_w, whose positive roots are those of its q:
+      y - 1/sum_w D_w/T_w. From above it lands near rho^r, and
+      quadratically close once y is; it is a guess, not a bound.
 
-    Every R_w is a composition of float operations that are each
-    monotone, so it never decreases as x grows, and `above` changes
+    Every T_w is a composition of float operations that are each
+    monotone, so it never decreases as y grows, and `above` changes
     only once along the floats.
     """
-    p = 1.0
-    fold = [(p, 0.0)]  # (x^-k, k/x) for k = 0..r-1, by divisions, which stay monotone
-    for k in range(1, r):
-        p /= x
-        fold.append((p, k / x))
-    fold.reverse()  # fold[j] for an edge with len(below) = j, so k = r - 1 - j
+    inv = 1.0 / y
     n = len(is_root)
-    big_r = [0.0] * n
-    ratio = [0.0] * n  # D_w / R_w
+    big_t = [0.0] * n
+    ratio = [0.0] * n  # D_w / T_w
     above = True
     lower = upper = total = 0.0
     for w in post:  # the vertices of a component, then its root
-        s = x
-        d = 1.0
+        s = 1.0
+        d = 0.0
         for below in belows[w]:
-            p, t = fold[len(below)]
-            total += t
+            p = t = inv
             for u in below:
-                p /= big_r[u]
+                p /= big_t[u]
                 t += ratio[u]
             s -= p
             d += p * t
         if not is_root[w]:
             if s <= 0.0:
                 return None
-            big_r[w] = s
+            big_t[w] = s
             ratio[w] = d / s
             total += ratio[w]
             continue
-        lower = max(lower, x - s / d)
+        lower = max(lower, y - s / d)
         if s <= 0.0:
             above = False
         else:
-            upper = max(upper, x - 1.0 / (total + d / s))
+            upper = max(upper, y - 1.0 / (total + d / s))
         total = 0.0
     return above, lower, upper if above else None
 
 
 def spectral_radius(hg: UniformHypergraph) -> float:
-    """Largest root of the matching polynomial of a superforest, kept in
-    the record of hg's core shape under ("rho", r), found by
-    _search_radius.
+    """Largest root of the matching polynomial of a superforest: top **
+    (1/r) for the top root `top` of q (phi = x^z q(x^r)), which depends
+    on the core shape alone. `top` is found by _search_radius and kept
+    in the shape's record under "top_root", once for every r; the
+    ** (1/r), by the C library's pow, is the one place where r meets rho.
 
-    The search starts from the largest |mu|^(1/r) of the roots mu of q
-    when the shape's record has them (from matching_energy or
+    The search starts from the largest |mu| of the roots mu of q when
+    the shape's record has them (from matching_energy or
     spectral_summary of any input of that shape, at any r), and from its
     own bound otherwise: the same float either way. Never computes phi.
     An edgeless hypergraph has spectral radius 0; a hypergraph with a
@@ -272,33 +265,37 @@ def spectral_radius(hg: UniformHypergraph) -> float:
     bits of a float, so it takes no tolerance.
     """
     rec = _shape(hg)
-    rho = rec.get(("rho", hg.r))
-    if rho is None:
+    top = rec.get("top_root")
+    if top is None:
         q_roots = rec["spectrum"][0] if "spectrum" in rec else ()
-        # rho^r is the largest |mu| (rho is the largest root of phi)
-        seed = max(map(abs, q_roots)) ** (1.0 / hg.r) if q_roots else None
-        rho = rec[("rho", hg.r)] = _search_radius(rec["shape"], hg.r, seed)
-    return rho
+        top = rec["top_root"] = _search_radius(rec["shape"], max(map(abs, q_roots), default=None))
+    return top ** (1.0 / hg.r)
 
 
-def _search_radius(shape, r: int, seed: float | None) -> float:
-    """Largest root of the matching polynomial of the superforest with
-    core shape `shape` (see `rooted_superforest`) and edge size r; 0.0
-    when it has no edge.
+def _search_radius(shape, seed: float | None) -> float:
+    """rho^r, the top root of q, of the superforests with core shape
+    `shape` (see `rooted_superforest`) at every r; 0.0 when it has no
+    edge.
 
-    x > rho exactly when every R_w(x) = phi(T_w)/phi(T_w - w) of the
-    rooted superforest is positive (Heilmann-Lieb, Godsil), so each pass
-    of _tree_pass certifies x as an upper bound or refutes it. The
-    bracket [refuted, certified] shrinks by Newton steps on phi from
-    above and on the root's R from below, capped at the midpoint between
-    the certified end and the best lower estimate, until its ends are
-    adjacent floats; the certified end is returned. One pass covers every
-    component.
+    y > rho^r exactly when every T_w(y) of _tree_pass is positive, as
+    x > rho exactly when every R_w(x) is (Heilmann-Lieb, Godsil), so
+    each pass certifies y as an upper bound or refutes it. The bracket
+    [refuted, certified] shrinks by Newton steps on the product of the
+    T_w from above and on the root's T from below, capped at the
+    midpoint between the certified end and the best lower estimate,
+    until its ends are adjacent floats; the certified end is returned.
+    One pass covers every component.
 
-    `seed`, an estimate of rho from the roots of q or None, moves only
+    The search starts at y = k_max (b + 1)^(b + 1) / b^b, for at most
+    k_max edges below a vertex and b vertices below an edge: with every
+    T_u >= t, T_w >= 1 - k_max t^-b / y, which is t at t = b / (b + 1),
+    so every T_w > 0. At b = 0 that y is rho^r itself, and t = 1/2
+    gives y = 2 k_max.
+
+    `seed`, an estimate of rho^r from the roots of q or None, moves only
     where the search starts: the first trial lies just above it, and
     becomes the refuted end if it is not certified. As the certified
-    predicate is monotone in x, the result is the same float with or
+    predicate is monotone in y, the result is the same float with or
     without a seed; seeds that are not finite and > 0, or not below the
     bound the search starts from without one, are ignored.
     """
@@ -306,29 +303,28 @@ def _search_radius(shape, r: int, seed: float | None) -> float:
     k_max = max(map(len, belows), default=0)
     if not k_max:
         return 0.0
-    post = range(len(belows) - 1, -1, -1)  # children before parents
+    # children before parents; an isolated vertex (T = 1) needs no pass
+    post = [w for w in range(len(belows) - 1, -1, -1) if belows[w]]
     is_root = [False] * len(belows)
     for root in roots:
         is_root[root] = True
-    # With every R_u >= c, R_w >= x - k / c^(r-1) for k child edges, so
-    # x = c + k_max / c^(r-1), smallest at c^r = (r-1) k_max, is above rho.
-    c = ((r - 1) * k_max) ** (1.0 / r)
-    hi = c + k_max / c ** (r - 1)
-    lo = 0.0  # a leaf has R = x, so 0 is never above rho
+    b = max((len(below) for below_w in belows for below in below_w), default=0)
+    hi = k_max * (b + 1) ** (b + 1) / b**b if b else 2.0 * k_max
+    lo = 0.0  # T is below 0 as y falls to 0, so 0 is never above rho^r
     res = None
-    x = seed * (1.0 + _SEED_MARGIN) if seed is not None else 0.0
-    if 0.0 < x < hi:  # false for nan
-        res = _tree_pass(x, post, belows, is_root, r)
+    y = seed * (1.0 + _SEED_MARGIN) if seed is not None else 0.0
+    if 0.0 < y < hi:  # false for nan
+        res = _tree_pass(y, post, belows, is_root)
         if res is not None and res[0]:
-            hi = x
+            hi = y
         else:
-            lo = x
+            lo = y
             res = None
     if res is None:
-        res = _tree_pass(hi, post, belows, is_root, r)
+        res = _tree_pass(hi, post, belows, is_root)
         while res is None or not res[0]:  # only if rounding spoils the bound
             hi *= 2.0
-            res = _tree_pass(hi, post, belows, is_root, r)
+            res = _tree_pass(hi, post, belows, is_root)
     above, lower, upper = res
     floor = 0.0  # the best lower estimate, not certified
     step = 0.0
@@ -336,28 +332,28 @@ def _search_radius(shape, r: int, seed: float | None) -> float:
     while True:
         mid = 0.5 * (lo + hi)
         if passes >= _MAX_PASSES:  # plain bisection, should the steps stall
-            x = mid
+            y = mid
         elif above:
             floor = max(floor, lower)
-            x = math.nextafter(hi, lo) if upper >= hi else min(upper, 0.5 * (max(lo, floor) + hi))
+            y = math.nextafter(hi, lo) if upper >= hi else min(upper, 0.5 * (max(lo, floor) + hi))
         elif lower is not None and lower > lo:
-            x = lower
-        elif lower is not None:  # R_c converged from below: step up from lo
+            y = lower
+        elif lower is not None:  # T_c converged from below: step up from lo
             step = 2.0 * step if step else math.ulp(lo)
-            x = min(lo + step, mid)
+            y = min(lo + step, mid)
         else:
-            x = mid
-        if not lo < x < hi:
-            x = mid
-            if not lo < x < hi:
+            y = mid
+        if not lo < y < hi:
+            y = mid
+            if not lo < y < hi:
                 return hi
-        res = _tree_pass(x, post, belows, is_root, r)
+        res = _tree_pass(y, post, belows, is_root)
         passes += 1
         above, lower, upper = res if res is not None else (False, None, None)
         if above:
-            hi = x
+            hi = y
         else:
-            lo = x
+            lo = y
 
 
 def _base_forest(shape) -> tuple[int, list[list[int]]] | None:

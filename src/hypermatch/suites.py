@@ -208,9 +208,10 @@ def suite_coalesce(
     itself is not isomorphic); (b) sampled gluings onto random
     supertrees; (c) the full chain of mixed shared-vertex powers up to
     m_max copies. ValueError if trials or m_max is no integer or is
-    below 0.
+    below 0, or if seed is no integer.
     """
     trials, m_max = _counts(trials=trials, m_max=m_max)
+    seed = _integer(seed, "seed")  # a plain int, so the repro line reads as CLI input
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
@@ -301,9 +302,10 @@ def suite_bridge(
     padded unions must be a passing cospectral case, their phi must match
     the closed form, and the two connected bridged objects must agree in
     spectral radius. ValueError if trials or m_max is no integer or is
-    below 0.
+    below 0, or if seed is no integer.
     """
     trials, m_max = _counts(trials=trials, m_max=m_max)
+    seed = _integer(seed, "seed")
     started = time.perf_counter()
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)

@@ -54,8 +54,9 @@ KEPT_PER_INPUT = {"shape", "char_poly"}
 
 
 def _search(hg, seed=None):
-    """_search_radius on hg's core shape and edge size, with no record."""
-    return _search_radius(rooted_superforest(hg)[1], hg.r, seed)
+    """rho from _search_radius on hg's core shape, with no record; seed is
+    in units of rho^r, the top root of q that the search finds."""
+    return _search_radius(rooted_superforest(hg)[1], seed) ** (1.0 / hg.r)
 
 
 class TestRoots:
@@ -189,6 +190,34 @@ class TestSpectralRadiusAtScale:
                 assert rho == pytest.approx(_eigvalsh_rho(hg), rel=default_tol()), seed
             else:
                 assert_top_root_exact(hg, rho, default_tol())
+
+    def test_rho_to_two_ulp_in_exact_arithmetic(self):
+        rng = random.Random(5)
+        inputs = [random_supertree(rng.randint(2, 5), rng.randint(1, 40), rng) for _ in range(150)]
+        # every edge hangs from the root: the start bound's b = 0 case
+        inputs += [power([(0, v) for v in range(1, k + 1)], r) for r in (2, 3, 4, 5) for k in (1, 2, 5, 9)]
+        inputs += [loose_path(3, 100).hg, family_w(5, 100).hg]
+        for hg in inputs:
+            rho = spectral_radius(hg)
+            assert_top_root_exact(hg, rho, 2 * math.ulp(rho) / rho)
+
+    def test_first_pass_certifies_the_start_bound(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        results = []
+        real_pass = spectra._tree_pass
+        monkeypatch.setattr(spectra, "_tree_pass", lambda *a: results.append(real_pass(*a)) or results[-1])
+        rng = random.Random(6)
+        tree = random_supertree(3, 9, rng)
+        inputs = [random_supertree(rng.randint(2, 5), rng.randint(1, 40), rng) for _ in range(100)]
+        inputs += [power([(0, v) for v in range(1, k + 1)], r) for r in (2, 3, 4, 5) for k in (1, 2, 5, 9)]
+        inputs += [power([(v, 9) for v in range(9)], 4)]  # the same star, rooted at a leaf
+        inputs += [loose_path(r, t).hg for r in (2, 3, 5) for t in (1, 2, 100)]
+        inputs += [family_w(5, 100).hg, spider(3, 2), disjoint_union(tree, tree), disjoint_union(isolated(2, 3), tree)]
+        for hg in inputs:
+            results.clear()
+            assert _search(hg) == spectral_radius(hg)
+            assert results[0] is not None and results[0][0], hg  # no doubling
 
 
 class TestMatchingEnergy:
@@ -432,11 +461,13 @@ class TestSpectralSummary:
 
     def test_any_seed_gives_the_same_rho(self):
         for hg in (spider(3, 2), random_supertree(4, 20, random.Random(4)), loose_path(2, 30).hg):
-            rho = _search(hg)
-            seeds = [rho * 1.5, rho * 1e6, 1e300, rho * (1 + 1e-15), rho, rho * (1 - 1e-12),
-                     rho * (1 - 1e-9), rho * 0.5, 1e-300, 0.0, -rho, math.nan, math.inf, -math.inf]
+            shape = rooted_superforest(hg)[1]
+            top = _search_radius(shape, None)  # rho^r: the seeds are in its units
+            seeds = [top * 1.5, top * 1e6, 1e300, top * (1 + 1e-15), top, top * (1 - 1e-12),
+                     top * (1 - 1e-9), top * 0.5, 1e-300, 0.0, -top, math.nan, math.inf, -math.inf]
             for seed in seeds:
-                assert _search(hg, seed) == rho, seed
+                assert _search_radius(shape, seed) == top, seed
+            assert top ** (1.0 / hg.r) == spectral_radius(hg)
 
     def test_plain_bisection_gives_the_same_rho(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -447,33 +478,38 @@ class TestSpectralSummary:
         expected = [(_search(hg), spectral_summary(hg).q_roots) for hg in inputs]
         monkeypatch.setattr(spectra, "_MAX_PASSES", 0)  # no Newton step at all
         for hg, (rho, q_roots) in zip(inputs, expected):
-            seed = max(map(abs, q_roots)) ** (1.0 / hg.r)
+            seed = max(map(abs, q_roots))
             assert _search(hg) == _search(hg, seed) == rho
 
-    def test_seeded_search_takes_few_passes(self, monkeypatch):
+    @staticmethod
+    def _passes_per_input(monkeypatch, rho_of):
+        """The passes of _tree_pass that rho_of takes on each of 200 random
+        supertrees, each on a cold record. Each input needs one at least:
+        a count of 0 means the passes run elsewhere than _tree_pass."""
         import hypermatch.spectra as spectra
 
         calls = []
         real_pass = spectra._tree_pass
         monkeypatch.setattr(spectra, "_tree_pass", lambda *a: calls.append(1) or real_pass(*a))
         rng = random.Random(0)
-        for _ in range(200):
-            spectral_summary(random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng))
-        assert len(calls) / 200 <= 4
-
-    def test_unseeded_search_takes_few_passes(self, monkeypatch):
-        import hypermatch.spectra as spectra
-
-        calls = []
-        real_pass = spectra._tree_pass
-        monkeypatch.setattr(spectra, "_tree_pass", lambda *a: calls.append(1) or real_pass(*a))
-        rng = random.Random(0)
+        counts = []
         for _ in range(200):
             hg = random_supertree(rng.randint(2, 5), rng.randint(4, 30), rng)
-            clear_polynomial_cache()  # no q roots in the record: the search seeds itself
-            spectral_radius(hg)
-        # the search takes about 10.5 passes here; a plain bisection takes far more
-        assert len(calls) / 200 <= 12
+            clear_polynomial_cache()
+            before = len(calls)
+            rho_of(hg)
+            counts.append(len(calls) - before)
+        assert min(counts) >= 1
+        return sum(counts) / len(counts)
+
+    def test_seeded_search_takes_few_passes(self, monkeypatch):
+        # the summary finds the roots of q first, which seed the search
+        assert self._passes_per_input(monkeypatch, spectral_summary) <= 4
+
+    def test_unseeded_search_takes_few_passes(self, monkeypatch):
+        # no q roots in the record: the search starts from its bound; it
+        # takes about 10 passes here, and a plain bisection far more
+        assert self._passes_per_input(monkeypatch, spectral_radius) <= 12
 
     def test_reads_the_tolerance_once(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -499,8 +535,8 @@ class TestSpectralSummary:
 class TestRecord:
     """Each input keeps one record of what must read its labelled edges:
     its core shape's record and the r = 2 characteristic polynomial,
-    filled field by field. rho is kept in the shape's record for each r,
-    and phi and ME are views of that record, built on each call."""
+    filled field by field. rho^r is kept in the shape's record once for
+    every r, and phi and ME are views of that record, built on each call."""
 
     @staticmethod
     def _count(monkeypatch, module, name, calls):
@@ -519,7 +555,7 @@ class TestRecord:
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
         per_input = ["rooted_superforest"]
-        per_shape_and_r = ["_search_radius"]  # each input here has its own (shape, r)
+        per_shape = ["_search_radius", "_superforest_counts"]  # each input here has its own shape
         clear_polynomial_cache()
         for _ in range(2):
             assert matching_polynomial(inputs[0]) == matching_polynomial(inputs[0])
@@ -532,14 +568,14 @@ class TestRecord:
             assert are_isomorphic(inputs[0], inputs[0]) and are_isomorphic(inputs[0], inputs[0])
             assert are_isomorphic(inputs[1], other) == are_isomorphic(other, inputs[1])
             assert sorted(calls) == sorted(
-                (per_input + per_shape_and_r + ["_superforest_counts"]) * 2 + ["roots", "_power_spectrum"]
+                (per_input + per_shape) * 2 + ["roots", "_power_spectrum"]
                 + ["rooted_superforest", "_tree_char_poly"] + ["_centre_codes"] * 3
             )
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
-            # one core shape at every r: its counts, its spectrum (from the
-            # singular values of the base forest, or from the roots of q off the
-            # power route) and its code once, rho once per r, the core per input
+            # one core shape at every r: its counts, rho^r, its spectrum (from
+            # the singular values of the base forest, or from the roots of q off
+            # the power route) and its code once, the core per input
             for member, rs, spectrum in ((lambda r: family_w(r, 7).hg, (2, 3, 4, 5), "_power_spectrum"),
                                          (lambda r: spider(r, 2), (3, 4, 5), "roots")):
                 members = [member(r) for r in rs]
@@ -548,12 +584,12 @@ class TestRecord:
                     matching_polynomial(hg)
                     assert are_isomorphic(hg, hg)
                 assert sorted(calls) == sorted(
-                    (per_input + per_shape_and_r) * len(rs) + ["_superforest_counts", spectrum, "_centre_codes"]
+                    per_input * len(rs) + per_shape + [spectrum, "_centre_codes"]
                 )
                 calls.clear()
             clear_polynomial_cache()
 
-    def test_rho_searched_once_per_shape_and_edge_size(self, monkeypatch):
+    def test_rho_searched_once_per_shape_at_every_edge_size(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph
         import hypermatch.spectra as spectra
 
@@ -561,23 +597,24 @@ class TestRecord:
         self._count(monkeypatch, spectra, "_search_radius", calls)
         path = loose_path(3, 4).hg
         relabelled = build(3, 9, [[0, 2, 3], [1, 2, 4], [4, 5, 6], [6, 7, 8]])  # 1 and 3 swapped
-        wider = loose_path(4, 4).hg
+        others = [loose_path(r, 4).hg for r in (2, 4, 5)]
         assert path != relabelled
-        assert len({rooted_superforest(hg)[1] for hg in (path, relabelled, wider)}) == 1
+        assert len({rooted_superforest(hg)[1] for hg in (path, relabelled, *others)}) == 1
         clear_polynomial_cache()
         rho3 = spectral_radius(path)
         assert spectral_radius(relabelled) == rho3
         assert len(calls) == 1  # two labellings at r = 3 share one search
-        rho4 = spectral_radius(wider)
-        assert len(calls) == 2  # the same shape at r = 4 gets its own
+        rhos = [spectral_radius(hg) for hg in others]
+        assert len(calls) == 1  # and so does the same shape at r = 2, 4 and 5
         rec = hypergraph._shape(path)
-        assert rec is hypergraph._shape(relabelled) is hypergraph._shape(wider)
-        assert rec[("rho", 3)] == rho3 and rec[("rho", 4)] == rho4
-        for hg, rho in ((relabelled, rho3), (wider, rho4)):
+        assert all(rec is hypergraph._shape(hg) for hg in (relabelled, *others))
+        assert set(rec) == {"shape", "top_root"}  # one r-free value: no key holds r
+        assert rec["top_root"] ** (1.0 / 3) == rho3
+        for hg, rho in ((relabelled, rho3), *zip(others, rhos)):
             clear_polynomial_cache()
             assert spectral_radius(hg) == rho == _search(hg)
-        assert _search_radius(rooted_superforest(isolated(4, 3))[1], 3, None) == 0.0
-        assert _search_radius(((), ()), 3, 1.0) == 0.0  # no vertex at all
+        assert _search_radius(rooted_superforest(isolated(4, 3))[1], None) == 0.0
+        assert _search_radius(((), ()), 1.0) == 0.0  # no vertex at all
         assert spectral_radius(isolated(4, 3)) == 0.0
 
     def test_oracle_kept_per_component(self, monkeypatch):
@@ -782,7 +819,7 @@ class TestSharedAcrossEdgeSizes:
         import hypermatch.hypergraph as hypergraph
 
         phi = matching_polynomial(hg)
-        rho = spectral_radius(hg)  # unseeded when cold, seeded by the shape's roots of q after another r
+        rho = spectral_radius(hg)  # searched unseeded when cold, read from the shape's record after another r
         summary = spectral_summary(hg)
         assert are_isomorphic(hg, hg)
         return phi, rho, matching_energy(hg), summary, hypergraph._shape(hg)["code"]

@@ -117,17 +117,17 @@ class TestCheckCospectral:
         search = spectra._search_radius
         monkeypatch.setattr(
             spectra, "_search_radius",
-            lambda shape, r, seed: seeds.append((shape, r, seed)) or search(shape, r, seed),
+            lambda shape, seed: seeds.append((shape, seed)) or search(shape, seed),
         )
         r = 3
         lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
         rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
         clear_polynomial_cache()
         case = check_cospectral(lhs, rhs)
-        assert [(shape, r) for shape, r, _ in seeds] == [(rooted_superforest(hg)[1], hg.r) for hg in (lhs, rhs)]
-        for (shape, r, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
-            assert seed == pytest.approx(rho, rel=1e-9)
-            assert rho == search(shape, r, None)
+        assert [shape for shape, _ in seeds] == [rooted_superforest(hg)[1] for hg in (lhs, rhs)]
+        for (shape, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
+            assert seed == pytest.approx(rho**r, rel=1e-9)  # the seed is in units of rho^r
+            assert rho == search(shape, None) ** (1.0 / r)
         check_cospectral(rhs, lhs)  # both sides served from their records
         assert len(seeds) == 2
 
@@ -217,6 +217,30 @@ class TestSuites:
             report = suite(r_list=(3,), trials=Two(), m_max=Two())
             assert report.to_json() == suite(r_list=(3,), trials=2, m_max=2).to_json()
 
+    @pytest.mark.parametrize("suite", [suite_coalesce, suite_bridge])
+    @pytest.mark.parametrize("seed", [2.5, True, 1.0, "1", None])
+    def test_seed_that_is_no_integer_raises(self, monkeypatch, suite, seed):
+        monkeypatch.setattr(suites, "check_cospectral", lambda *a, **k: pytest.fail("a case ran"))
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            suite(r_list=(3,), trials=1, m_max=1, seed=seed)
+
+    @pytest.mark.usefixtures("rho_rhs_off_by_5e_7")
+    @pytest.mark.parametrize("suite", [suite_coalesce, suite_bridge])
+    def test_integer_seeds_give_repro_lines_the_cli_reads(self, suite):
+        import numpy as np
+
+        from hypermatch.cli import _PARSER
+
+        for seed, text in ((np.int64(3), "3"), (-1, "-1")):
+            report = suite(r_list=(3,), trials=2, m_max=1, seed=seed)
+            assert report.to_json() == suite(r_list=(3,), trials=2, m_max=1, seed=int(text)).to_json()
+            failing = [case for case in report.cases if not case["passed"]]
+            assert failing  # every case fails under the fixture
+            for case in failing:
+                argv = case["repro"].split(" # ")[0].split()
+                assert argv[0] == "hypermatch" and argv[argv.index("--seed") + 1] == text
+                assert _PARSER.parse_args(argv[1:]).seed == int(text)
+
     @pytest.mark.parametrize("grid, name", [
         ({"m_range": (5, 6)}, "m_range"),
         ({"m_range": (1, 1)}, "m_range"),
@@ -295,13 +319,15 @@ class TestSuites:
 
 # sha256 of the cases of each default report, without ME and with each rho
 # as float.hex(). ME is left out because its last bits depend on LAPACK;
-# phi is exact, and rho depends only on IEEE +, -, * and / in
-# `spectra._tree_pass`, so these hold on every Python. A change that
-# alters phi or rho on purpose updates them and says why.
+# phi is exact, and rho^r depends only on IEEE +, -, * and / in
+# `spectra._tree_pass`. rho itself is rho^r ** (1/r), taken by the C
+# library's pow, which CI runs from glibc alone: another libm may move rho
+# in its last bit. A change that alters phi or rho on purpose updates these
+# and says why.
 GOLDEN_PHI_RHO = {
-    "coalesce": "f7d696bcbc7509e2439c111437a60f9f07775e7906362977722a11dd060da922",
-    "bridge": "6a2e1a85086234310a82a66d2ac9ea0f9f18fed42b5d4c6dcb255be6b16ea9f8",
-    "path-w": "5b003551eeedc0ca78ebf366ce61eda5b08cbad25f7ae1322ca32cf7b02b76fa",
+    "coalesce": "6ec693b20f705b308ab55ad5e0435a81b4724544d39c2386884ec69a9b6bdf99",
+    "bridge": "a754f5b9af8abe5d801fb7279b6c5ce8440ca94c578d301efb2b4e6de9b698ed",
+    "path-w": "eaa1b9753ac410a81fd26ae7bca49afbb47d8b8b91557986e5a1a98518d2d7f0",
 }
 
 
