@@ -11,6 +11,9 @@ root-finding failure outside the suites. The HG_TOL environment variable
 A thin layer over the library, with one parser per process: `construct`
 reads `families._FAMILIES`, and `suite` passes on only the options given
 that the suite's signature takes, so the suites state their own defaults.
+Every value printed (after `suite`'s table) is written by `_emit`: one
+line of JSON with sorted keys, a float as its repr, so `rho` and `me`
+print text that reads back as the library's float.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ def _load_hypergraph(path: str) -> UniformHypergraph:
     return UniformHypergraph.from_json_dict(data)
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(value, out_path: str | None) -> None:
+    """Write value as `SuiteReport.to_json` does, to out_path or stdout."""
+    text = json.dumps(value, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -51,7 +56,7 @@ def _emit(text: str, out_path: str | None):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -133,26 +138,23 @@ def _cmd_construct(args) -> int:
     if len(args.params) != arity:
         raise HypergraphError(f"family {args.family} takes {arity} parameter(s), got {len(args.params)}")
     built = build(args.r, *args.params)
-    payload = built.hg.to_json_dict()
-    payload["anchors"] = dict(sorted(built.anchors.items()))
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit({**built.hg.to_json_dict(), "anchors": built.anchors}, args.output)
     return 0
 
 
 def _cmd_matchpoly(args) -> int:
     hg = _load_hypergraph(args.file)
     phi = matching_polynomial_oracle(hg) if args.oracle else matching_polynomial(hg)
-    _emit(json.dumps(phi.to_json_dict(), indent=2), args.output)
+    _emit(phi.to_json_dict(), args.output)
     return 0
 
 
 def _cmd_scalar(args) -> int:
     hg = _load_hypergraph(args.file)
     if args.summary:
-        print(json.dumps(spectral_summary(hg).to_json_dict(), indent=2))
+        _emit(spectral_summary(hg).to_json_dict(), None)
     else:
-        value = spectral_radius(hg) if args.command == "rho" else matching_energy(hg)
-        print(f"{value:.15g}")
+        _emit((spectral_radius if args.command == "rho" else matching_energy)(hg), None)
     return 0
 
 
@@ -171,11 +173,7 @@ def _cmd_suite(args) -> int:
     takes = inspect.signature(SUITES[args.name]).parameters
     report = run_suite(args.name, **{k: v for k, v in vars(args).items() if k in takes})
     print(report.human_table())
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    else:
-        print(report.to_json())
+    _emit(report.to_json_dict(), args.json_path)
     return 0 if report.passed else 1
 
 

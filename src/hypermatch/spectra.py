@@ -485,13 +485,11 @@ def matching_energy(hg: UniformHypergraph) -> float:
     return _energy(hg, default_tol())[1]
 
 
-def _sig15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Numeric spectral radius, matching energy, and the q-root multiset."""
+    """Numeric spectral radius, matching energy, and the q-root multiset.
+    `to_json_dict` keeps every float as it is, so its JSON text reads back
+    as the same floats."""
 
     rho: float
     me: float
@@ -500,12 +498,10 @@ class SpectralSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "rho": _sig15(self.rho),
-            "me": _sig15(self.me),
-            "tol": _sig15(self.tol),
-            "q_roots": [
-                {"re": _sig15(z.real), "im": _sig15(z.imag)} for z in self.q_roots
-            ],
+            "rho": self.rho,
+            "me": self.me,
+            "tol": self.tol,
+            "q_roots": [{"re": z.real, "im": z.imag} for z in self.q_roots],
         }
 
 

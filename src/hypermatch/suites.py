@@ -114,11 +114,12 @@ def check_cospectral(
 
     "passed" holds when phi is equal and rho and ME each differ by at
     most 10 * default_tol(), an absolute difference. For r = 2 (the edge
-    size the two sides share) the exact adjacency characteristic
-    polynomials are compared as well, as "char_equal", and must be equal
-    too. A side whose matching energy raises RootFindingError gets ME
-    None and fails the case, with the message under "error". Callers AND
-    their own conditions into "passed".
+    size the two sides share) each side's exact adjacency characteristic
+    polynomial must equal its phi, and the phis each other, as
+    "char_equal": a phi wrong alike on both sides fails there. A side
+    whose matching energy raises RootFindingError gets ME None and fails
+    the case, with the message under "error". Callers AND their own
+    conditions into "passed".
     """
     r = _shared_edge_size(lhs, rhs)
     phi_l = matching_polynomial(lhs)
@@ -143,8 +144,8 @@ def check_cospectral(
         case["error"] = "; ".join(errors)
     if check_isomorphism:
         case["isomorphic"] = are_isomorphic(lhs, rhs)
-    if r == 2:
-        case["char_equal"] = tree_char_poly(lhs) == tree_char_poly(rhs)
+    if r == 2:  # chi = phi on a forest, so phi itself is checked too
+        case["char_equal"] = tree_char_poly(lhs) == phi_l == phi_r == tree_char_poly(rhs)
     case["passed"] = (
         case["phi_equal"]
         and case.get("char_equal", True)

@@ -18,9 +18,14 @@ from hypermatch import (
     family_w,
     family_z,
     loose_path,
+    matching_energy,
+    matching_polynomial,
     run_suite,
+    spectral_radius,
+    spectral_summary,
 )
 from hypermatch.cli import _int_list, _int_range, main
+from hypermatch.families import _FAMILIES
 from hypermatch.suites import SUITES
 
 
@@ -84,6 +89,13 @@ class TestConstruct:
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "construct", "--family", "W")[0] == 2
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("params", ["1,,2", "1,2,", ",1,2", "1, ,2"])
+    def test_empty_param_item_exits_2(self, capsys, params):
+        # an empty item is a usage error, not dropped: "1,,2" is not T(1, 2)
+        code, out, err = run(capsys, "construct", "--family", "T", "--r", "3", "--params", params)
+        assert (code, out) == (2, "")
+        assert "expected comma-separated integers" in err
 
 
 class TestMatchpoly:
@@ -204,6 +216,64 @@ class TestScalars:
         assert len(data["q_roots"]) == 2
 
 
+def load(path) -> UniformHypergraph:
+    return UniformHypergraph.from_json_dict(json.loads(path.read_text()))
+
+
+class TestOutput:
+    """Every value is printed as json.dumps(value, sort_keys=True) of the
+    library's value, on one line, so a float prints as its repr."""
+
+    SPECS = [
+        # rho of W(6) at r = 3 prints as 1.5874010519682 at 15 digits
+        ("w6.json", "W", 3, "6"),
+        # the paper's premise pair at r = 3
+        ("g.json", "R", 3, "1,1,2,4"),
+        ("h.json", "R", 3, "1,3,1,3"),
+    ]
+
+    @pytest.fixture
+    def paths(self, tmp_path, capsys):
+        return [construct_file(tmp_path, capsys, *spec) for spec in self.SPECS]
+
+    def test_rho_and_me_print_the_library_float(self, capsys, paths):
+        for path in paths:
+            hg = load(path)
+            for command, value in (("rho", spectral_radius(hg)), ("me", matching_energy(hg))):
+                code, out, _ = run(capsys, command, str(path))
+                assert code == 0
+                assert float(out) == value, (path.name, command)
+                assert out == json.dumps(value) + "\n"
+
+    def test_summary_holds_the_library_floats(self, capsys, paths):
+        for path in paths:
+            summary = spectral_summary(load(path))
+            code, out, _ = run(capsys, "me", str(path), "--summary")
+            assert code == 0
+            data = json.loads(out)
+            assert (data["rho"], data["me"], data["tol"]) == (summary.rho, summary.me, summary.tol)
+            assert [complex(z["re"], z["im"]) for z in data["q_roots"]] == list(summary.q_roots)
+
+    @pytest.mark.parametrize("name, family, r, params", SPECS)
+    def test_each_command_prints_the_library_value(self, tmp_path, capsys, name, family, r, params):
+        built = _FAMILIES[family][0](r, *map(int, params.split(",")))
+        path = tmp_path / name
+        out_path = tmp_path / "out.json"
+        expected = {
+            ("construct", "--family", family, "--r", str(r), "--params", params):
+                {**built.hg.to_json_dict(), "anchors": built.anchors},
+            ("matchpoly", str(path)): matching_polynomial(built.hg).to_json_dict(),
+            ("me", str(path), "--summary"): spectral_summary(built.hg).to_json_dict(),
+        }
+        path.write_text(json.dumps(built.hg.to_json_dict()))
+        for argv, value in expected.items():
+            text = json.dumps(value, sort_keys=True) + "\n"
+            assert run(capsys, *argv)[:2] == (0, text), argv[0]
+            if argv[0] != "me":  # -o writes the same text
+                assert run(capsys, *argv, "-o", str(out_path))[:2] == (0, "")
+                assert out_path.read_text() == text
+
+
 class TestCospectral:
     def test_premise_pair_with_trivial_gluing(self, tmp_path, capsys):
         a = construct_file(tmp_path, capsys, "a.json", "R", 3, "1,1,2,4")
@@ -273,6 +343,9 @@ class TestSuiteCommand:
         data = json.loads(payload)
         assert data["schema"] == 1
         assert data["passed"] is True
+        # the report's line, after the table, is the library's report
+        report = run_suite("path-w", r_list=(2, 3), m_range=(6, 7), n_range=(6, 7))
+        assert payload == json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
 
     def test_json_file_written_and_deterministic(self, tmp_path, capsys):
         args = (
@@ -310,6 +383,13 @@ class TestSuiteCommand:
         )
         assert code == 0
         assert "premise" in out
+
+    @pytest.mark.parametrize("r", ["", ",", "2,,3"])
+    def test_empty_edge_size_item_exits_2(self, capsys, r):
+        # an empty item is a usage error, not dropped to leave no case to run
+        code, out, err = run(capsys, "suite", "--name", "path-w", "--r", r)
+        assert (code, out) == (2, "")
+        assert "expected comma-separated integers" in err
 
     def test_suite_with_no_case_exits_1(self, capsys):
         code, out, _ = run(capsys, "suite", "--name", "path-w", "--m-range", "10:6")

@@ -173,6 +173,15 @@ class TestSuites:
         )
         assert "suite path-w: FAIL" in report.human_table()
 
+    def test_phi_wrong_alike_on_both_sides_fails_the_r2_oracle(self, monkeypatch):
+        # phi + 1 on every side keeps phi_equal, so only the oracle can see it
+        phi = suites.matching_polynomial
+        monkeypatch.setattr(suites, "matching_polynomial", lambda hg: phi(hg) + SparsePolynomial.one())
+        report = suite_path_w(r_list=(2,), m_range=(6, 7), n_range=(6, 7))
+        assert len(report.cases) == 4 and not report.passed
+        for case in report.cases:
+            assert case["phi_equal"] and case["char_equal"] is False and not case["passed"]
+
     @pytest.mark.parametrize("suite, kwargs", [
         (suite_coalesce, {"r_list": ()}),
         (suite_bridge, {"m_max": 0}),
