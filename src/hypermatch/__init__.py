@@ -6,10 +6,8 @@ from .hypergraph import (
     HypergraphError,
     UniformHypergraph,
     are_isomorphic,
-    build,
     clear_polynomial_cache,
     disjoint_union,
-    isolated,
 )
 from .polynomial import PolynomialShapeError, SparsePolynomial
 from .families import (
@@ -72,7 +70,6 @@ __all__ = [
     "are_isomorphic",
     "attach_pendant",
     "bridge",
-    "build",
     "check_cospectral",
     "clear_polynomial_cache",
     "coalesce",
@@ -85,7 +82,6 @@ __all__ = [
     "family_t",
     "family_w",
     "family_z",
-    "isolated",
     "largest_real_root",
     "loose_path",
     "matching_counts",

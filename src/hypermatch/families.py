@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 # disjoint_union is unused here, but the traced benchmark wraps it by its
@@ -53,27 +54,20 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
 
     Original vertices keep their (low) indices; fresh vertices are
     allocated per edge in input order. r = 2 returns the graph itself.
+    The graph is checked by building it, so a pair that is not two
+    distinct vertices >= 0, or that repeats, raises the constructor's
+    HypergraphError.
     """
     r = _edge_size(r)
-    seen = set()
-    edges = []
-    top = -1
-    for e in graph_edges:
-        pair = tuple(sorted(_integer(v, "a vertex", e) for v in e))
-        if len(pair) != 2 or pair[0] == pair[1] or pair[0] < 0:
-            raise HypergraphError(f"not a simple graph edge: {list(e)}")
-        if pair in seen:
-            raise HypergraphError(f"duplicate graph edge: {list(e)}")
-        seen.add(pair)
-        edges.append(pair)
-        top = max(top, pair[1])
-    out = []
+    pairs = [[_integer(v, "a vertex", e) for v in e] for e in graph_edges]
+    top = max(chain([-1], *pairs))  # -1 keeps the vertex count >= 0
+    UniformHypergraph(2, top + 1, pairs)  # raises unless a simple graph
     nxt = top + 1
-    for a, b in edges:
-        fresh = range(nxt, nxt + r - 2)
+    out = []
+    for pair in pairs:
+        out.append((*pair, *range(nxt, nxt + r - 2)))
         nxt += r - 2
-        out.append((a, b, *fresh))
-    return UniformHypergraph(r, nxt, tuple(out))
+    return UniformHypergraph(r, nxt, out)
 
 
 def attach_pendant(hg: UniformHypergraph, v: int) -> UniformHypergraph:

@@ -31,7 +31,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class HypergraphError(ValueError):
@@ -67,13 +67,16 @@ def _edge_size(r) -> int:
 class UniformHypergraph:
     """An r-uniform hypergraph on vertices 0..n-1.
 
-    Edges are stored as sorted vertex tuples in one sorted tuple, so
-    iteration order is deterministic and instances are hashable (used as
-    cache keys downstream; the hash is computed once, at construction).
-    Isolated vertices are first-class: n may
-    exceed the number of vertices covered by edges. r, n and the
-    vertices must be integers (ints, or integer types such as numpy's);
-    floats, strings and bools raise HypergraphError.
+    This constructor is the one way to build a hypergraph. `edges` may
+    be any iterable of vertex iterables (lists, tuples, generators), in
+    any order; they are stored as sorted vertex tuples in one sorted
+    tuple, so iteration order is deterministic and instances are
+    hashable (used as cache keys downstream; the hash is computed once,
+    at construction). Isolated vertices are first-class: n may exceed
+    the number of vertices covered by edges, and UniformHypergraph(r, n)
+    has no edge. r, n and the vertices must be integers (ints, or
+    integer types such as numpy's); floats, strings and bools raise
+    HypergraphError.
     """
 
     r: int
@@ -85,7 +88,7 @@ class UniformHypergraph:
         n = _integer(self.n, "vertex count")
         if n < 0:
             raise HypergraphError(f"vertex count must be >= 0, got {n}")
-        edges = tuple(self.edges)
+        edges = tuple(map(tuple, self.edges))
         if not set(map(type, chain.from_iterable(edges))) <= {int}:
             edges = [[_integer(v, "a vertex", e) for v in e] for e in edges]
         normalized = []
@@ -207,16 +210,6 @@ class UniformHypergraph:
 
     def __str__(self) -> str:
         return f"UniformHypergraph(r={self.r}, n={self.n}, m={self.num_edges})"
-
-
-def build(r: int, n: int, edges: Sequence[Sequence[int]]) -> UniformHypergraph:
-    """Validated construction from plain lists (see UniformHypergraph)."""
-    return UniformHypergraph(r, n, tuple(tuple(e) for e in edges))
-
-
-def isolated(n: int, r: int = 2) -> UniformHypergraph:
-    """n isolated vertices and no edges."""
-    return UniformHypergraph(r, n, ())
 
 
 def _shared_edge_size(g: UniformHypergraph, h: UniformHypergraph) -> int:

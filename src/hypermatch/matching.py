@@ -158,9 +158,11 @@ class ReducedPolynomial:
 def reduce_polynomial(phi: SparsePolynomial, r: int, n: int) -> ReducedPolynomial:
     """Factor a matching-shaped polynomial as x^z * q(x^r).
 
-    Requires every exponent to be congruent to n modulo r and the degree
-    to be exactly n; anything else signals a bug upstream.
+    Requires r >= 1, every exponent to be congruent to n modulo r and the
+    degree to be exactly n; anything else signals a bug upstream.
     """
+    if r < 1:
+        raise PolynomialShapeError(f"r must be >= 1, got {r}")
     if phi.is_zero():
         raise PolynomialShapeError("zero polynomial has no matching shape")
     if phi.degree() != n:

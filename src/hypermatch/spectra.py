@@ -197,17 +197,17 @@ def _tree_pass(
     branch at w: each of an edge's r - 1 other vertices gives a factor
     1/x, and a degree-1 vertex has R = x, so T = 1. r does not appear.
 
-    Returns None if T_w <= 0 at a vertex that is not a component root:
-    then y <= rho^r and nothing more is known. Otherwise returns
-    (above, lower, upper):
+    Returns (above, lower, upper):
 
     * above: every T_w > 0, which holds exactly when y > rho^r.
-    * lower: the largest Newton step y - T_c/D_c on the root T_c of a
-      component. Where the other T_w of its component are positive, T_c
-      is increasing and concave (1/y and each 1/T_u are positive,
-      decreasing and convex, and so are their products), so this step
-      lands at or below the top root of that component, from either
-      side: lower is at most rho^r.
+    * lower: None, as is upper, if T_w <= 0 at a vertex that is not a
+      component root: the pass stops there, since then y <= rho^r and
+      nothing more is known. Otherwise the largest Newton step
+      y - T_c/D_c on the root T_c of a component. Where the other T_w of
+      its component are positive, T_c is increasing and concave (1/y
+      and each 1/T_u are positive, decreasing and convex, and so are
+      their products), so this step lands at or below the top root of
+      that component, from either side: lower is at most rho^r.
     * upper (None unless above): the largest Newton step on the product
       of a component's T_w, whose positive roots are those of its q:
       y - 1/sum_w D_w/T_w. From above it lands near rho^r, and
@@ -235,7 +235,7 @@ def _tree_pass(
             d += p * t
         if not is_root[w]:
             if s <= 0.0:
-                return None
+                return False, None, None
             big_t[w] = s
             ratio[w] = d / s
             total += ratio[w]
@@ -293,11 +293,12 @@ def _search_radius(shape, seed: float | None) -> float:
     gives y = 2 k_max.
 
     `seed`, an estimate of rho^r from the roots of q or None, moves only
-    where the search starts: the first trial lies just above it, and
-    becomes the refuted end if it is not certified. As the certified
-    predicate is monotone in y, the result is the same float with or
-    without a seed; seeds that are not finite and > 0, or not below the
-    bound the search starts from without one, are ignored.
+    where the search starts: the first trial lies just above it when
+    that is > 0 and below the bound, and is the bound otherwise. A
+    refuted trial becomes the refuted end, and the next trial is the
+    bound; only a refuted bound, which rounding alone can cause, is
+    doubled. As the certified predicate is monotone in y, the result is
+    the same float with or without a seed.
     """
     roots, belows = shape
     k_max = max(map(len, belows), default=0)
@@ -311,21 +312,16 @@ def _search_radius(shape, seed: float | None) -> float:
     b = max((len(below) for below_w in belows for below in below_w), default=0)
     hi = k_max * (b + 1) ** (b + 1) / b**b if b else 2.0 * k_max
     lo = 0.0  # T is below 0 as y falls to 0, so 0 is never above rho^r
-    res = None
     y = seed * (1.0 + _SEED_MARGIN) if seed is not None else 0.0
-    if 0.0 < y < hi:  # false for nan
-        res = _tree_pass(y, post, belows, is_root)
-        if res is not None and res[0]:
-            hi = y
-        else:
-            lo = y
-            res = None
-    if res is None:
-        res = _tree_pass(hi, post, belows, is_root)
-        while res is None or not res[0]:  # only if rounding spoils the bound
-            hi *= 2.0
-            res = _tree_pass(hi, post, belows, is_root)
-    above, lower, upper = res
+    if not 0.0 < y < hi:  # true for nan
+        y = hi
+    while True:
+        above, lower, upper = _tree_pass(y, post, belows, is_root)
+        if above:
+            break
+        lo = y
+        y = hi if y < hi else 2.0 * y
+    hi = y
     floor = 0.0  # the best lower estimate, not certified
     step = 0.0
     passes = 0
@@ -347,9 +343,8 @@ def _search_radius(shape, seed: float | None) -> float:
             y = mid
             if not lo < y < hi:
                 return hi
-        res = _tree_pass(y, post, belows, is_root)
+        above, lower, upper = _tree_pass(y, post, belows, is_root)
         passes += 1
-        above, lower, upper = res if res is not None else (False, None, None)
         if above:
             hi = y
         else:

@@ -31,7 +31,7 @@ from .families import (
     loose_path,
     random_supertree,
 )
-from .hypergraph import UniformHypergraph, _integer, _shared_edge_size, are_isomorphic, disjoint_union, isolated
+from .hypergraph import UniformHypergraph, _integer, _shared_edge_size, are_isomorphic, disjoint_union
 from .matching import matching_polynomial
 from .polynomial import SparsePolynomial
 from .spectra import (
@@ -240,7 +240,7 @@ def suite_coalesce(
 
         for trial in range(trials):
             if trial == 0:
-                gamma = isolated(1, r)
+                gamma = UniformHypergraph(r, 1)
             else:
                 gamma = random_supertree(r, rng.randint(1, 5), rng)
             w = rng.randrange(gamma.n)

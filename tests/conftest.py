@@ -14,9 +14,7 @@ import pytest
 from hypermatch import (
     UniformHypergraph,
     attach_pendant,
-    build,
     disjoint_union,
-    isolated,
     loose_path,
     matching_counts,
     matching_polynomial,
@@ -75,7 +73,7 @@ def small_hypergraphs(draw, rs=(2, 3), max_n=8, max_edges=6):
     n = draw(st.integers(min_value=r, max_value=max_n))
     pool = list(itertools.combinations(range(n), r))
     edges = draw(st.lists(st.sampled_from(pool), max_size=max_edges, unique=True))
-    return build(r, n, edges)
+    return UniformHypergraph(r, n, edges)
 
 
 @st.composite
@@ -92,7 +90,7 @@ def power_superforests(draw, rs=(2, 3, 4, 5), max_vertices=12):
     hg = power(edges, r)
     n = hg.n + draw(st.integers(min_value=0, max_value=3))
     perm = draw(st.permutations(range(n)))
-    return build(r, n, [[perm[v] for v in e] for e in hg.edges])
+    return UniformHypergraph(r, n, [[perm[v] for v in e] for e in hg.edges])
 
 
 @st.composite
@@ -100,11 +98,11 @@ def superforests(draw, rs=(2, 3, 4, 5), max_components=3, max_edges=5):
     """Disjoint unions of 0..max_components supertrees and 0..3 isolated
     vertices, every vertex relabelled at random: edgeless inputs too."""
     r = draw(st.sampled_from(rs))
-    hg = isolated(draw(st.integers(min_value=0, max_value=3)), r)
+    hg = UniformHypergraph(r, draw(st.integers(min_value=0, max_value=3)))
     for _ in range(draw(st.integers(min_value=0, max_value=max_components))):
         hg = disjoint_union(hg, draw(supertrees(rs=(r,), max_edges=max_edges)))
     perm = draw(st.permutations(range(hg.n)))
-    return build(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
+    return UniformHypergraph(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
 
 
 def spider(r: int, legs: int) -> UniformHypergraph:
@@ -118,7 +116,7 @@ def spider(r: int, legs: int) -> UniformHypergraph:
             edges.append((end, *range(n, n + r - 1)))
             end = n + r - 2
             n += r - 1
-    return build(r, n, edges)
+    return UniformHypergraph(r, n, edges)
 
 
 def edge_cycle_out(hg: UniformHypergraph) -> list[list[int]]:

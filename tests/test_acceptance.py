@@ -12,15 +12,14 @@ import time
 from conftest import edge_cycle_energy
 from hypermatch import (
     SparsePolynomial,
+    UniformHypergraph,
     are_isomorphic,
     bridge,
-    build,
     coalesce,
     disjoint_union,
     family_r,
     family_w,
     family_z,
-    isolated,
     loose_path,
     matching_energy,
     matching_polynomial,
@@ -132,7 +131,7 @@ def test_criterion_3_recurrence_identities():
             assert phi == rhs
             for size in range(len(incident) + 1):
                 for subset in itertools.combinations(incident, size):
-                    alt = matching_polynomial(build(hg.r, hg.n, [e for e in hg.edges if e not in subset]))
+                    alt = matching_polynomial(UniformHypergraph(hg.r, hg.n, [e for e in hg.edges if e not in subset]))
                     for e in subset:
                         alt = alt - matching_polynomial(hg.delete_closed_edge(e))
                     assert phi == alt
@@ -216,7 +215,7 @@ def test_criterion_5_premise_pair_and_sampled_gluings():
             assert are_isomorphic(g.delete_vertex(u), h.delete_vertex(v))
             assert not are_isomorphic(g, h)
             for i in range(10):
-                gamma = isolated(1, r) if i == 0 else random_supertree(r, rng.randint(1, 5), rng)
+                gamma = UniformHypergraph(r, 1) if i == 0 else random_supertree(r, rng.randint(1, 5), rng)
                 w = rng.randrange(gamma.n)
                 assert matching_polynomial(coalesce(g, u, gamma, w)) == (
                     matching_polynomial(coalesce(h, v, gamma, w))
@@ -308,5 +307,5 @@ def test_criterion_9_pendant_deletion_monotonicity():
                 e for e in hg.edges
                 if sum(1 for v in e if hg.degree(v) >= 2) <= 1
             ]
-            smaller = build(hg.r, hg.n, [e for e in hg.edges if e != pendants[0]])
+            smaller = UniformHypergraph(hg.r, hg.n, [e for e in hg.edges if e != pendants[0]])
             assert spectral_radius(hg) - spectral_radius(smaller) > 1e-9

@@ -16,11 +16,10 @@ from fractions import Fraction
 import pytest
 
 from hypermatch import (
+    UniformHypergraph,
     are_isomorphic,
     attach_pendant,
-    build,
     disjoint_union,
-    isolated,
     loose_path,
     matching_polynomial,
     matching_counts,
@@ -41,7 +40,7 @@ def _base_forest(hg):
 def relabelled(hg, rng):
     perm = list(range(hg.n))
     rng.shuffle(perm)
-    return build(hg.r, hg.n, [[perm[v] for v in e] for e in hg.edges])
+    return UniformHypergraph(hg.r, hg.n, [[perm[v] for v in e] for e in hg.edges])
 
 
 def leaf_first(hg):
@@ -50,13 +49,13 @@ def leaf_first(hg):
     leaf = next(v for v in range(hg.n) if hg.degree(v) == 1)
     perm = list(range(hg.n))
     perm[0], perm[leaf] = leaf, 0
-    return build(hg.r, hg.n, [[perm[v] for v in e] for e in hg.edges])
+    return UniformHypergraph(hg.r, hg.n, [[perm[v] for v in e] for e in hg.edges])
 
 
 def star(centre_last: bool, legs: int):
     """The r = 2 star with `legs` edges, its centre the last or the first vertex."""
     centre = legs if centre_last else 0
-    return build(2, legs + 1, [[centre, v] for v in range(legs + 1) if v != centre])
+    return UniformHypergraph(2, legs + 1, [[centre, v] for v in range(legs + 1) if v != centre])
 
 
 def with_pendants(base, v, count):
@@ -71,7 +70,7 @@ def core_vertices(hg):
 
 
 def _union(*parts):
-    out = isolated(0, parts[0].r)
+    out = UniformHypergraph(parts[0].r, 0)
     for part in parts:
         out = disjoint_union(out, part)
     return out
@@ -85,15 +84,15 @@ def _corpus():
         "single-edge-r8": loose_path(8, 1).hg,
         "star-centre-first": star(False, 6),
         "star-centre-last": star(True, 6),
-        "stars-and-isolated": _union(isolated(2, 2), star(True, 3), star(False, 4), isolated(1, 2)),
-        "isolated-only": isolated(4, 5),
+        "stars-and-isolated": _union(UniformHypergraph(2, 2), star(True, 3), star(False, 4), UniformHypergraph(2, 1)),
+        "isolated-only": UniformHypergraph(5, 4),
     }
     for r in range(2, 9):
         m = max(2, 12 // (r - 1))
         tree = random_supertree(r, m, rng)
         out[f"leaf-root-r{r}"] = leaf_first(relabelled(tree, rng))
         out[f"forest-r{r}"] = relabelled(
-            _union(loose_path(r, 1).hg, isolated(2, r), tree, loose_path(r, 1).hg, isolated(1, r)), rng
+            _union(loose_path(r, 1).hg, UniformHypergraph(r, 2), tree, loose_path(r, 1).hg, UniformHypergraph(r, 1)), rng
         )
         out[f"repeated-component-r{r}"] = _union(tree, relabelled(tree, rng))
     return out
@@ -262,11 +261,11 @@ class TestRooting:
             assert sorted(entered) == sorted(edges), label  # each edge once
 
     def test_degree_1_root(self):
-        hg = build(3, 5, [[0, 1, 2], [2, 3, 4]])
+        hg = UniformHypergraph(3, 5, [[0, 1, 2], [2, 3, 4]])
         assert rooted_superforest(hg) == ([0, 2], ((0,), (((1,),), ((),))))
 
     def test_single_edges_and_isolated_vertices(self):
-        hg = build(3, 7, [[1, 2, 3], [4, 5, 6]])
+        hg = UniformHypergraph(3, 7, [[1, 2, 3], [4, 5, 6]])
         vertices, (roots, belows) = rooted_superforest(hg)
         assert [vertices[i] for i in roots] == vertices == [0, 1, 4]
         assert belows == ((), ((),), ((),))
@@ -298,8 +297,8 @@ class TestRhoOnTheCore:
 class TestBaseForestOnTheCore:
     # a degree-1 root whose edge holds two, then three, vertices of degree >= 2
     ROOT_EDGES = {
-        "leaf-root-two-core": build(3, 7, [[0, 1, 2], [1, 3, 4], [2, 5, 6]]),
-        "leaf-root-three-core": build(4, 13, [[0, 1, 2, 3], [1, 4, 5, 6], [2, 7, 8, 9], [3, 10, 11, 12]]),
+        "leaf-root-two-core": UniformHypergraph(3, 7, [[0, 1, 2], [1, 3, 4], [2, 5, 6]]),
+        "leaf-root-three-core": UniformHypergraph(4, 13, [[0, 1, 2, 3], [1, 4, 5, 6], [2, 7, 8, 9], [3, 10, 11, 12]]),
     }
     SHAPES = {**CORPUS, **ROOT_EDGES}
 
@@ -316,7 +315,7 @@ class TestBaseForestOnTheCore:
         if base is not None:
             size, pairs = base
             assert size == len(core_vertices(hg)) + sum(2 - len(self._inner(hg, e)) for e in hg.edges)
-            assert matching_counts(build(2, size, pairs)) == matching_counts(hg)
+            assert matching_counts(UniformHypergraph(2, size, pairs)) == matching_counts(hg)
 
     def test_the_shapes_include_both_verdicts(self):
         assert {_base_forest(hg) is None for hg in self.SHAPES.values()} == {True, False}

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from conftest import supertrees_with_vertex
 from hypermatch import (
     HypergraphError,
+    UniformHypergraph,
     are_isomorphic,
     attach_pendant,
     bridge,
@@ -23,7 +24,6 @@ from hypermatch import (
     family_t,
     family_w,
     family_z,
-    isolated,
     loose_path,
     power,
     random_supertree,
@@ -44,7 +44,7 @@ class TestLoosePath:
 
     def test_zero_length_is_a_vertex(self):
         for r in (2, 3, 7):
-            assert loose_path(r, 0).hg == isolated(1, r)
+            assert loose_path(r, 0).hg == UniformHypergraph(r, 1)
 
     @pytest.mark.parametrize("r", range(2, 7))
     def test_vertex_count_formula(self, r):
@@ -82,10 +82,19 @@ class TestPower:
         assert hg.edges == ((0, 1), (1, 2))
 
     def test_rejects_non_simple(self):
-        with pytest.raises(HypergraphError, match="not a simple graph edge"):
+        # the constructor's checks, made on the graph itself
+        with pytest.raises(HypergraphError, match=r"edge \[0, 0\] is not a set of 2 distinct vertices"):
             power([[0, 0]], 3)
-        with pytest.raises(HypergraphError, match="duplicate graph edge"):
+        with pytest.raises(HypergraphError, match=r"duplicate edge \[0, 1\]"):
             power([[0, 1], [1, 0]], 3)
+
+    @pytest.mark.parametrize("edges", [[[]], [[3]], [[0, 1], [2]], [[0, 1, 2]], [[-1, 2]], [[-5, -3]]])
+    def test_rejects_pairs_that_are_no_edge(self, edges):
+        with pytest.raises(HypergraphError, match="edge"):
+            power(edges, 3)
+
+    def test_fresh_vertices_in_input_order(self):
+        assert power([(2, 1), (0, 1)], 4).edges == ((0, 1, 5, 6), (1, 2, 3, 4))
 
     @pytest.mark.parametrize("edges, r", [
         ([(0, 1.9), (1, 2)], 3),  # int() would read 1.9 as 1
@@ -104,7 +113,7 @@ class TestPower:
 class TestAttachPendant:
     def test_on_single_vertex(self):
         for r in (2, 4):
-            assert attach_pendant(isolated(1, r), 0) == loose_path(r, 1).hg
+            assert attach_pendant(UniformHypergraph(r, 1), 0) == loose_path(r, 1).hg
 
     def test_bookkeeping(self):
         hg = loose_path(3, 2).hg
@@ -229,7 +238,7 @@ class TestConstructionSpec:
 class TestCoalesce:
     def test_with_single_vertex_is_identity(self):
         hg = family_w(3, 5).hg
-        assert are_isomorphic(coalesce(hg, 4, isolated(1, 3), 0), hg)
+        assert are_isomorphic(coalesce(hg, 4, UniformHypergraph(3, 1), 0), hg)
 
     def test_two_single_edges_make_a_path(self):
         for r in (2, 3, 4):
@@ -273,7 +282,7 @@ class TestCoalescePower:
 
     def test_rejects_zero_copies(self):
         with pytest.raises(HypergraphError):
-            coalesce_power(isolated(1), 0, 0)
+            coalesce_power(UniformHypergraph(2, 1), 0, 0)
 
     def test_mixed_product_composes(self):
         g = loose_path(3, 1).hg
@@ -286,7 +295,7 @@ class TestCoalescePower:
 class TestBridge:
     def test_two_vertices_one_bridging_edge(self):
         for r in (2, 3, 6):
-            out = bridge(isolated(1, r), 0, isolated(1, r), 0, 1)
+            out = bridge(UniformHypergraph(r, 1), 0, UniformHypergraph(r, 1), 0, 1)
             assert are_isomorphic(out, loose_path(r, 1).hg)
 
     def test_m1_symmetric(self):
@@ -324,7 +333,7 @@ class TestBridge:
 
     def test_rejects_bad_m(self):
         with pytest.raises(HypergraphError):
-            bridge(isolated(1), 0, isolated(1), 0, 0)
+            bridge(UniformHypergraph(2, 1), 0, UniformHypergraph(2, 1), 0, 0)
 
 
 class TestRandomSupertree:
@@ -385,5 +394,5 @@ def test_union_of_supertrees_is_not_one():
 def test_gluings_share_one_edge_size_rule(glue):
     with pytest.raises(HypergraphError, match="edge sizes differ: 2 vs 3"):
         glue(loose_path(2, 1).hg, loose_path(3, 1).hg)
-    assert glue(isolated(1, 2), loose_path(4, 1).hg).r == 4
-    assert glue(loose_path(4, 1).hg, isolated(1, 2)).r == 4
+    assert glue(UniformHypergraph(2, 1), loose_path(4, 1).hg).r == 4
+    assert glue(loose_path(4, 1).hg, UniformHypergraph(2, 1)).r == 4

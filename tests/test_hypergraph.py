@@ -15,14 +15,12 @@ from hypermatch import (
     are_isomorphic,
     attach_pendant,
     bridge,
-    build,
     coalesce,
     coalesce_power,
     disjoint_union,
     family_q,
     family_r,
     family_w,
-    isolated,
     loose_path,
     matching_polynomial,
     random_supertree,
@@ -59,7 +57,7 @@ def grown_superforest(r, parts):
     """Union of one part per (picks, delete): a supertree grown from one
     edge by a pendant edge at vertex p % n for each p in picks, then
     with vertex delete % n deleted unless delete is None."""
-    out = isolated(0, r)
+    out = UniformHypergraph(r, 0)
     for picks, delete in parts:
         hg = loose_path(r, 1).hg
         for p in picks:
@@ -99,7 +97,7 @@ def superforest_relatives(draw, max_n=8):
 
 # r = 5, 25 vertices: a hard case for search-based isomorphism tests,
 # one of which took 119 ms on it against a relabelled copy
-_R5_N25 = build(5, 25, [
+_R5_N25 = UniformHypergraph(5, 25, [
     (0, 1, 2, 3, 4), (0, 21, 22, 23, 24), (4, 5, 6, 7, 8),
     (5, 17, 18, 19, 20), (6, 13, 14, 15, 16), (7, 9, 10, 11, 12),
 ])
@@ -107,35 +105,45 @@ _R5_N25 = build(5, 25, [
 
 class TestBuild:
     def test_single_edge(self):
-        hg = build(3, 3, [[0, 1, 2]])
+        hg = UniformHypergraph(3, 3, [[0, 1, 2]])
         assert (hg.r, hg.n, hg.edges) == (3, 3, ((0, 1, 2),))
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(HypergraphError, match=r"\[0, 1, 1\]"):
-            build(3, 2, [[0, 1, 1]])
+            UniformHypergraph(3, 2, [[0, 1, 1]])
 
     def test_ordinary_graph_path(self):
-        hg = build(2, 3, [[0, 1], [1, 2]])
+        hg = UniformHypergraph(2, 3, [[0, 1], [1, 2]])
         assert hg.edges == ((0, 1), (1, 2))
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(HypergraphError, match="outside"):
-            build(2, 2, [[0, 2]])
+            UniformHypergraph(2, 2, [[0, 2]])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(HypergraphError, match="duplicate"):
-            build(2, 3, [[0, 1], [1, 0]])
+            UniformHypergraph(2, 3, [[0, 1], [1, 0]])
 
     def test_bad_r_rejected(self):
         with pytest.raises(HypergraphError):
-            build(1, 3, [])
+            UniformHypergraph(1, 3, [])
 
     def test_edges_sorted_deterministically(self):
-        hg = build(2, 4, [[3, 2], [1, 0]])
+        hg = UniformHypergraph(2, 4, [[3, 2], [1, 0]])
         assert hg.edges == ((0, 1), (2, 3))
 
+    def test_edges_from_any_iterables(self):
+        edges = [[3, 2], (1, 0)]
+        lazy = UniformHypergraph(2, 4, (iter(e) for e in edges))
+        assert lazy == UniformHypergraph(2, 4, edges) == UniformHypergraph(2, 4, {(0, 1), (2, 3)})
+        assert lazy.edges == ((0, 1), (2, 3))
+
+    def test_no_edges_by_default(self):
+        hg = UniformHypergraph(4, 3)
+        assert (hg.r, hg.n, hg.edges) == (4, 3, ())
+
     def test_json_round_trip(self):
-        hg = build(3, 5, [[0, 1, 2], [2, 3, 4]])
+        hg = UniformHypergraph(3, 5, [[0, 1, 2], [2, 3, 4]])
         again = UniformHypergraph.from_json_dict(json.loads(json.dumps(hg.to_json_dict())))
         assert again == hg
 
@@ -161,22 +169,22 @@ class TestBuild:
     )
     def test_non_integers_rejected(self, r, n, edges, what):
         with pytest.raises(HypergraphError, match=f"{what}.* must be an integer"):
-            build(r, n, edges)
+            UniformHypergraph(r, n, edges)
         with pytest.raises(HypergraphError, match=f"{what}.* must be an integer"):
             UniformHypergraph.from_json_dict({"r": r, "n": n, "edges": edges})
 
     def test_integer_types_accepted(self):
         np = pytest.importorskip("numpy")
         hg = UniformHypergraph(np.int64(3), np.int32(5), ((np.int64(0), 1, np.uint8(2)), (2, 3, 4)))
-        assert hg == build(3, 5, [[0, 1, 2], [2, 3, 4]])
+        assert hg == UniformHypergraph(3, 5, [[0, 1, 2], [2, 3, 4]])
         assert {type(hg.r), type(hg.n)} | {type(v) for e in hg.edges for v in e} == {int}
         assert UniformHypergraph.from_json_dict(json.loads(json.dumps(hg.to_json_dict()))) == hg
 
     def test_equal_values_hash_equal(self):
         np = pytest.importorskip("numpy")
-        hg = build(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+        hg = UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
         for other in (
-            build(3, 7, [[6, 5, 4], [0, 2, 1], [3, 2, 4]]),
+            UniformHypergraph(3, 7, [[6, 5, 4], [0, 2, 1], [3, 2, 4]]),
             UniformHypergraph(np.int64(3), np.int32(7), tuple(tuple(np.int64(v) for v in e) for e in hg.edges)),
         ):
             assert other == hg and hash(other) == hash(hg)
@@ -186,11 +194,11 @@ class TestBuild:
         import copy
         import pickle
 
-        hg = build(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+        hg = UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
         for again in (pickle.loads(pickle.dumps(hg)), copy.copy(hg), copy.deepcopy(hg)):
             assert again == hg and hash(again) == hash(hg)
             assert {hg: "cached"}[again] == "cached"
-        assert hash(hg) != hash(build(3, 7, [[0, 1, 2], [2, 3, 4], [3, 5, 6]]))
+        assert hash(hg) != hash(UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [3, 5, 6]]))
 
     def test_json_edge_that_is_no_list_rejected(self):
         with pytest.raises(HypergraphError, match="list of lists"):
@@ -201,20 +209,20 @@ class TestDeletion:
     def test_delete_vertex_of_single_edge(self):
         hg = loose_path(3, 1).hg
         out = hg.delete_vertex(1)
-        assert out == isolated(2, 3)
+        assert out == UniformHypergraph(3, 2)
 
     def test_delete_vertex_degenerate(self):
-        out = isolated(1).delete_vertex(0)
+        out = UniformHypergraph(2, 1).delete_vertex(0)
         assert out.n == 0 and out.edges == ()
 
     def test_delete_unknown_vertex(self):
         with pytest.raises(HypergraphError):
-            isolated(2).delete_vertex(5)
+            UniformHypergraph(2, 2).delete_vertex(5)
 
     @pytest.mark.parametrize("v", [0.5, 1.0, 1.5, True, "1"])
     def test_non_integer_vertex_rejected(self, v):
         # the range check alone would read 0.5 as a vertex and True as 1
-        hg = build(2, 3, [[0, 1]])
+        hg = UniformHypergraph(2, 3, [[0, 1]])
         for call in (
             lambda: hg.degree(v),
             lambda: hg.delete_vertex(v),
@@ -231,19 +239,19 @@ class TestDeletion:
 
     def test_integer_type_vertex_accepted(self):
         np = pytest.importorskip("numpy")
-        hg = build(2, 3, [[0, 1]])
+        hg = UniformHypergraph(2, 3, [[0, 1]])
         one = np.int64(1)
         assert hg.degree(one) == 1
-        assert hg.delete_vertex(one) == hg.delete_vertices([one]) == isolated(2, 2)
+        assert hg.delete_vertex(one) == hg.delete_vertices([one]) == UniformHypergraph(2, 2)
         assert attach_pendant(hg, one) == attach_pendant(hg, 1)
         assert coalesce(hg, one, hg, np.int32(0)) == coalesce(hg, 1, hg, 0)
         assert coalesce_power(hg, one, 2) == coalesce_power(hg, 1, 2)
         assert bridge(hg, one, hg, np.uint8(0), 2) == bridge(hg, 1, hg, 0, 2)
 
     def test_delete_vertex_renumbers_order_preservingly(self):
-        hg = build(2, 4, [[0, 1], [2, 3]])
+        hg = UniformHypergraph(2, 4, [[0, 1], [2, 3]])
         out = hg.delete_vertex(1)
-        assert out == build(2, 3, [[1, 2]])
+        assert out == UniformHypergraph(2, 3, [[1, 2]])
 
     def test_delete_pendant_tip_of_triple_pendant_caterpillar(self):
         # removing the middle pendant tip leaves the double-pendant
@@ -251,7 +259,7 @@ class TestDeletion:
         for r in (2, 3, 4):
             fam = family_r(r, 1, 1, 2, 4)
             out = fam.hg.delete_vertex(fam.anchors["p2"])
-            expected = disjoint_union(family_q(r, 1, 3, 4).hg, isolated(r - 2, r))
+            expected = disjoint_union(family_q(r, 1, 3, 4).hg, UniformHypergraph(r, r - 2))
             assert are_isomorphic(out, expected)
 
     def test_delete_closed_edge_single_edge(self):
@@ -264,7 +272,7 @@ class TestDeletion:
         for r in (2, 3, 5):
             hg = loose_path(r, 2).hg
             out = hg.delete_closed_edge(hg.edges[0])
-            assert out == isolated(r - 1, r)
+            assert out == UniformHypergraph(r, r - 1)
 
     def test_delete_closed_edge_requires_membership(self):
         hg = loose_path(3, 2).hg
@@ -281,15 +289,15 @@ class TestDeletion:
         last = tuple(range((size - 3) * (r - 1), (size - 3) * (r - 1) + r))
         out = fam.hg.delete_closed_edge(last)
         expected = disjoint_union(
-            disjoint_union(family_z(r, size - 3).hg, isolated(r - 1, r)),
-            isolated(r - 2, r),
+            disjoint_union(family_z(r, size - 3).hg, UniformHypergraph(r, r - 1)),
+            UniformHypergraph(r, r - 2),
         )
         assert are_isomorphic(out, expected)
 
 
 class TestUnion:
     def test_isolated_vertices(self):
-        assert disjoint_union(isolated(2), isolated(3)) == isolated(5)
+        assert disjoint_union(UniformHypergraph(2, 2), UniformHypergraph(2, 3)) == UniformHypergraph(2, 5)
 
     def test_two_single_edges(self):
         hg = disjoint_union(loose_path(3, 1).hg, loose_path(3, 1).hg)
@@ -297,7 +305,7 @@ class TestUnion:
         assert hg.edges == ((0, 1, 2), (3, 4, 5))
 
     def test_uniformity_adapts_for_edgeless_side(self):
-        hg = disjoint_union(isolated(2, 2), loose_path(5, 1).hg)
+        hg = disjoint_union(UniformHypergraph(2, 2), loose_path(5, 1).hg)
         assert hg.r == 5 and hg.n == 7
 
     def test_mismatched_r_rejected(self):
@@ -312,20 +320,20 @@ class TestSupertree:
         assert loose_path(r, t).hg.is_supertree()
 
     def test_single_vertex_is_a_supertree(self):
-        assert isolated(1).is_supertree()
+        assert UniformHypergraph(2, 1).is_supertree()
 
     def test_disconnected_is_not(self):
-        assert not isolated(2).is_supertree()
+        assert not UniformHypergraph(2, 2).is_supertree()
 
     def test_overlapping_edges_fail_the_count(self):
         # two 3-edges sharing two vertices: connected but 4 != 2*2+1
-        hg = build(3, 4, [[0, 1, 2], [0, 1, 3]])
+        hg = UniformHypergraph(3, 4, [[0, 1, 2], [0, 1, 3]])
         assert len(hg.components()) == 1
         assert not hg.is_supertree()
 
     @settings(max_examples=200)
     @given(small_hypergraphs(rs=(2, 3, 4)))
-    @example(isolated(0, 3))
+    @example(UniformHypergraph(3, 0))
     def test_components_and_supertree_test_match_a_reference(self, hg):
         # cycles, edges sharing two vertices and isolated vertices included
         blocks = [{v} for v in range(hg.n)]
@@ -341,7 +349,7 @@ class TestSupertree:
         for block in sorted(sorted(b) for b in blocks):
             index = {v: i for i, v in enumerate(block)}
             edges = [[index[v] for v in e] for e in hg.edges if e[0] in index]
-            expected.append(build(hg.r, len(block), edges))
+            expected.append(UniformHypergraph(hg.r, len(block), edges))
         assert hg.components() == expected
         assert hg.is_supertree() == (len(blocks) == 1 and hg.n == hg.num_edges * (hg.r - 1) + 1)
 
@@ -389,13 +397,13 @@ class TestIsomorphism:
         assert are_isomorphic(hg, hg)
 
     def test_label_permutation(self):
-        a = build(2, 4, [[0, 1], [1, 2], [2, 3]])
-        b = build(2, 4, [[3, 2], [2, 0], [0, 1]])
+        a = UniformHypergraph(2, 4, [[0, 1], [1, 2], [2, 3]])
+        b = UniformHypergraph(2, 4, [[3, 2], [2, 0], [0, 1]])
         assert are_isomorphic(a, b)
 
     def test_distinguishes_path_from_star(self):
-        path = build(2, 4, [[0, 1], [1, 2], [2, 3]])
-        star = build(2, 4, [[0, 1], [0, 2], [0, 3]])
+        path = UniformHypergraph(2, 4, [[0, 1], [1, 2], [2, 3]])
+        star = UniformHypergraph(2, 4, [[0, 1], [0, 2], [0, 3]])
         assert not are_isomorphic(path, star)
 
     def test_counts_equal_branches(self):
@@ -407,7 +415,7 @@ class TestIsomorphism:
                 v, a, b, c, d = range(1 + 5 * i, 6 + 5 * i)
                 edges += [[0, v], [v, a], [a, b], [v, c]]
                 edges.append([c, d] if kind == "forked" else [v, d])
-            return build(2, 16, edges)
+            return UniformHypergraph(2, 16, edges)
 
         g = centre_with(["forked", "forked", "broom"])
         h = centre_with(["forked", "broom", "broom"])
@@ -430,15 +438,15 @@ class TestIsomorphism:
             )
 
     def test_edgeless_counts_only(self):
-        assert are_isomorphic(isolated(3, 2), isolated(3, 5))
-        assert not are_isomorphic(isolated(3), isolated(4))
+        assert are_isomorphic(UniformHypergraph(2, 3), UniformHypergraph(5, 3))
+        assert not are_isomorphic(UniformHypergraph(2, 3), UniformHypergraph(2, 4))
 
     def test_equivalence_relation_spot_check(self):
         zoo = [
             loose_path(3, 2).hg,
-            build(3, 5, [[1, 3, 4], [0, 2, 4]]),  # relabeled two-edge path
+            UniformHypergraph(3, 5, [[1, 3, 4], [0, 2, 4]]),  # relabeled two-edge path
             family_w(3, 5).hg,
-            disjoint_union(loose_path(3, 1).hg, isolated(2, 3)),
+            disjoint_union(loose_path(3, 1).hg, UniformHypergraph(3, 2)),
         ]
         for a, b in itertools.product(zoo, repeat=2):
             assert are_isomorphic(a, b) == are_isomorphic(b, a)

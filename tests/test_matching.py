@@ -25,15 +25,14 @@ from hypermatch import (
     are_isomorphic,
     PolynomialShapeError,
     SparsePolynomial,
+    UniformHypergraph,
     bridge,
-    build,
     coalesce,
     coalesce_power,
     disjoint_union,
     family_r,
     family_w,
     family_z,
-    isolated,
     loose_path,
     matching_counts,
     matching_polynomial,
@@ -64,7 +63,7 @@ def phi_w6(r):
 
 class TestCounting:
     def test_zero_matching_count_is_one(self):
-        for hg in (isolated(0), isolated(4), loose_path(3, 2).hg, family_w(4, 6).hg):
+        for hg in (UniformHypergraph(2, 0), UniformHypergraph(2, 4), loose_path(3, 2).hg, family_w(4, 6).hg):
             assert matching_counts(hg)[0] == 1
 
     def test_two_edge_path_has_two_single_matchings(self):
@@ -125,8 +124,8 @@ class TestNamedPolynomials:
 
     def test_edgeless(self):
         for k in (0, 1, 5):
-            assert matching_polynomial_oracle(isolated(k)) == SparsePolynomial({k: 1})
-            assert matching_polynomial(isolated(k)) == SparsePolynomial({k: 1})
+            assert matching_polynomial_oracle(UniformHypergraph(2, k)) == SparsePolynomial({k: 1})
+            assert matching_polynomial(UniformHypergraph(2, k)) == SparsePolynomial({k: 1})
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_swap_pair_union(self, r):
@@ -154,12 +153,12 @@ class TestOracleEquivalence:
         rng = random.Random(5)
         for _ in range(60):
             r = rng.choice([2, 3, 4, 5])
-            hg = isolated(rng.randint(0, 2), r)
+            hg = UniformHypergraph(r, rng.randint(0, 2))
             for _ in range(rng.randint(1, 3)):
                 hg = disjoint_union(hg, random_supertree(r, rng.randint(1, 5), rng))
             perm = list(range(hg.n))
             rng.shuffle(perm)
-            hg = build(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
+            hg = UniformHypergraph(r, hg.n, [[perm[v] for v in e] for e in hg.edges])
             assert matching_polynomial(hg) == matching_polynomial_oracle(hg)
 
     @settings(max_examples=40)
@@ -185,7 +184,7 @@ class TestSuperforestRequirement:
         ],
     )
     def test_cycle_raises_and_names_the_oracle(self, r, n, edges):
-        hg = build(r, n, edges)
+        hg = UniformHypergraph(r, n, edges)
         # the spectral radius and isomorphism have their own passes, with
         # the same rule and one message
         messages = set()
@@ -267,7 +266,7 @@ class TestEdgeCycleOracle:
 
         rng = random.Random(2)
         hg = disjoint_union(random_supertree(4, 6, rng), random_supertree(4, 5, rng))
-        hg = disjoint_union(hg, isolated(1, 4))
+        hg = disjoint_union(hg, UniformHypergraph(4, 1))
         assert _char_poly_exact(edge_cycle_out(hg)) == matching_polynomial(hg)
 
 
@@ -300,7 +299,7 @@ class TestRecurrenceIdentities:
         phi = matching_polynomial(hg)
         for size in range(len(incident) + 1):
             for subset in itertools.combinations(incident, size):
-                rhs = matching_polynomial(build(hg.r, hg.n, [e for e in hg.edges if e not in subset]))
+                rhs = matching_polynomial(UniformHypergraph(hg.r, hg.n, [e for e in hg.edges if e not in subset]))
                 for e in subset:
                     rhs = rhs - matching_polynomial(hg.delete_closed_edge(e))
                 assert phi == rhs
@@ -441,3 +440,8 @@ class TestReduction:
             reduce_polynomial(SparsePolynomial.zero(), 3, 3)
         with pytest.raises(PolynomialShapeError):
             reduce_polynomial(SparsePolynomial({2: 1}), 3, 3)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_r_below_one_is_a_shape_error(self, r):
+        with pytest.raises(PolynomialShapeError, match=f"r must be >= 1, got {r}"):
+            reduce_polynomial(SparsePolynomial({3: 1, 1: -1}), r, 3)

@@ -18,7 +18,6 @@ from hypermatch import (
     clear_polynomial_cache,
     disjoint_union,
     family_w,
-    isolated,
     loose_path,
     run_suite,
     spectral_radius,
@@ -90,7 +89,7 @@ class TestCheckCospectral:
         assert case["passed"] is False
 
     def test_r_comes_from_the_side_with_edges(self):
-        case = check_cospectral(isolated(2, 3), loose_path(2, 1).hg)
+        case = check_cospectral(UniformHypergraph(3, 2), loose_path(2, 1).hg)
         assert case["char_equal"] is False
         assert case["passed"] is False
 
