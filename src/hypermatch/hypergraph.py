@@ -6,15 +6,23 @@ superforest isomorphism by one canonical code per core shape.
 
 This module holds the cache, and this is the one statement of what it
 keeps. Every costly result is computed when first asked for and kept
-with what it depends on, in one of two kinds of record, each a dict of
-results by name:
+with what it depends on, in one of three kinds of record, each a dict
+of results by name:
 * an input keeps only what must read its labelled edges: the record of
   its core shape, and the r = 2 characteristic polynomial (filled by
-  `_memo`, also per component);
+  `_memo`);
+* a tree of an r = 2 input keeps its characteristic polynomial (filled
+  by `spectra._forest_char_poly`), keyed by its edge tuple renumbered
+  in vertex order, so the same labelled tree in another input, or
+  shifted by isolated vertices or other trees, pays once;
 * a core shape keeps what the shape determines (filled by
   `_shape_memo`): the matching counts, the spectrum of q, the canonical
   code and rho^r, the top root of q. None of them depends on r, so one
   family member at r = 2..5 pays once for each.
+No two kinds share a key: an input's is a UniformHypergraph, a core
+shape's a pair (roots, belows) whose second entry holds tuples, and a
+tree's a tuple of pairs of ints, which is no such pair even when it
+holds two edges.
 phi, ME and rho are views of the shape's record, built on each call, so
 a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.
@@ -296,17 +304,18 @@ def rooted_superforest(hg: UniformHypergraph):
     return vertices, (tuple(roots), tuple(belows))
 
 
-# One record per whole input and one per core shape, keyed by the shape
-# itself (see the module docstring). CPython dict setdefault and item
-# stores are atomic, and each result is immutable, so concurrent callers
-# at worst compute a result twice; callers needing full isolation can
-# clear or ignore the cache.
+# One record per whole input, one per labelled r = 2 tree, keyed by its
+# edge tuple, and one per core shape, keyed by the shape itself (see the
+# module docstring). CPython dict setdefault and item stores are atomic,
+# and each result is immutable, so concurrent callers at worst compute a
+# result twice; callers needing full isolation can clear or ignore the
+# cache.
 _CACHE: dict[UniformHypergraph | tuple, dict] = {}
 
 
 def _record(key: UniformHypergraph | tuple) -> dict:
-    """The cache record of an input or a core shape, created empty on
-    first use."""
+    """The cache record of an input, a labelled tree or a core shape,
+    created empty on first use."""
     rec = _CACHE.get(key)
     return rec if rec is not None else _CACHE.setdefault(key, {})
 

@@ -2,7 +2,11 @@
 and the exact characteristic-polynomial bridge for ordinary forests.
 What each result is kept with is stated in `hypergraph`'s module
 docstring, and how it is computed in the docstring of the function
-that computes it: `_search_radius` for rho, `_energy` for ME.
+that computes it: `_search_radius` for rho, `_energy` for ME. The
+exact bridge, `tree_char_poly`, finds every tree of a forest and its two
+colour classes in one breadth-first walk, and runs the Faddeev-LeVerrier
+recurrence on B B^T, for B the biadjacency matrix of one class of each
+tree, on rows packed into big integers (see `_char_poly_exact`).
 
 This is the only module that imports numpy. When that import is the one
 that loads numpy, and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
@@ -34,9 +38,9 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .hypergraph import HypergraphError, UniformHypergraph, _memo, _shape, _shape_memo
+from .hypergraph import HypergraphError, UniformHypergraph, _memo, _record, _shape, _shape_memo
 from .matching import _shape_counts
-from .polynomial import SparsePolynomial
+from .polynomial import SparsePolynomial, _from_terms
 
 DEFAULT_TOL = 1e-10
 
@@ -515,63 +519,49 @@ def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
 
 
 def _char_poly_exact(rows: list[list[int]]) -> SparsePolynomial:
-    """Characteristic polynomial of a nonnegative integer matrix A whose
-    row i is given as a list holding each column j A_ij times (for a 0/1
-    adjacency matrix, the neighbour lists), via the Faddeev-LeVerrier
-    recurrence; all divisions are exact over the integers, so the result
-    is exact. Row i of A.M is the sum of the rows of M that row i lists,
-    so each step costs O(n * total row length), which is O(n^2) for the
-    adjacency matrix of a forest."""
+    """det(xI - C) for C = B B^T, B an integer matrix, with row i of C
+    given as a list holding each column j C_ij times (C_ij >= 0, as for
+    the 0/1 biadjacency matrix B of a forest), via the Faddeev-LeVerrier
+    recurrence M_0 = I, M_k = C M_(k-1) + c_k I, c_k = -tr(C M_(k-1)) / k.
+    Every division is exact over the integers, so the result is exact.
+
+    Each row of M_k is one int, W-bit signed slots of its entries
+    (Kronecker substitution, as in `matching._count_pass`). Row i of
+    C M is the sum of the rows of M that row i of C lists, one big-int
+    addition each, and its diagonal slot is read with one biased shift
+    and mask. The sum is exact whatever its partial sums hold; only the
+    entries it ends with must fit their slots, so a step costs
+    O(n * W * total row length) bit operations.
+
+    W is proven from C. Write C = sum_i lam_i u_i u_i^T with every
+    lam_i >= 0 (C is positive semidefinite) and orthonormal u_i. The M_k
+    are the coefficients of adj(xI - C) = sum_i prod_(l != i)
+    (x - lam_l) u_i u_i^T, so M_k = (-1)^k sum_i w_i u_i u_i^T with
+    w_i = e_k(lam without lam_i), and C M_k the same with lam_i w_i. Each
+    weight is >= 0 and at most e_k or e_(k+1) of all lam, which is at most
+    prod_l (1 + lam_l) = det(I + C). By Cauchy-Schwarz
+    sum_i |u_i[a] u_i[b]| <= 1, so no entry of M_k or of C M_k exceeds
+    det(I + C) in absolute value, and by Hadamard's inequality for the
+    positive definite I + C that is at most P = prod_i (1 + C_ii). W is
+    P.bit_length() + 1. The bound covers Gram matrices B B^T alone: an
+    adjacency or edge-cycle matrix is not positive semidefinite, and
+    its entries can outgrow the slots."""
     n = len(rows)
+    width = math.prod(1 + row.count(i) for i, row in enumerate(rows)).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)  # of each row's diagonal slot
+    bias = half * ((1 << (n * width)) - 1) // mask  # half in every slot, so none borrows
+    m = [1 << s for s in shifts]  # M_0 = I
     coeffs = {n: 1}
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        m = [
-            [sum(col) for col in zip(*(m[t] for t in row))] if row else [0] * n
-            for row in rows
-        ]
-        trace = sum(m[i][i] for i in range(n))
+        m = [sum(map(m.__getitem__, row)) for row in rows]  # C M_(k-1)
+        trace = sum(((row + bias) >> s) & mask for row, s in zip(m, shifts)) - n * half
         assert trace % k == 0
         ck = -(trace // k)
         coeffs[n - k] = ck
-        for i in range(n):
-            m[i][i] += ck
-    return SparsePolynomial(coeffs)
-
-
-def _tree_char_poly(tree: UniformHypergraph) -> SparsePolynomial:
-    """Adjacency characteristic polynomial of an ordinary tree (r = 2).
-
-    The tree is bipartite: with the a vertices of one colour class first,
-    A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
-    C = B B^T counts the common neighbours of two vertices of that class,
-    so row i of C lists, for each neighbour w of vertex i, every
-    neighbour of w: the rows of a class hold as many entries as the
-    squared degrees of the other class sum to. Faddeev-LeVerrier takes a
-    steps on C, each a times that many, so it runs on the class where a
-    squared times that sum is smaller (the smaller class on a tie)."""
-    neighbours: list[list[int]] = [[] for _ in range(tree.n)]
-    for u, v in tree.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    colour = [0] + [-1] * (tree.n - 1)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in neighbours[v]:
-            if colour[w] < 0:
-                colour[w] = 1 - colour[v]
-                stack.append(w)
-    even, odd = ([v for v in range(tree.n) if colour[v] == c] for c in (0, 1))
-
-    def cost(side, other):
-        return len(side) ** 2 * sum(len(neighbours[w]) ** 2 for w in other), len(side)
-
-    side = even if cost(even, odd) <= cost(odd, even) else odd
-    index = {v: i for i, v in enumerate(side)}
-    rows = [[index[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
-    shift = tree.n - 2 * len(side)
-    return SparsePolynomial({shift + 2 * e: c for e, c in _char_poly_exact(rows).terms()})
+        m = [row + (ck << s) for row, s in zip(m, shifts)]
+    return _from_terms(coeffs)
 
 
 def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
@@ -588,14 +578,63 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
 
 
 def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
-    """The product over the components, each kept in its own record.
-    Components are renumbered order-preservingly, so a component met
-    again, in hg or in another input, is an equal value and is served
-    from its record. A connected hg is its own one component: its entry
-    is filled by _tree_char_poly, with no call back into this function."""
-    out = SparsePolynomial.one()
-    for comp in hg.components():
-        if comp.num_edges != comp.n - 1:
+    """The product of x^i, for the i isolated vertices, and the
+    characteristic polynomial of each tree of hg, found with its two
+    colour classes by one breadth-first walk from its lowest vertex.
+
+    Each tree's polynomial is kept in a record of its own, keyed by its
+    edge tuple renumbered in vertex order, so a tree met again, in hg or
+    in another input, is served from its record. A tree on n vertices
+    is bipartite: with its a vertices of one colour class as the rows of
+    B, A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
+    C = B B^T counts the common neighbours of two vertices of that class,
+    so row v of C lists, for each neighbour w of v, every neighbour of
+    w: the rows of a class hold as many entries as the squared degrees
+    of the other class sum to. `_char_poly_exact` takes a steps on C,
+    each a times that many, so it runs on the class where a squared
+    times that sum is smaller (the smaller class on a tie, and the class
+    of the tree's lowest vertex if the sizes tie too)."""
+    neighbours: list[list[int]] = [[] for _ in range(hg.n)]
+    for a, b in hg.edges:  # sorted: a vertex's lower neighbours come first, each part ascending
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    colour = [-1] * hg.n
+    at = [0] * hg.n  # a vertex's index in its tree, then in its colour class
+    out = None
+    isolated = 0
+    for root in range(hg.n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        if not neighbours[root]:
+            isolated += 1
+            continue
+        tree = [root]
+        for v in tree:  # breadth first: the list grows as it is read
+            for w in neighbours[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    tree.append(w)
+        if sum(len(neighbours[v]) for v in tree) != 2 * (len(tree) - 1):
             raise HypergraphError("not a forest: a component has a cycle")
-        out = out * _memo(comp, "char_poly", _tree_char_poly)
-    return out
+        tree.sort()
+        for i, v in enumerate(tree):
+            at[v] = i
+        # the tree's sorted edge tuple, renumbered in vertex order
+        rec = _record(tuple((at[a], at[b]) for a in tree for b in neighbours[a] if b > a))
+        chi = rec.get("char_poly")
+        if chi is None:
+            even, odd = ([v for v in tree if colour[v] == c] for c in (0, 1))
+            cost = [len(side) ** 2 * sum(len(neighbours[w]) ** 2 for w in other)
+                    for side, other in ((even, odd), (odd, even))]
+            side = even if (cost[0], len(even)) <= (cost[1], len(odd)) else odd
+            for i, v in enumerate(side):
+                at[v] = i
+            rows = [[at[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
+            shift = len(tree) - 2 * len(side)
+            chi = _from_terms({shift + 2 * e: c for e, c in _char_poly_exact(rows).terms()})
+            rec["char_poly"] = chi
+        out = chi if out is None else out * chi
+    if out is None:
+        return _from_terms({isolated: 1})
+    return out.shift(isolated) if isolated else out

@@ -37,8 +37,8 @@ from .polynomial import SparsePolynomial
 from .spectra import (
     DEFAULT_TOL,
     RootFindingError,
+    _energy,
     default_tol,
-    matching_energy,
     spectral_radius,
     tree_char_poly,
 )
@@ -100,8 +100,8 @@ def _case_name(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 10 * default_tol()
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= 10 * tol
 
 
 def check_cospectral(
@@ -113,15 +113,16 @@ def check_cospectral(
     radius and matching energy computed on each side.
 
     "passed" holds when phi is equal and rho and ME each differ by at
-    most 10 * default_tol(), an absolute difference. For r = 2 (the edge
-    size the two sides share) each side's exact adjacency characteristic
-    polynomial must equal its phi, and the phis each other, as
-    "char_equal": a phi wrong alike on both sides fails there. A side
-    whose matching energy raises RootFindingError gets ME None and fails
-    the case, with the message under "error". Callers AND their own
-    conditions into "passed".
+    most 10 * tol, an absolute difference, for the tol of default_tol(),
+    read once per case. For r = 2 (the edge size the two sides share)
+    each side's exact adjacency characteristic polynomial must equal its
+    phi, and the phis each other, as "char_equal": a phi wrong alike on
+    both sides fails there. A side whose matching energy raises
+    RootFindingError gets ME None and fails the case, with the message
+    under "error". Callers AND their own conditions into "passed".
     """
     r = _shared_edge_size(lhs, rhs)
+    tol = default_tol()
     phi_l = matching_polynomial(lhs)
     phi_r = matching_polynomial(rhs)
     case = {
@@ -134,7 +135,7 @@ def check_cospectral(
     # ME first: its roots of q start each side's rho search
     for side, hg in (("me_lhs", lhs), ("me_rhs", rhs)):
         try:
-            case[side] = matching_energy(hg)
+            case[side] = _energy(hg, tol)[1]
         except RootFindingError as exc:
             case[side] = None
             errors.append(f"{side}: {exc}")
@@ -149,9 +150,9 @@ def check_cospectral(
     case["passed"] = (
         case["phi_equal"]
         and case.get("char_equal", True)
-        and _close(case["rho_lhs"], case["rho_rhs"])
+        and _close(case["rho_lhs"], case["rho_rhs"], tol)
         and not errors
-        and _close(case["me_lhs"], case["me_rhs"])
+        and _close(case["me_lhs"], case["me_rhs"], tol)
     )
     return case
 
@@ -160,8 +161,9 @@ def _finalize(report: SuiteReport, started: float, r_list, options: str) -> Suit
     """Decide the report and give each failing case its repro command:
     the suite's name, its edge sizes r_list and its other options."""
     repro_base = f"hypermatch suite --name {report.suite_name} --r {','.join(map(str, r_list))} {options}"
-    if default_tol() != DEFAULT_TOL:  # reproduce at the threshold that failed
-        repro_base = f"HG_TOL={default_tol()!r} {repro_base}"
+    tol = default_tol()
+    if tol != DEFAULT_TOL:  # reproduce at the threshold that failed
+        repro_base = f"HG_TOL={tol!r} {repro_base}"
     for case in report.cases:
         if not case["passed"]:
             case["repro"] = (
@@ -311,6 +313,7 @@ def suite_bridge(
     r_list = sorted(set(r_list))  # each edge size once
     rng = random.Random(seed)
     report = SuiteReport("bridge")
+    tol = default_tol()  # for the bridged objects' rho, once per run
 
     for r in r_list:
         for trial in range(trials):
@@ -344,7 +347,7 @@ def suite_bridge(
                 case["passed"] = (
                     case["passed"]
                     and case["closed_form_equal"]
-                    and _close(case["rho_bridged_lhs"], case["rho_bridged_rhs"])
+                    and _close(case["rho_bridged_lhs"], case["rho_bridged_rhs"], tol)
                 )
                 report.cases.append(case)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hypermatch import (
+    SparsePolynomial,
     UniformHypergraph,
     attach_pendant,
     disjoint_union,
@@ -130,6 +131,36 @@ def edge_cycle_out(hg: UniformHypergraph) -> list[list[int]]:
         for a, b in zip(e, (*e[1:], e[0])):
             out[a].append(b)
     return out
+
+
+def char_poly_reference(rows: list[list[int]]) -> SparsePolynomial:
+    """Characteristic polynomial of a nonnegative integer matrix A whose
+    row i is given as a list holding each column j A_ij times (for a 0/1
+    adjacency matrix, the neighbour lists), via the Faddeev-LeVerrier
+    recurrence; all divisions are exact over the integers, so the result
+    is exact. Row i of A.M is the sum of the rows of M that row i lists,
+    so each step costs O(n * total row length), which is O(n^2) for the
+    adjacency matrix of a forest.
+
+    The list-of-lists recurrence that hypermatch's packed kernel
+    replaced; it holds every entry exactly whatever its size, so it also
+    takes the adjacency and edge-cycle matrices that the packed kernel's
+    slot width does not cover."""
+    n = len(rows)
+    coeffs = {n: 1}
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(col) for col in zip(*(m[t] for t in row))] if row else [0] * n
+            for row in rows
+        ]
+        trace = sum(m[i][i] for i in range(n))
+        assert trace % k == 0
+        ck = -(trace // k)
+        coeffs[n - k] = ck
+        for i in range(n):
+            m[i][i] += ck
+    return SparsePolynomial(coeffs)
 
 
 def edge_cycle_energy(hg: UniformHypergraph) -> float:

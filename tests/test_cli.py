@@ -365,7 +365,7 @@ class TestSuiteCommand:
     @pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
     def test_repeated_edge_size_runs_once(self, tmp_path, capsys, monkeypatch, name, options, fail):
         if fail:  # every case fails, so the report carries each repro line
-            monkeypatch.setattr("hypermatch.suites._close", lambda a, b: False)
+            monkeypatch.setattr("hypermatch.suites._close", lambda a, b, tol: False)
         reports = []
         for r in ("2,3", "3,2,2,3"):
             path = tmp_path / f"{r}.json"
@@ -429,17 +429,17 @@ class TestSuiteCommand:
 
     def test_root_finding_error_fails_only_its_case(self, tmp_path, capsys, monkeypatch):
         from hypermatch import RootFindingError, disjoint_union, family_w, loose_path
-        from hypermatch.suites import matching_energy
+        from hypermatch.suites import _energy
 
         # the lhs of (m, n) = (6, 7) and the rhs of (7, 6)
         bad = disjoint_union(loose_path(3, 1).hg, family_w(3, 6).hg)
 
-        def failing(hg):
+        def failing(hg, tol):
             if hg == bad:
                 raise RootFindingError("injected failure")
-            return matching_energy(hg)
+            return _energy(hg, tol)
 
-        monkeypatch.setattr("hypermatch.suites.matching_energy", failing)
+        monkeypatch.setattr("hypermatch.suites._energy", failing)
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, "suite", "--name", "path-w", "--r", "3", "--json", str(path))
         assert code == 1
@@ -501,7 +501,9 @@ def test_invalid_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
     assert run(capsys, "me", str(path))[0] == 0  # a warm record must not mask the error
     monkeypatch.setenv("HG_TOL", value)
     for argv in (("me", str(path)), ("me", str(path), "--summary"),
-                 ("suite", "--name", "path-w", "--r", "3")):
+                 ("suite", "--name", "path-w", "--r", "3"),
+                 ("suite", "--name", "coalesce", "--r", "2", "--trials", "1", "--m-max", "1"),
+                 ("suite", "--name", "bridge", "--r", "2", "--trials", "1", "--m-max", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""

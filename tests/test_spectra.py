@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import (
     assert_top_root_exact,
+    char_poly_reference,
     edge_cycle_energy,
     pendant_edges,
     power_superforests,
@@ -43,7 +44,7 @@ from hypermatch import (
     tree_char_poly,
 )
 from hypermatch.hypergraph import rooted_superforest
-from hypermatch.spectra import _search_radius
+from hypermatch.spectra import _char_poly_exact, _search_radius
 
 TOL = 1e-10
 
@@ -593,7 +594,7 @@ class TestRecord:
         calls = []
         for module, name in ((hypergraph, "rooted_superforest"), (matching, "_superforest_counts"),
                              (spectra, "_search_radius"), (spectra, "_power_spectrum"), (spectra, "roots"),
-                             (spectra, "_tree_char_poly"), (hypergraph, "_centre_codes")):
+                             (spectra, "_char_poly_exact"), (hypergraph, "_centre_codes")):
             self._count(monkeypatch, module, name, calls)
         inputs = (spider(3, 2), random_supertree(2, 12, random.Random(3)))
         per_input = ["rooted_superforest"]
@@ -611,7 +612,7 @@ class TestRecord:
             assert are_isomorphic(inputs[1], other) == are_isomorphic(other, inputs[1])
             assert sorted(calls) == sorted(
                 (per_input + per_shape) * 2 + ["roots", "_power_spectrum"]
-                + ["rooted_superforest", "_tree_char_poly"] + ["_centre_codes"] * 3
+                + ["rooted_superforest", "_char_poly_exact"] + ["_centre_codes"] * 3
             )
             clear_polynomial_cache()  # the core, rho, ME, the oracle and the code go with phi
             calls.clear()
@@ -663,7 +664,7 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        self._count(monkeypatch, spectra, "_tree_char_poly", calls)
+        self._count(monkeypatch, spectra, "_char_poly_exact", calls)
         p, w = loose_path(2, 4).hg, family_w(2, 6).hg
         clear_polynomial_cache()
         first = disjoint_union(p, disjoint_union(p, w))
@@ -674,18 +675,61 @@ class TestRecord:
         assert len(calls) == 3
         assert tree_char_poly(p) == matching_polynomial(p)
         assert len(calls) == 3
+        # the record is per labelled tree: P with its ends swapped inward is another
+        relabelled = UniformHypergraph(2, 5, [[0, 2], [1, 2], [1, 3], [3, 4]])
+        assert are_isomorphic(relabelled, p)
+        assert tree_char_poly(relabelled) == tree_char_poly(p)
+        assert len(calls) == 4
+        # isolated vertices run no kernel, wherever they sit
+        spread = UniformHypergraph(2, 8, [[1, 3], [3, 4], [4, 6], [6, 7]])  # P on 1, 3, 4, 6, 7
+        assert tree_char_poly(spread) == tree_char_poly(p).shift(3)
+        assert len(calls) == 4
 
     def test_connected_tree_is_its_own_component(self, monkeypatch):
+        import hypermatch.hypergraph as hypergraph
         import hypermatch.spectra as spectra
 
         calls = []
-        for name in ("_forest_char_poly", "_tree_char_poly"):
+        for name in ("_forest_char_poly", "_char_poly_exact"):
             self._count(monkeypatch, spectra, name, calls)
         hg = random_supertree(2, 12, random.Random(3))
         clear_polynomial_cache()
         assert tree_char_poly(hg) == matching_polynomial(hg)
         assert tree_char_poly(hg) == matching_polynomial(hg)
-        assert calls == ["_forest_char_poly", "_tree_char_poly"]
+        assert calls == ["_forest_char_poly", "_char_poly_exact"]
+        # the tree's record is keyed by its edge tuple, which is no core
+        # shape's key, not even for two edges, a pair like a shape
+        assert hypergraph._CACHE[hg.edges] == {"char_poly": tree_char_poly(hg)}
+        path = loose_path(2, 2).hg
+        assert spectral_radius(path) == pytest.approx(math.sqrt(2)) and tree_char_poly(path) == matching_polynomial(path)
+        assert hypergraph._CACHE[path.edges] == {"char_poly": tree_char_poly(path)}
+        assert "char_poly" not in hypergraph._shape(path)
+        clear_polynomial_cache()
+        calls.clear()
+        assert tree_char_poly(hg) == matching_polynomial(hg)
+        assert calls == ["_forest_char_poly", "_char_poly_exact"]
+
+    def test_cycle_in_a_later_component_keeps_nothing(self):
+        import hypermatch.hypergraph as hypergraph
+
+        triangle = UniformHypergraph(2, 3, [[0, 1], [1, 2], [0, 2]])
+        hg = disjoint_union(loose_path(2, 3).hg, triangle)
+        clear_polynomial_cache()
+        for _ in range(2):  # raised on every call
+            with pytest.raises(HypergraphError, match="cycle"):
+                tree_char_poly(hg)
+        assert "char_poly" not in hypergraph._CACHE.get(hg, {})
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_edgeless_input_of_any_r_runs_no_kernel(self, monkeypatch, r, n):
+        import hypermatch.spectra as spectra
+
+        calls = []
+        self._count(monkeypatch, spectra, "_char_poly_exact", calls)
+        clear_polynomial_cache()
+        assert tree_char_poly(UniformHypergraph(r, n)) == SparsePolynomial({n: 1})
+        assert calls == []
 
     def test_kept_bound_is_applied_at_every_read(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -970,15 +1014,13 @@ class TestTreeCharPoly:
 
     @staticmethod
     def _assert_oracles_agree(hg):
-        from hypermatch.spectra import _char_poly_exact
-
         neighbours = [[] for _ in range(hg.n)]
         for a, b in hg.edges:
             neighbours[a].append(b)
             neighbours[b].append(a)
         clear_polynomial_cache()
         chi = tree_char_poly(hg)
-        assert chi == _char_poly_exact(neighbours)
+        assert chi == char_poly_reference(neighbours)
         assert chi == matching_polynomial(hg)
 
     def test_bbt_route_on_random_forests_with_isolated_vertices(self):
@@ -1028,3 +1070,98 @@ class TestTreeCharPoly:
             random_supertree(2, 4, rng), random_supertree(2, 3, rng)
         )
         assert tree_char_poly(forest) == matching_polynomial(forest)
+
+    @pytest.mark.parametrize("m", [200, 400])
+    def test_large_random_tree(self, m):
+        tree = random_supertree(2, m, random.Random(3))
+        clear_polynomial_cache()
+        assert tree_char_poly(tree) == matching_polynomial(tree)
+
+    def test_star_with_60_leaves(self):
+        # the largest C_ii, 60, and so the widest slot for its size
+        star = UniformHypergraph(2, 61, [[0, v] for v in range(1, 61)])
+        clear_polynomial_cache()
+        assert tree_char_poly(star) == matching_polynomial(star) == SparsePolynomial({61: 1, 59: -60})
+
+
+def _gram_rows(forest: UniformHypergraph, colour: int) -> list[list[int]]:
+    """Rows of C = B B^T for one colour class of an r = 2 forest, each
+    component coloured from its lowest vertex: row v lists, for each
+    neighbour w of v, every neighbour of w, as the oracle builds it."""
+    neighbours = [[] for _ in range(forest.n)]
+    for a, b in forest.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    colours = [-1] * forest.n
+    for root in range(forest.n):
+        if colours[root] < 0:
+            colours[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for w in neighbours[v]:
+                    if colours[w] < 0:
+                        colours[w] = 1 - colours[v]
+                        stack.append(w)
+    side = [v for v in range(forest.n) if colours[v] == colour]
+    at = {v: i for i, v in enumerate(side)}
+    return [[at[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
+
+
+def _r2_spider(legs: int, length: int) -> UniformHypergraph:
+    """A centre vertex with `legs` paths of `length` edges hanging from it."""
+    edges, n = [], 1
+    for _ in range(legs):
+        end = 0
+        for _ in range(length):
+            edges.append((end, n))
+            end, n = n, n + 1
+    return UniformHypergraph(2, n, edges)
+
+
+class TestPackedKernel:
+    """_char_poly_exact, on packed rows, against the list-based
+    Faddeev-LeVerrier reference on the Gram matrices B B^T of forests,
+    each colour class in turn: whole forests, so a matrix may have
+    several blocks, and rows of isolated vertices, which are empty."""
+
+    @staticmethod
+    def _assert_kernel_agrees(forest):
+        for colour in (0, 1):
+            rows = _gram_rows(forest, colour)
+            assert _char_poly_exact(rows) == char_poly_reference(rows)
+
+    def test_random_forests_with_isolated_vertices(self):
+        rng = random.Random(30)
+        for _ in range(40):
+            forest = UniformHypergraph(2, rng.randint(0, 3))
+            for _ in range(rng.randint(1, 3)):
+                forest = disjoint_union(forest, random_supertree(2, rng.randint(1, 12), rng))
+            perm = list(range(forest.n))
+            rng.shuffle(perm)
+            self._assert_kernel_agrees(UniformHypergraph(2, forest.n, [[perm[v] for v in e] for e in forest.edges]))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 60])
+    def test_stars(self, k):
+        self._assert_kernel_agrees(UniformHypergraph(2, k + 1, [[0, v] for v in range(1, k + 1)]))
+
+    @pytest.mark.parametrize("legs, length", [(3, 1), (3, 4), (8, 2), (20, 3)])
+    def test_spiders(self, legs, length):
+        self._assert_kernel_agrees(_r2_spider(legs, length))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 10, 41])
+    def test_loose_paths(self, t):
+        self._assert_kernel_agrees(loose_path(2, t).hg)
+
+    def test_unions_of_several_components(self):
+        parts = [loose_path(2, 6).hg, _r2_spider(5, 2), UniformHypergraph(2, 4, [[0, 1], [0, 2], [0, 3]]),
+                 family_w(2, 6).hg, UniformHypergraph(2, 2)]
+        union = parts[0]
+        for part in parts[1:]:
+            union = disjoint_union(union, part)
+        self._assert_kernel_agrees(union)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless(self, n):
+        self._assert_kernel_agrees(UniformHypergraph(2, n))
+        assert _char_poly_exact([[] for _ in range(n)]) == SparsePolynomial({n: 1})

@@ -61,8 +61,39 @@ class TestCheckCospectral:
     def test_numeric_comparison_is_absolute(self):
         # at the default HG_TOL, 10 * HG_TOL = 1e-9 bounds |a - b| whatever
         # the size of a and b: 2e-9 apart fails at 1000, a relative 2e-12
-        assert not suites._close(1000.0, 1000.0 + 2e-9)
-        assert suites._close(0.5, 0.5 + 5e-10)
+        assert not suites._close(1000.0, 1000.0 + 2e-9, suites.DEFAULT_TOL)
+        assert suites._close(0.5, 0.5 + 5e-10, suites.DEFAULT_TOL)
+
+    @pytest.fixture
+    def tol_reads(self, monkeypatch):
+        """Every read of HG_TOL, by suites and by spectra, appended to a list."""
+        import hypermatch.spectra as spectra
+
+        reads = []
+        read = spectra.default_tol
+        for module in (suites, spectra):
+            monkeypatch.setattr(module, "default_tol", lambda: reads.append(1) or read())
+        return reads
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_hg_tol_read_once_per_case(self, tol_reads, r):
+        lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
+        rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
+        clear_polynomial_cache()
+        assert check_cospectral(lhs, rhs, check_isomorphism=True)["passed"]
+        assert len(tol_reads) == 1
+        assert check_cospectral(rhs, lhs)["passed"]  # warm records read it once too
+        assert len(tol_reads) == 2
+
+    @pytest.mark.parametrize("name, kwargs, per_run", [
+        ("coalesce", {"r_list": (2, 3), "trials": 2, "m_max": 1}, 1),
+        ("bridge", {"r_list": (2, 3), "trials": 2, "m_max": 2}, 2),  # and once for the bridged rho
+        ("path-w", {"r_list": (2, 3), "m_range": (6, 7), "n_range": (6, 7)}, 1),
+    ])
+    def test_hg_tol_read_once_per_case_of_a_suite(self, tol_reads, name, kwargs, per_run):
+        report = run_suite(name, **kwargs)
+        assert report.passed
+        assert len(tol_reads) == len(report.cases) + per_run
 
     def test_known_pair(self):
         r = 3
