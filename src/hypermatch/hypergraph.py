@@ -6,7 +6,7 @@ superforest isomorphism by one canonical code per core shape.
 
 This module holds the cache, and this is the one statement of what it
 keeps. Every costly result is computed when first asked for and kept
-with what it depends on, in one of three kinds of record, each a dict
+with what it depends on, in one of four kinds of record, each a dict
 of results by name:
 * an input keeps only what must read its labelled edges: the record of
   its core shape, and the r = 2 characteristic polynomial (filled by
@@ -15,15 +15,22 @@ of results by name:
   by `spectra._forest_char_poly`), keyed by its edge tuple renumbered
   in vertex order, so the same labelled tree in another input, or
   shifted by isolated vertices or other trees, pays once;
-* a core shape keeps what the shape determines (filled by
-  `_shape_memo`): the matching counts, the spectrum of q, the canonical
-  code and rho^r, the top root of q. None of them depends on r, so one
-  family member at r = 2..5 pays once for each.
-No two kinds share a key: an input's is a UniformHypergraph, a core
-shape's a pair (roots, belows) whose second entry holds tuples, and a
-tree's a tuple of pairs of ints, which is no such pair even when it
-holds two edges.
-phi, ME and rho are views of the shape's record, built on each call, so
+* a tree shape, the core shape of one connected component numbered
+  from 0, keeps what the shape determines: the matching counts, the
+  spectrum of q, the canonical code and rho^r, the top root of q. None
+  of them depends on r, so one family member at r = 2..5 pays once for
+  each, and neither does it depend on what else an input holds, so a
+  component met again inside another union pays nothing;
+* a forest shape, the core shape of an input with no or several
+  components, keeps its trees' records, in root order, under "parts",
+  and what it assembles from them (see `_shape_memo`): the product of
+  their counts, the largest rho^r, the sorted join of their codes, and
+  the spectrum of q.
+No two kinds share a key: an input's is a UniformHypergraph, a tree's
+or forest's shape a pair (roots, belows) whose second entry holds
+tuples, with one root exactly for a tree, and an r = 2 tree's a tuple
+of pairs of ints, which is no such pair even when it holds two edges.
+phi, ME and rho are views of a shape's record, built on each call, so
 a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.
 
@@ -255,7 +262,8 @@ def rooted_superforest(hg: UniformHypergraph):
     phi, the spectral radius, the power-forest test and isomorphism
     depend only on this core: the vertices of degree >= 2, where edges
     meet. Its indices 0..c-1 number every root and vertex of degree >= 2
-    breadth first, parents first. Returns (vertices, shape): the vertex
+    breadth first from each root in turn, parents first, so that each
+    component is one block of indices that starts at its root. Returns (vertices, shape): the vertex
     of each index, and the core shape (roots, belows), the indices of
     the roots and, for each index, one tuple per edge hanging below it,
     of the indices of the edge's other vertices of degree >= 2. The
@@ -305,11 +313,11 @@ def rooted_superforest(hg: UniformHypergraph):
 
 
 # One record per whole input, one per labelled r = 2 tree, keyed by its
-# edge tuple, and one per core shape, keyed by the shape itself (see the
-# module docstring). CPython dict setdefault and item stores are atomic,
-# and each result is immutable, so concurrent callers at worst compute a
-# result twice; callers needing full isolation can clear or ignore the
-# cache.
+# edge tuple, and one per tree or forest shape, keyed by the shape itself
+# (see the module docstring). CPython dict setdefault and item stores are
+# atomic, and each result is immutable, so concurrent callers at worst
+# compute a result twice; callers needing full isolation can clear or
+# ignore the cache.
 _CACHE: dict[UniformHypergraph | tuple, dict] = {}
 
 
@@ -331,28 +339,66 @@ def _memo(hg: UniformHypergraph, name: str, compute):
     return out
 
 
+def _trees(shape) -> list[tuple]:
+    """The core shape of each component of a superforest with core shape
+    `shape`, in root order: `rooted_superforest` numbers each component
+    as one block that starts at its root, and each block is renumbered
+    from 0, to the shape that the component alone roots to."""
+    roots, belows = shape
+    return [
+        ((0,), tuple(tuple(tuple(u - start for u in below) for below in below_w) for below_w in belows[start:end]))
+        for start, end in zip(roots, (*roots[1:], len(belows)))
+    ]
+
+
 def _shape(hg: UniformHypergraph) -> dict:
     """The record of hg's core shape, kept in hg's record under "shape",
     so the shape is built and hashed once per input. Its own "shape" is
-    the shape as first met, so that it is kept once."""
+    the shape as first met, so that it is kept once; a forest shape's
+    "parts" are filled before it, with its trees' records."""
     rec = _record(hg)
     shape = rec.get("shape")
     if shape is None:
         key = rooted_superforest(hg)[1]
-        shape = rec["shape"] = _record(key)
-        shape.setdefault("shape", key)
+        shape = _record(key)
+        if "shape" not in shape:
+            if len(key[0]) != 1:
+                shape["parts"] = [_tree_record(tree) for tree in _trees(key)]
+            shape["shape"] = key
+        rec["shape"] = shape
     return shape
 
 
-def _shape_memo(hg: UniformHypergraph, name: str, compute):
-    """The result `name` of hg's core shape: the one kept in the shape's
-    record, else compute(shape), kept. compute sees only the shape, so
-    the result is the same whichever input of that shape asks first. As
-    with `_memo`, an error is raised on every call and never kept."""
+def _tree_record(tree: tuple) -> dict:
+    """The record of the tree shape `tree`, which keeps it under "shape"."""
+    rec = _record(tree)
+    rec.setdefault("shape", tree)
+    return rec
+
+
+def _tree_memo(tree: dict, name: str, compute):
+    """The result `name` of a tree shape's record: the one kept, else
+    compute(shape), kept. As with `_memo`, an error is raised on every
+    call and never kept."""
+    out = tree.get(name)
+    if out is None:
+        out = tree[name] = compute(tree["shape"])
+    return out
+
+
+def _shape_memo(hg: UniformHypergraph, name: str, compute, combine):
+    """The result `name` of hg's core shape, kept in the shape's record:
+    compute(shape) of a tree shape, and for a forest shape
+    combine(results), of its trees' results, each kept in its tree's
+    record. compute sees only the shape, so the result is the same
+    whichever input of that shape asks first."""
     rec = _shape(hg)
+    parts = rec.get("parts")
+    if parts is None:
+        return _tree_memo(rec, name, compute)
     out = rec.get(name)
     if out is None:
-        out = rec[name] = compute(rec["shape"])
+        out = rec[name] = combine([_tree_memo(tree, name, compute) for tree in parts])
     return out
 
 
@@ -365,27 +411,27 @@ def clear_polynomial_cache():
 
 
 def _centre_codes(shape) -> str:
-    """The canonical code of a superforest, from its core shape (see
-    `rooted_superforest`): the Aho-Hopcroft-Ullman labels of the
-    components of its vertex-edge incidence forest, each rooted at its
-    centre, sorted and concatenated. A label is its node's sorted child
-    labels, concatenated, inside "()" for a vertex or "[]" for an edge.
-    Labels are balanced, so a code splits back into them, and
-    superforests of one r have equal codes exactly when isomorphic.
+    """The canonical code of a supertree, from its core shape (see
+    `rooted_superforest`), root 0: the Aho-Hopcroft-Ullman label of its
+    vertex-edge incidence tree, rooted at its centre. A label is its
+    node's sorted child labels, concatenated, inside "()" for a vertex
+    or "[]" for an edge. Labels are balanced, so the code of a forest,
+    its trees' codes sorted and concatenated (see `_shape_memo`), splits
+    back into them, and superforests of one r have equal codes exactly
+    when isomorphic.
 
-    The leaves of that forest are the vertices of degree 1 (an edge node
-    has r >= 2 neighbours), so every component has even diameter and
-    exactly one centre, which peeling all leaves layer by layer reaches
-    last. The first layer, the degree-1 vertices, is folded away in the
-    core: the peel runs on the core indices (nodes 0..c-1, a root of
-    degree 1 as peeled) and the edges (nodes c on), and an edge's label
-    needs no count of its degree-1 vertices, r less its neighbours
-    there; so the code depends on the shape alone, not on r. Labels
-    copy their children's, so a path costs characters quadratic in its
-    height: on a 2-core x86 machine a code of `loose_path(r, 5000)`
-    takes 20-30 ms.
+    The leaves of that tree are the vertices of degree 1 (an edge node
+    has r >= 2 neighbours), so it has even diameter and exactly one
+    centre, which peeling all leaves layer by layer reaches last. The
+    first layer, the degree-1 vertices, is folded away in the core: the
+    peel runs on the core indices (nodes 0..c-1, a root of degree 1 as
+    peeled) and the edges (nodes c on), and an edge's label needs no
+    count of its degree-1 vertices, r less its neighbours there; so the
+    code depends on the shape alone, not on r. Labels copy their
+    children's, so a path costs characters quadratic in its height: on a
+    2-core x86 machine a code of `loose_path(r, 5000)` takes 20-30 ms.
     """
-    roots, belows = shape
+    belows = shape[1]
     c = len(belows)
     adj: list = [[] for _ in range(c)]
     for w, below_w in enumerate(belows):
@@ -394,14 +440,12 @@ def _centre_codes(shape) -> str:
                 adj[u].append(len(adj))
             adj.append((w, *below))
     left = [len(a) for a in adj]  # neighbours not yet peeled
-    for root in roots:
-        if left[root] == 1:  # degree 1: folded into its edge, as peeled
-            left[root] = -1
-            left[adj[root][0]] -= 1
+    if left[0] == 1:  # a root of degree 1: folded into its edge, as peeled
+        left[0] = -1
+        left[adj[0][0]] -= 1
     kids: list = [() for _ in adj]  # labels of peeled neighbours
     layer = [x for x, d in enumerate(left) if 0 <= d <= 1]
-    codes = []
-    while layer:
+    while True:
         nxt = []
         for x in layer:
             label = "".join(sorted(kids[x])).join("[]" if x >= c else "()")
@@ -411,13 +455,16 @@ def _centre_codes(shape) -> str:
                 if left[y] >= 0:
                     break
             else:  # none: x is the centre
-                codes.append(label)
-                continue
+                return label
             kids[y] += (label,)
             left[y] -= 1
             if left[y] == 1:
                 nxt.append(y)
         layer = nxt
+
+
+def _joined(codes: list[str]) -> str:
+    """The code of a forest from its trees' codes."""
     return "".join(sorted(codes))
 
 
@@ -434,5 +481,5 @@ def are_isomorphic(g: UniformHypergraph, h: UniformHypergraph) -> bool:
         return False
     if g.edges and h.edges and g.r != h.r:
         return False
-    code_g, code_h = (_shape_memo(x, "code", _centre_codes) for x in (g, h))
+    code_g, code_h = (_shape_memo(x, "code", _centre_codes, _joined) for x in (g, h))
     return code_g == code_h

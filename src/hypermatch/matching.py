@@ -8,8 +8,8 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   for everything else, and the only route for hypergraphs with cycles.
 * `matching_polynomial` needs a superforest (no cycles; it raises
   `HypergraphError` otherwise) and places the matching counts of its
-  core shape, found by one bottom-up pass (see `_count_pass`), at the
-  exponents n - k r.
+  core shape at the exponents n - k r: those of each tree, found by one
+  bottom-up pass (see `_count_pass`), multiplied (see `_product`).
 
 `reduce_polynomial` makes the factorization phi(x) = x^z q(x^r)
 explicit, with shape checks.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph, _shape_memo
+from .hypergraph import UniformHypergraph, _shape_memo, _tree_memo
 from .polynomial import PolynomialShapeError, SparsePolynomial, _from_terms
 
 
@@ -67,11 +67,12 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     return _from_terms({n - k * r: -c if k & 1 else c for k, c in enumerate(_shape_counts(hg))})
 
 
-def _count_pass(roots, belows, bits: int) -> int:
-    """The root product of the bottom-up pass on packed counts: slot k,
-    bits k*bits to (k+1)*bits - 1, holds m(H,k). At bits = 0 the slots
-    all add up, and the result is the Hosoya index Z(H), the number of
-    matchings of H.
+def _count_pass(belows, bits: int) -> int:
+    """The root's A of the bottom-up pass over one supertree's core
+    shape `belows` (see `hypergraph.rooted_superforest`), root 0, on
+    packed counts: slot k, bits k*bits to (k+1)*bits - 1, holds m(H,k).
+    At bits = 0 the slots all add up, and the result is the Hosoya index
+    Z(H), the number of matchings of H.
 
     The pass is the hypertree form of Godsil's tree recurrence. For the
     subtree T_w below a vertex w, with A_w = phi(T_w) and
@@ -113,25 +114,49 @@ def _count_pass(roots, belows, bits: int) -> int:
                 prod_p *= p
         a[w] = prod_p + (total << bits)
         b[w] = prod_p
-    return math.prod(a[root] for root in roots)
+    return a[0]
 
 
-def _superforest_counts(shape) -> tuple[int, ...]:
-    """The counts m(H,0..nu) of a superforest from its core shape (see
-    `hypergraph.rooted_superforest`), which they depend on alone. A
-    slot is as many whole bytes as Z(H), which bounds every count formed,
-    so a first pass at zero width sizes the second."""
-    roots, belows = shape
-    width = (_count_pass(roots, belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
-    packed = _count_pass(roots, belows, 8 * width)
-    nu = (packed.bit_length() - 1) // (8 * width)  # m(H,nu) > 0 is the top slot
+def _unpack(packed: int, width: int) -> tuple[int, ...]:
+    """The counts m(H,0..nu) from their packing in slots of `width`
+    bytes, m(H,nu) > 0 the top one."""
+    nu = (packed.bit_length() - 1) // (8 * width)
     data = packed.to_bytes((nu + 1) * width, "little")
     return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
+def _superforest_counts(shape) -> tuple[int, ...]:
+    """The counts m(H,0..nu) of a supertree from its core shape (see
+    `hypergraph.rooted_superforest`), which they depend on alone. A
+    slot is as many whole bytes as Z(H), which bounds every count formed,
+    so a first pass at zero width sizes the second."""
+    belows = shape[1]
+    width = (_count_pass(belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
+    return _unpack(_count_pass(belows, 8 * width), width)
+
+
+def _product(trees: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The counts of a superforest from its trees' counts: the product
+    of their polynomials, packed as in `_count_pass` and multiplied as
+    big ints. Every slot of a partial product counts matchings of a
+    union of trees, so it is at most Z(H), the product of the trees'
+    Z, which sizes the slots."""
+    width = (math.prod(map(sum, trees)).bit_length() + 7) // 8  # bytes of Z(H)
+    packed = math.prod(
+        int.from_bytes(b"".join(c.to_bytes(width, "little") for c in counts), "little") for counts in trees
+    )
+    return _unpack(packed, width)
+
+
+def _tree_counts(tree: dict) -> tuple[int, ...]:
+    """The counts m(H,0..nu) kept in a tree shape's record."""
+    return _tree_memo(tree, "counts", _superforest_counts)
+
+
 def _shape_counts(hg: UniformHypergraph) -> tuple[int, ...]:
-    """The counts m(H,0..nu) of a superforest, kept once per core shape."""
-    return _shape_memo(hg, "counts", _superforest_counts)
+    """The counts m(H,0..nu) of a superforest, kept once per tree shape
+    and once per forest shape."""
+    return _shape_memo(hg, "counts", _superforest_counts, _product)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 # OpenBLAS starts its thread pool, one thread per core, when numpy loads,
 # and starting a second thread costs more than it saves on the matrices
@@ -38,8 +38,8 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .hypergraph import HypergraphError, UniformHypergraph, _memo, _record, _shape, _shape_memo
-from .matching import _shape_counts
+from .hypergraph import HypergraphError, UniformHypergraph, _memo, _record, _shape, _tree_memo
+from .matching import _shape_counts, _tree_counts
 from .polynomial import SparsePolynomial, _from_terms
 
 DEFAULT_TOL = 1e-10
@@ -188,46 +188,39 @@ _MAX_PASSES = 100
 _SEED_MARGIN = 2.0**-30
 
 
-def _tree_pass(
-    y: float,
-    post: list[int],
-    belows: tuple[tuple[tuple[int, ...], ...], ...],
-    is_root: list[bool],
-):
+def _tree_pass(y: float, belows: tuple[tuple[tuple[int, ...], ...], ...]):
     """One bottom-up pass of T_w = 1 - (1/y) sum_e prod_{u in below_e} 1/T_u
     and D_w = dT_w/dy = (1/y) sum_e (prod_u 1/T_u) (1/y + sum_u D_u/T_u)
-    over the core shape that rooted_superforest returns, children first.
-    At y = x^r, T_w = R_w/x for R_w = phi(H_w)/phi(H_w - w), H_w the
-    branch at w: each of an edge's r - 1 other vertices gives a factor
-    1/x, and a degree-1 vertex has R = x, so T = 1. r does not appear.
+    over one supertree's core shape `belows` (see rooted_superforest),
+    children first, so the root 0 last. At y = x^r, T_w = R_w/x for
+    R_w = phi(H_w)/phi(H_w - w), H_w the branch at w: each of an edge's
+    r - 1 other vertices gives a factor 1/x, and a degree-1 vertex has
+    R = x, so T = 1. r does not appear.
 
     Returns (above, lower, upper):
 
     * above: every T_w > 0, which holds exactly when y > rho^r.
-    * lower: None, as is upper, if T_w <= 0 at a vertex that is not a
-      component root: the pass stops there, since then y <= rho^r and
-      nothing more is known. Otherwise the largest Newton step
-      y - T_c/D_c on the root T_c of a component. Where the other T_w of
-      its component are positive, T_c is increasing and concave (1/y
-      and each 1/T_u are positive, decreasing and convex, and so are
-      their products), so this step lands at or below the top root of
-      that component, from either side: lower is at most rho^r.
-    * upper (None unless above): the largest Newton step on the product
-      of a component's T_w, whose positive roots are those of its q:
-      y - 1/sum_w D_w/T_w. From above it lands near rho^r, and
-      quadratically close once y is; it is a guess, not a bound.
+    * lower: None, as is upper, if T_w <= 0 at a vertex other than the
+      root: the pass stops there, since then y <= rho^r and nothing more
+      is known. Otherwise the Newton step y - T_0/D_0 on the root's T.
+      Where the other T_w are positive, T_0 is increasing and concave
+      (1/y and each 1/T_u are positive, decreasing and convex, and so
+      are their products), so this step lands at or below the top root,
+      from either side: lower is at most rho^r.
+    * upper (None unless above): the Newton step on the product of the
+      T_w, whose positive roots are those of q: y - 1/sum_w D_w/T_w. From
+      above it lands near rho^r, and quadratically close once y is; it
+      is a guess, not a bound.
 
     Every T_w is a composition of float operations that are each
     monotone, so it never decreases as y grows, and `above` changes
     only once along the floats.
     """
     inv = 1.0 / y
-    n = len(is_root)
-    big_t = [0.0] * n
-    ratio = [0.0] * n  # D_w / T_w
-    above = True
-    lower = upper = total = 0.0
-    for w in post:  # the vertices of a component, then its root
+    big_t = [0.0] * len(belows)
+    ratio = [0.0] * len(belows)  # D_w / T_w
+    total = 0.0
+    for w in range(len(belows) - 1, -1, -1):  # each has an edge below it
         s = 1.0
         d = 0.0
         for below in belows[w]:
@@ -237,49 +230,61 @@ def _tree_pass(
                 t += ratio[u]
             s -= p
             d += p * t
-        if not is_root[w]:
-            if s <= 0.0:
-                return False, None, None
-            big_t[w] = s
-            ratio[w] = d / s
-            total += ratio[w]
-            continue
-        lower = max(lower, y - s / d)
         if s <= 0.0:
-            above = False
-        else:
-            upper = max(upper, y - 1.0 / (total + d / s))
-        total = 0.0
-    return above, lower, upper if above else None
+            return False, y - s / d if not w else None, None
+        big_t[w] = s
+        ratio[w] = d / s
+        total += ratio[w]
+    return True, y - s / d, y - 1.0 / total
 
 
 def spectral_radius(hg: UniformHypergraph) -> float:
     """Largest root of the matching polynomial of a superforest: top **
     (1/r) for the top root `top` of q (phi = x^z q(x^r)), which depends
-    on the core shape alone. `top` is found by _search_radius and kept
-    in the shape's record under "top_root", once for every r; the
-    ** (1/r), by the C library's pow, is the one place where r meets rho.
+    on the core shape alone. For each tree of hg, `top` of its core shape
+    is found by _search_radius and kept in that tree shape's record under
+    "top_root", once for every r and for every union that holds the
+    tree; hg's is the largest of them. The ** (1/r), by the C library's
+    pow, is the one place where r meets rho.
 
-    The search starts from the largest |mu| of the roots mu of q when
-    the shape's record has them (from matching_energy or
-    spectral_summary of any input of that shape, at any r), and from its
-    own bound otherwise: the same float either way. Never computes phi.
-    An edgeless hypergraph has spectral radius 0; a hypergraph with a
-    cycle raises HypergraphError. The result is accurate to the last
-    bits of a float, so it takes no tolerance.
+    A tree's search starts from the largest |mu| of the roots mu of q of
+    its own shape when its record has them (from matching_energy or
+    spectral_summary of any input of that shape, at any r), else from
+    those of hg's forest shape, else from its own bound: the same float
+    either way. Never computes phi. An edgeless hypergraph has spectral
+    radius 0; a hypergraph with a cycle raises HypergraphError. The
+    result is accurate to the last bits of a float, so it takes no
+    tolerance.
     """
     rec = _shape(hg)
     top = rec.get("top_root")
     if top is None:
-        q_roots = rec["spectrum"][0] if "spectrum" in rec else ()
-        top = rec["top_root"] = _search_radius(rec["shape"], max(map(abs, q_roots), default=None))
+        seed = _top_mu(rec)
+        top = rec["top_root"] = max((_tree_top(tree, seed) for tree in rec.get("parts", (rec,))), default=0.0)
     return top ** (1.0 / hg.r)
 
 
+def _top_mu(rec: dict) -> float | None:
+    """The largest |mu| of the roots mu of q kept in a shape's record, or
+    None: an estimate of rho^r."""
+    spectrum = rec.get("spectrum")
+    return None if spectrum is None else max(map(abs, spectrum[0]), default=None)
+
+
+def _tree_top(tree: dict, seed: float | None) -> float:
+    """rho^r of a tree shape's record, kept there, searched from its own
+    spectrum's largest |mu| when the record has one, else from seed."""
+    top = tree.get("top_root")
+    if top is None:
+        own = _top_mu(tree)
+        top = tree["top_root"] = _search_radius(tree["shape"], seed if own is None else own)
+    return top
+
+
 def _search_radius(shape, seed: float | None) -> float:
-    """rho^r, the top root of q, of the superforests with core shape
-    `shape` (see `rooted_superforest`) at every r; 0.0 when it has no
-    edge.
+    """rho^r, the top root of q, of the supertrees with core shape
+    `shape` (see `rooted_superforest`), root 0, at every r; 0.0 when it
+    has no edge.
 
     y > rho^r exactly when every T_w(y) of _tree_pass is positive, as
     x > rho exactly when every R_w(x) is (Heilmann-Lieb, Godsil), so
@@ -288,7 +293,9 @@ def _search_radius(shape, seed: float | None) -> float:
     T_w from above and on the root's T from below, capped at the
     midpoint between the certified end and the best lower estimate,
     until its ends are adjacent floats; the certified end is returned.
-    One pass covers every component.
+    A superforest's rho^r is its trees' largest: its certified
+    predicate is the AND of theirs, so that is the same float a search
+    over the whole forest would return.
 
     The search starts at y = k_max (b + 1)^(b + 1) / b^b, for at most
     k_max edges below a vertex and b vertices below an edge: with every
@@ -296,23 +303,18 @@ def _search_radius(shape, seed: float | None) -> float:
     so every T_w > 0. At b = 0 that y is rho^r itself, and t = 1/2
     gives y = 2 k_max.
 
-    `seed`, an estimate of rho^r from the roots of q or None, moves only
-    where the search starts: the first trial lies just above it when
-    that is > 0 and below the bound, and is the bound otherwise. A
-    refuted trial becomes the refuted end, and the next trial is the
-    bound; only a refuted bound, which rounding alone can cause, is
-    doubled. As the certified predicate is monotone in y, the result is
-    the same float with or without a seed.
+    `seed`, an estimate of rho^r or None, moves only where the search
+    starts: the first trial lies just above it when that is > 0 and
+    below the bound, and is the bound otherwise. A refuted trial becomes
+    the refuted end, and the next trial is the bound; only a refuted
+    bound, which rounding alone can cause, is doubled. As the certified
+    predicate is monotone in y, the result is the same float with or
+    without a seed.
     """
-    roots, belows = shape
+    belows = shape[1]
     k_max = max(map(len, belows), default=0)
     if not k_max:
         return 0.0
-    # children before parents; an isolated vertex (T = 1) needs no pass
-    post = [w for w in range(len(belows) - 1, -1, -1) if belows[w]]
-    is_root = [False] * len(belows)
-    for root in roots:
-        is_root[root] = True
     b = max((len(below) for below_w in belows for below in below_w), default=0)
     hi = k_max * (b + 1) ** (b + 1) / b**b if b else 2.0 * k_max
     lo = 0.0  # T is below 0 as y falls to 0, so 0 is never above rho^r
@@ -320,7 +322,7 @@ def _search_radius(shape, seed: float | None) -> float:
     if not 0.0 < y < hi:  # true for nan
         y = hi
     while True:
-        above, lower, upper = _tree_pass(y, post, belows, is_root)
+        above, lower, upper = _tree_pass(y, belows)
         if above:
             break
         lo = y
@@ -347,7 +349,7 @@ def _search_radius(shape, seed: float | None) -> float:
             y = mid
             if not lo < y < hi:
                 return hi
-        above, lower, upper = _tree_pass(y, post, belows, is_root)
+        above, lower, upper = _tree_pass(y, belows)
         passes += 1
         if above:
             hi = y
@@ -356,20 +358,19 @@ def _search_radius(shape, seed: float | None) -> float:
 
 
 def _base_forest(shape) -> tuple[int, list[list[int]]] | None:
-    """The ordinary forest G with hg = G^(r), as (vertex count, edges) on a
-    compact vertex index, or None unless hg is a power superforest.
+    """The ordinary tree G with hg = G^(r), as (vertex count, edges) on a
+    compact vertex index, or None unless the supertree hg is a power.
 
-    Read from the shape of hg's core (see `rooted_superforest`): each
-    edge keeps its vertices of degree >= 2 (those below it, and the one
-    it hangs from unless that is a root of degree 0 or 1), padded with
-    its degree-1 vertices up to two. In a superforest two edges meet in
-    at most one vertex, which has degree >= 2 and so is kept, so G has
-    the same edge-intersection graph, hence the same matching counts, as
+    Read from the shape of hg's core (see `rooted_superforest`), root 0:
+    each edge keeps its vertices of degree >= 2 (those below it, and the
+    one it hangs from unless that is a root of degree 1), padded with
+    its degree-1 vertices up to two. In a supertree two edges meet in at
+    most one vertex, which has degree >= 2 and so is kept, so G has the
+    same edge-intersection graph, hence the same matching counts, as
     hg."""
-    roots, belows = shape
+    belows = shape[1]
     inner = [True] * len(belows)  # of degree >= 2
-    for root in roots:
-        inner[root] = len(belows[root]) >= 2
+    inner[0] = len(belows[0]) >= 2
     index = list(accumulate(inner, initial=0))  # G's vertex of each core index of degree >= 2
     size = index.pop()
     pairs = []
@@ -431,24 +432,70 @@ def _power_spectrum(nu: int, size: int, pairs) -> tuple[tuple[complex, ...], lis
     return tuple(complex(x * x) for x in lam), lam, 2.0, delta
 
 
-def _spectrum(shape, counts) -> tuple[tuple[complex, ...], list[float], float, float | None]:
-    """What the matching energy needs of a core shape with matching counts
-    `counts`, at any r: (q_roots, values, power, delta), the roots mu of
-    q and values v with ME = r * sum v^(power/r). For a power
+def _companion_spectrum(counts) -> tuple[tuple[complex, ...], list[float], float, None]:
+    """The spectrum (see `_spectrum`) of a superforest with matching
+    counts `counts` that is no power of a forest: the companion roots of
+    q, with no error bound."""
+    # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
+    q_roots = tuple(roots([-c if k & 1 else c for k, c in enumerate(counts)]))
+    return q_roots, [abs(mu) for mu in q_roots], 1.0, None
+
+
+def _spectrum(hg: UniformHypergraph) -> tuple[tuple[complex, ...], list[float], float, float | None]:
+    """What the matching energy needs of hg's core shape, at any r:
+    (q_roots, values, power, delta), the roots mu of q and values v with
+    ME = r * sum v^(power/r), kept in the shape's record. For a power
     superforest the values are the positive eigenvalues lam of the base
     forest (power 2), taken as the singular values of its biadjacency
     matrix (see `_power_spectrum`), each within delta of the true one;
     otherwise they are the moduli |mu| of the companion roots of q
     (power 1), with no error bound (delta None). None of it depends on
     r, and root finding on the degree-nu q is far better conditioned than
-    on phi with its zero cluster."""
-    # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
-    q = [-c if k & 1 else c for k, c in enumerate(counts)]
-    base = _base_forest(shape)
-    if base is not None:
-        return _power_spectrum(len(q) - 1, *base)
-    q_roots = tuple(roots(q))
-    return q_roots, [abs(mu) for mu in q_roots], 1.0, None
+    on phi with its zero cluster.
+
+    A forest whose trees are all powers merges their spectra, each kept
+    in its tree's record, with the largest delta: the eigenvalues of a
+    forest are its trees'. Any other forest takes the companion roots of
+    its whole q, as one input: companion roots carry no bound, and
+    found per tree instead they move the ME of one side of a suite
+    case against the other's, past the suites' tolerance in some bridge
+    cases at the CLI defaults (ROADMAP item 1)."""
+    rec = _shape(hg)
+    parts = rec.get("parts")
+    if parts is None:
+        return _tree_spectrum(rec)
+    spectrum = rec.get("spectrum")
+    if spectrum is None:
+        trees = [tree for tree in parts if tree["shape"][1][0]]  # those with an edge
+        if all(map(_is_power, trees)):
+            spectra = [_tree_spectrum(tree) for tree in trees]
+            values = sorted(chain.from_iterable(values for _, values, _, _ in spectra))
+            delta = max(delta for _, _, _, delta in spectra)
+            spectrum = tuple(complex(x * x) for x in values), values, 2.0, delta
+        else:
+            spectrum = _companion_spectrum(_shape_counts(hg))
+        rec["spectrum"] = spectrum
+    return spectrum
+
+
+def _is_power(tree: dict) -> bool:
+    """Whether a tree shape's record is of a power supertree: read from
+    its spectrum when kept (a power's has an error bound), else from its
+    shape."""
+    spectrum = tree.get("spectrum")
+    return _base_forest(tree["shape"]) is not None if spectrum is None else spectrum[3] is not None
+
+
+def _tree_spectrum(tree: dict):
+    """The spectrum (see `_spectrum`) of a tree shape's record with an
+    edge, kept there."""
+
+    def compute(shape):
+        counts = _tree_counts(tree)
+        base = _base_forest(shape)
+        return _companion_spectrum(counts) if base is None else _power_spectrum(len(counts) - 1, *base)
+
+    return _tree_memo(tree, "spectrum", compute)
 
 
 def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
@@ -463,7 +510,7 @@ def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], flo
     on every call, when that bound exceeds tol * ME."""
     if not hg.edges:
         return (), 0.0
-    q_roots, values, power, delta = _shape_memo(hg, "spectrum", lambda shape: _spectrum(shape, _shape_counts(hg)))
+    q_roots, values, power, delta = _spectrum(hg)
     r = hg.r
     terms = [v ** (power / r) for v in values]
     me = r * math.fsum(terms)

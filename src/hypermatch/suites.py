@@ -7,11 +7,14 @@ conditions into the case's verdict. Suites are deterministic given
 (seed, ranges, HG_TOL), and a report's JSON is byte-for-byte
 reproducible (see `SuiteReport.to_json_dict`).
 
-Suites meet the same input, or its core shape at another r, more than
-once: path-w's lhs at (m, n) is its rhs at (n, m), neighbouring cases of
+Suites meet the same input, its trees, or its core shape at another r,
+more than once: path-w's lhs at (m, n) is its rhs at (n, m), and its 50
+sides at one r hold 10 trees (5 loose paths, 5 W), neighbouring cases of
 coalesce's chain share a side, bridge's unions at m = 1 are the bridged
-objects themselves, and every suite runs each r. The cache of
-`hypergraph` serves each repeat from its record.
+objects themselves and its unions at m >= 2 hold them as trees, and
+every suite runs each r. The cache of `hypergraph` keeps every result of
+a tree with the tree's core shape, and serves each repeat from its
+record.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ from hypermatch import (
     random_supertree,
     reduce_polynomial,
 )
+from hypermatch.hypergraph import _trees, rooted_superforest
+from hypermatch.spectra import _base_forest
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +120,26 @@ def spider(r: int, legs: int) -> UniformHypergraph:
             end = n + r - 2
             n += r - 1
     return UniformHypergraph(r, n, edges)
+
+
+def tree_shapes(hg: UniformHypergraph) -> list[tuple]:
+    """The core shape of each tree of hg, numbered from 0, in root order:
+    the shapes that hypermatch keeps its records by."""
+    return _trees(rooted_superforest(hg)[1])
+
+
+def base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
+    """The ordinary forest G with hg = G^(r), as (vertex count, edges):
+    the base forests of hg's trees, each read from its core shape, side
+    by side; None unless every tree has one."""
+    size, pairs = 0, []
+    for shape in tree_shapes(hg):
+        base = _base_forest(shape)
+        if base is None:
+            return None
+        pairs += [[a + size, b + size] for a, b in base[1]]
+        size += base[0]
+    return size, pairs
 
 
 def edge_cycle_out(hg: UniformHypergraph) -> list[list[int]]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import base_forest as _base_forest
 from hypermatch import (
     UniformHypergraph,
     are_isomorphic,
@@ -29,12 +30,6 @@ from hypermatch import (
     spectral_radius,
 )
 from hypermatch.hypergraph import rooted_superforest
-from hypermatch.spectra import _base_forest as _base_forest_of_shape
-
-
-def _base_forest(hg):
-    """The base forest of hg, read from the shape of its core."""
-    return _base_forest_of_shape(rooted_superforest(hg)[1])
 
 
 def relabelled(hg, rng):

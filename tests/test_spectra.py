@@ -4,18 +4,21 @@ import itertools
 import math
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
     assert_top_root_exact,
+    base_forest,
     char_poly_reference,
     edge_cycle_energy,
     pendant_edges,
     power_superforests,
     spider,
     supertrees,
+    tree_shapes,
 )
 from hypermatch import (
     HypergraphError,
@@ -39,6 +42,7 @@ from hypermatch import (
     random_supertree,
     reduce_polynomial,
     roots,
+    run_suite,
     spectral_radius,
     spectral_summary,
     tree_char_poly,
@@ -54,9 +58,10 @@ KEPT_PER_INPUT = {"shape", "char_poly"}
 
 
 def _search(hg, seed=None):
-    """rho from _search_radius on hg's core shape, with no record; seed is
-    in units of rho^r, the top root of q that the search finds."""
-    return _search_radius(rooted_superforest(hg)[1], seed) ** (1.0 / hg.r)
+    """rho from _search_radius on the core shape of each tree of hg, the
+    largest, with no record; seed is in units of rho^r, the top root of
+    q that the search finds."""
+    return max((_search_radius(tree, seed) for tree in tree_shapes(hg)), default=0.0) ** (1.0 / hg.r)
 
 
 class TestRoots:
@@ -329,10 +334,7 @@ class TestPowerSuperforests:
     @settings(max_examples=80, deadline=None)
     @given(power_superforests())
     def test_base_forest_has_the_same_matching_counts(self, hg):
-        from hypermatch.hypergraph import rooted_superforest
-        from hypermatch.spectra import _base_forest
-
-        size, pairs = _base_forest(rooted_superforest(hg)[1])
+        size, pairs = base_forest(hg)
         assert matching_counts(UniformHypergraph(2, size, pairs)) == matching_counts(hg)
 
     @settings(max_examples=40, deadline=None)
@@ -353,10 +355,9 @@ class TestPowerSuperforests:
 def _assert_power_spectrum_is_eigvalsh(hg):
     """_power_spectrum's values are the nu largest eigenvalues of the base
     forest's adjacency matrix, built here, to within delta, ascending."""
-    from hypermatch.hypergraph import rooted_superforest
-    from hypermatch.spectra import _base_forest, _power_spectrum
+    from hypermatch.spectra import _power_spectrum
 
-    size, pairs = _base_forest(rooted_superforest(hg)[1])
+    size, pairs = base_forest(hg)
     nu = reduce_polynomial(matching_polynomial(hg), hg.r, hg.n).q.degree()
     adj = np.zeros((size, size))
     for a, b in pairs:
@@ -636,29 +637,45 @@ class TestRecord:
         import hypermatch.hypergraph as hypergraph
         import hypermatch.spectra as spectra
 
-        calls = []
-        self._count(monkeypatch, spectra, "_search_radius", calls)
+        shapes = []
+        real = spectra._search_radius
+        monkeypatch.setattr(spectra, "_search_radius", lambda shape, seed: shapes.append(shape) or real(shape, seed))
         path = loose_path(3, 4).hg
         relabelled = UniformHypergraph(3, 9, [[0, 2, 3], [1, 2, 4], [4, 5, 6], [6, 7, 8]])  # 1 and 3 swapped
         others = [loose_path(r, 4).hg for r in (2, 4, 5)]
         assert path != relabelled
-        assert len({rooted_superforest(hg)[1] for hg in (path, relabelled, *others)}) == 1
+        tree = rooted_superforest(path)[1]
+        assert tree_shapes(path) == [tree]  # a supertree's core shape is its one tree shape
+        assert all(rooted_superforest(hg)[1] == tree for hg in (relabelled, *others))
         clear_polynomial_cache()
         rho3 = spectral_radius(path)
         assert spectral_radius(relabelled) == rho3
-        assert len(calls) == 1  # two labellings at r = 3 share one search
+        assert shapes == [tree]  # two labellings at r = 3 share one search
         rhos = [spectral_radius(hg) for hg in others]
-        assert len(calls) == 1  # and so does the same shape at r = 2, 4 and 5
+        assert shapes == [tree]  # and so does the same shape at r = 2, 4 and 5
         rec = hypergraph._shape(path)
         assert all(rec is hypergraph._shape(hg) for hg in (relabelled, *others))
         assert set(rec) == {"shape", "top_root"}  # one r-free value: no key holds r
         assert rec["top_root"] ** (1.0 / 3) == rho3
-        for hg, rho in ((relabelled, rho3), *zip(others, rhos)):
+        # a union that holds the path, at any r and in any place, searches
+        # only its other trees, each once: W(5) at r = 3 and 5, one vertex
+        w = family_w(3, 5).hg
+        unions = [
+            disjoint_union(w, path),
+            disjoint_union(UniformHypergraph(3, 2), relabelled),
+            disjoint_union(loose_path(5, 4).hg, family_w(5, 5).hg),
+        ]
+        rho_unions = [spectral_radius(union) for union in unions]
+        assert shapes == [tree, rooted_superforest(w)[1], ((0,), ((),))]
+        forest = hypergraph._shape(unions[0])
+        assert set(forest) == {"shape", "parts", "top_root"}
+        assert forest["parts"] == [hypergraph._shape(w), rec] and forest["parts"][1] is rec
+        assert forest["top_root"] == max(part["top_root"] for part in forest["parts"])
+        for hg, rho in ((relabelled, rho3), *zip(others, rhos), *zip(unions, rho_unions)):
             clear_polynomial_cache()
             assert spectral_radius(hg) == rho == _search(hg)
-        assert _search_radius(rooted_superforest(UniformHypergraph(3, 4))[1], None) == 0.0
-        assert _search_radius(((), ()), 1.0) == 0.0  # no vertex at all
-        assert spectral_radius(UniformHypergraph(3, 4)) == 0.0
+        assert _search_radius(rooted_superforest(UniformHypergraph(3, 1))[1], None) == 0.0  # one vertex
+        assert spectral_radius(UniformHypergraph(3, 4)) == spectral_radius(UniformHypergraph(3, 0)) == 0.0
 
     def test_oracle_kept_per_component(self, monkeypatch):
         import hypermatch.spectra as spectra
@@ -893,6 +910,101 @@ class TestRecord:
             assert me_l == me_r == me == summary.me
             assert phi == matching_polynomial_oracle(hg) and iso is True
             assert char_equal is (True if hg.r == 2 else None)
+
+
+@st.composite
+def forests_of_trees(draw):
+    """(forest, trees, again, scrambled): 1 to 4 trees at one r in 2..5,
+    each a supertree or a lone vertex; their union, with the trees'
+    vertices interleaved at random, each tree's in its own order, so
+    that it roots as it does alone; the union of the same trees in
+    another order, interleaved at random again; and that union with
+    every vertex relabelled at random."""
+    r = draw(st.sampled_from((2, 3, 4, 5)))
+    lone = st.just(UniformHypergraph(r, 1))
+    trees = draw(st.lists(st.one_of(lone, supertrees(rs=(r,), max_edges=5)), min_size=1, max_size=4))
+    n = sum(tree.n for tree in trees)
+
+    def interleaved(parts):
+        slots = draw(st.permutations(range(n)))
+        edges = []
+        for part in parts:
+            place, slots = sorted(slots[: part.n]), slots[part.n :]
+            edges += [[place[v] for v in e] for e in part.edges]
+        return UniformHypergraph(r, n, edges)
+
+    again = interleaved(draw(st.permutations(trees)))
+    perm = draw(st.permutations(range(n)))
+    return interleaved(trees), trees, again, UniformHypergraph(r, n, [[perm[v] for v in e] for e in again.edges])
+
+
+class TestTreesOfAForest:
+    """A superforest's results are assembled from its trees' records:
+    the product of their counts, the largest rho^r, the sorted join of
+    their codes. A tree met in several inputs pays once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forests_of_trees())
+    def test_assembled_from_the_trees(self, drawn):
+        import hypermatch.hypergraph as hypergraph
+        from hypermatch.matching import _shape_counts
+
+        forest, trees, again, scrambled = drawn
+        clear_polynomial_cache()
+        product = SparsePolynomial.one()
+        for tree in trees:
+            product = product * SparsePolynomial(dict(enumerate(_shape_counts(tree))))
+        counts = _shape_counts(forest)
+        assert list(counts) == matching_counts(forest)
+        assert SparsePolynomial(dict(enumerate(counts))) == product
+        rhos = []
+        for hg in (forest, again, *trees):
+            clear_polynomial_cache()  # each searched on its own
+            rhos.append(spectral_radius(hg))
+        assert rhos[0] == rhos[1] == max(rhos[2:])  # the same float, in any order of the trees
+        clear_polynomial_cache()
+        assert are_isomorphic(forest, scrambled) and are_isomorphic(scrambled, forest)
+        codes = []
+        for tree in trees:
+            assert are_isomorphic(tree, tree)
+            codes.append(hypergraph._shape(tree)["code"])
+        assert hypergraph._shape(forest)["code"] == hypergraph._shape(scrambled)["code"] == "".join(sorted(codes))
+
+    def test_path_w_pays_once_per_tree(self, monkeypatch):
+        import hypermatch.hypergraph as hypergraph
+        import hypermatch.spectra as spectra
+
+        calls = {"_search_radius": [], "_centre_codes": []}
+        for module, name in ((spectra, "_search_radius"), (hypergraph, "_centre_codes")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda shape, *a, real=real, name=name: calls[name].append(shape) or real(shape, *a))
+        svds = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: svds.append(a.shape) or real_svd(a, **kwargs))
+        r = 3
+        # the 50 sides of the default grid: P(m - 5) next to W(n - 1), m, n in 6..10
+        trees = {rooted_superforest(hg)[1] for t in range(1, 6) for hg in (loose_path(r, t).hg, family_w(r, t + 4).hg)}
+        assert len(trees) == 10
+        clear_polynomial_cache()
+        report = run_suite("path-w", r_list=(r,))
+        assert report.passed and len(report.cases) == 25
+        for name, shapes in calls.items():
+            assert sorted(shapes) == sorted(trees), name
+        assert len(svds) == 10
+
+    def test_bridge_searches_every_tree_once_from_a_seed(self, monkeypatch):
+        import hypermatch.spectra as spectra
+
+        seeds = []
+        search = spectra._search_radius
+        monkeypatch.setattr(spectra, "_search_radius", lambda shape, seed: seeds.append((shape, seed)) or search(shape, seed))
+        clear_polynomial_cache()
+        report = run_suite("bridge", r_list=(3,), m_max=2, trials=10)
+        assert report.passed and {case["params"]["m"] for case in report.cases} == {1, 2}
+        shapes = [shape for shape, _ in seeds]
+        assert shapes and len(shapes) == len(set(shapes))
+        # the bridged objects and g and h are trees of the m = 2 unions
+        assert [shape for shape, seed in seeds if seed is None] == []
 
 
 class TestSharedAcrossEdgeSizes:

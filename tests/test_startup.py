@@ -1,6 +1,7 @@
 """Importing hypermatch starts numpy's OpenBLAS with one thread when that
-import is the one that loads numpy, and leaves the environment as it
-found it. tests/conftest.py imports numpy before hypermatch, so each
+import is the one that loads numpy, leaves the environment as it found
+it, and loads no module beyond numpy, its own and a pinned few of the
+standard library. tests/conftest.py imports numpy before hypermatch, so each
 check runs in a fresh interpreter."""
 
 import json
@@ -65,3 +66,28 @@ def test_one_thread_after_a_spectrum():
         "print(len(os.listdir('/proc/self/task')))"
     )
     assert out == "1"
+
+
+# The standard-library modules that hypermatch's own modules import, and
+# locale, which argparse's messages load when the CLI builds its parser at
+# import. What they load in turn differs between Python versions, so it is
+# measured in the fresh interpreter itself.
+STDLIB_IMPORTS = (
+    "__future__", "argparse", "collections", "dataclasses", "functools", "inspect", "itertools",
+    "json", "locale", "math", "operator", "os", "random", "sys", "time", "typing",
+)
+
+
+def test_import_loads_nothing_beyond_numpy_and_the_pinned_stdlib():
+    # every set-up of the benchmark pays for what the import loads: one
+    # more module, such as fractions or concurrent.futures, costs there
+    out = run_python(
+        "import json, sys, numpy\n"
+        f"import {', '.join(STDLIB_IMPORTS)}\n"
+        "before = set(sys.modules)\n"
+        "import hypermatch, hypermatch.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    added = json.loads(out)
+    assert "hypermatch.cli" in added
+    assert [name for name in added if name != "hypermatch" and not name.startswith("hypermatch.")] == []

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import assert_same_report
+from conftest import assert_same_report, tree_shapes
 
 import hypermatch.suites as suites
 from hypermatch import (
@@ -19,13 +19,13 @@ from hypermatch import (
     disjoint_union,
     family_w,
     loose_path,
+    matching_energy,
     run_suite,
     spectral_radius,
     suite_bridge,
     suite_coalesce,
     suite_path_w,
 )
-from hypermatch.hypergraph import rooted_superforest
 from hypermatch.suites import SUITES, SuiteReport, _finalize
 
 
@@ -154,12 +154,14 @@ class TestCheckCospectral:
         rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
         clear_polynomial_cache()
         case = check_cospectral(lhs, rhs)
-        assert [shape for shape, _ in seeds] == [rooted_superforest(hg)[1] for hg in (lhs, rhs)]
-        for (shape, seed), rho in zip(seeds, (case["rho_lhs"], case["rho_rhs"])):
-            assert seed == pytest.approx(rho**r, rel=1e-9)  # the seed is in units of rho^r
-            assert rho == search(shape, None) ** (1.0 / r)
+        # each tree of each side is searched once, from its own roots of q
+        assert [shape for shape, _ in seeds] == tree_shapes(lhs) + tree_shapes(rhs)
+        for shape, seed in seeds:
+            assert seed == pytest.approx(search(shape, None), rel=1e-9)  # the seed is in units of rho^r
+        for side, hg in (("rho_lhs", lhs), ("rho_rhs", rhs)):
+            assert case[side] == max(search(shape, None) for shape in tree_shapes(hg)) ** (1.0 / r)
         check_cospectral(rhs, lhs)  # both sides served from their records
-        assert len(seeds) == 2
+        assert len(seeds) == 4
 
 
 class TestSuites:
@@ -416,6 +418,26 @@ class TestSharedAcrossEdgeSizes:
         for case, warm_case in zip(cold["cases"], warm["cases"]):
             assert case == warm_case, case["params"]
         assert cold == warm
+
+    @pytest.mark.parametrize("name", ["path-w", "bridge"])
+    def test_records_warmed_in_reverse_give_the_cold_report(self, name, monkeypatch):
+        # rho, then ME, of every side, last case first: each tree's rho is
+        # searched with no seed or another side's, where a cold run seeds
+        # it from its own roots of q; seeds move where a search starts,
+        # never the float it returns
+        clear_polynomial_cache()
+        cold = run_suite(name, r_list=(3,)).to_json()
+        sides = []
+        check = suites.check_cospectral
+        monkeypatch.setattr(suites, "check_cospectral", lambda lhs, rhs, **kw: sides.append((lhs, rhs)) or check(lhs, rhs, **kw))
+        run_suite(name, r_list=(3,))
+        monkeypatch.undo()
+        clear_polynomial_cache()
+        for lhs, rhs in reversed(sides):
+            for hg in (rhs, lhs):
+                spectral_radius(hg)
+                matching_energy(hg)
+        assert_same_report(run_suite(name, r_list=(3,)).to_json(), cold)
 
 
 class TestBuildOnce:
