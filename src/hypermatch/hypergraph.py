@@ -16,20 +16,22 @@ of results by name:
   in vertex order, so the same labelled tree in another input, or
   shifted by isolated vertices or other trees, pays once;
 * a tree shape, the core shape of one connected component numbered
-  from 0, keeps what the shape determines: the matching counts, the
-  spectrum of q, the canonical code and rho^r, the top root of q. None
-  of them depends on r, so one family member at r = 2..5 pays once for
-  each, and neither does it depend on what else an input holds, so a
+  from 0 (see `rooted_superforest`), keeps what the shape determines:
+  the matching counts, its base forest if it is a power, the spectrum
+  of q, the canonical code and rho^r, the top root of q. None of them
+  depends on r, so one family member at r = 2..5 pays once for each,
+  and neither does it depend on what else an input holds, so a
   component met again inside another union pays nothing;
-* a forest shape, the core shape of an input with no or several
-  components, keeps its trees' records, in root order, under "parts",
-  and what it assembles from them (see `_shape_memo`): the product of
-  their counts, the largest rho^r, the sorted join of their codes, and
-  the spectrum of q.
-No two kinds share a key: an input's is a UniformHypergraph, a tree's
-or forest's shape a pair (roots, belows) whose second entry holds
-tuples, with one root exactly for a tree, and an r = 2 tree's a tuple
-of pairs of ints, which is no such pair even when it holds two edges.
+* a forest shape, of an input with no or several components, is keyed
+  by the tuple of its trees' shapes, in root order, and keeps their
+  records under "parts" and what it assembles from them (see
+  `_shape_memo`): the product of their counts, the largest rho^r, the
+  sorted join of their codes, and the spectrum of q.
+No two kinds share a key: an input's is a UniformHypergraph, and equal
+tuples hold their ints at equal depths, 2 in an r = 2 tree's key, 3 in
+a tree shape (per vertex, per edge, the vertices below) and 4 in a
+forest shape; with no int, a tree shape has length 1 and a forest shape
+0 or >= 2.
 phi, ME and rho are views of a shape's record, built on each call, so
 a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.
@@ -203,9 +205,9 @@ class UniformHypergraph:
 
     def is_supertree(self) -> bool:
         """Connected and acyclic (the vertex-edge incidence graph is a
-        tree): `rooted_superforest` finds no cycle and exactly one root."""
+        tree): `rooted_superforest` finds no cycle and exactly one tree."""
         try:
-            return len(rooted_superforest(self)[1][0]) == 1
+            return len(rooted_superforest(self)[1]) == 1
         except HypergraphError:
             return False
 
@@ -261,17 +263,17 @@ def rooted_superforest(hg: UniformHypergraph):
 
     phi, the spectral radius, the power-forest test and isomorphism
     depend only on this core: the vertices of degree >= 2, where edges
-    meet. Its indices 0..c-1 number every root and vertex of degree >= 2
-    breadth first from each root in turn, parents first, so that each
-    component is one block of indices that starts at its root. Returns (vertices, shape): the vertex
-    of each index, and the core shape (roots, belows), the indices of
-    the roots and, for each index, one tuple per edge hanging below it,
-    of the indices of the edge's other vertices of degree >= 2. The
-    shape does not depend on r: an edge's other r - 1 - len(below)
-    vertices have degree 1, so inputs that differ only in r, such as one
-    family member at r = 2..5, have one shape. A root may have degree 0
-    or 1. Every edge is entered from the first of its vertices reached;
-    reaching a vertex twice means a cycle, and raises HypergraphError.
+    meet. Returns (vertices, trees), one entry per component in root
+    order. trees[i], the shape that the component alone roots to, holds
+    for each index 0..c-1 (its root and vertices of degree >= 2, breadth
+    first, parents first) one tuple per edge hanging below it, of the
+    indices of the edge's other vertices of degree >= 2; vertices[i][j]
+    is the vertex of index j. A shape does not depend on r: an edge's
+    other r - 1 - len(below) vertices have degree 1, so inputs that
+    differ only in r, such as one family member at r = 2..5, have one
+    shape. A root may have degree 0 or 1. Every edge is entered from
+    the first of its vertices reached; reaching a vertex twice means a
+    cycle, and raises HypergraphError.
     """
     edges = hg.edges
     incident: list[list[int]] = [[] for _ in range(hg.n)]
@@ -280,20 +282,16 @@ def rooted_superforest(hg: UniformHypergraph):
             incident[v].append(i)
     index = [-1] * hg.n  # the core index of each root and vertex of degree >= 2 reached
     taken = [False] * len(edges)
-    vertices: list[int] = []
-    roots: list[int] = []
-    belows: list[tuple[tuple[int, ...], ...]] = []
+    vertices: list[list[int]] = []
+    trees: list[tuple[tuple[tuple[int, ...], ...], ...]] = []
     for root in range(hg.n):
         inc = incident[root]
         if index[root] >= 0 or (len(inc) == 1 and taken[inc[0]]):  # reached already
             continue
-        head = len(vertices)
-        roots.append(head)
-        index[root] = head
-        vertices.append(root)
-        while head < len(vertices):
-            w = vertices[head]
-            head += 1
+        index[root] = 0
+        tree = [root]
+        belows = []
+        for w in tree:  # breadth first: the list grows as it is read
             kids = []
             for i in incident[w]:
                 if taken[i]:
@@ -304,12 +302,14 @@ def rooted_superforest(hg: UniformHypergraph):
                     if u != w and len(incident[u]) > 1:
                         if index[u] >= 0:
                             raise _cycle_error(hg)
-                        index[u] = len(vertices)
-                        below.append(len(vertices))
-                        vertices.append(u)
+                        index[u] = len(tree)
+                        below.append(len(tree))
+                        tree.append(u)
                 kids.append(tuple(below))
             belows.append(tuple(kids))
-    return vertices, (tuple(roots), tuple(belows))
+        vertices.append(tree)
+        trees.append(tuple(belows))
+    return vertices, tuple(trees)
 
 
 # One record per whole input, one per labelled r = 2 tree, keyed by its
@@ -339,32 +339,20 @@ def _memo(hg: UniformHypergraph, name: str, compute):
     return out
 
 
-def _trees(shape) -> list[tuple]:
-    """The core shape of each component of a superforest with core shape
-    `shape`, in root order: `rooted_superforest` numbers each component
-    as one block that starts at its root, and each block is renumbered
-    from 0, to the shape that the component alone roots to."""
-    roots, belows = shape
-    return [
-        ((0,), tuple(tuple(tuple(u - start for u in below) for below in below_w) for below_w in belows[start:end]))
-        for start, end in zip(roots, (*roots[1:], len(belows)))
-    ]
-
-
 def _shape(hg: UniformHypergraph) -> dict:
     """The record of hg's core shape, kept in hg's record under "shape",
-    so the shape is built and hashed once per input. Its own "shape" is
-    the shape as first met, so that it is kept once; a forest shape's
-    "parts" are filled before it, with its trees' records."""
+    so the shape is built and hashed once per input: its one tree's, or
+    its forest shape's, whose "parts" are its trees' records."""
     rec = _record(hg)
     shape = rec.get("shape")
     if shape is None:
-        key = rooted_superforest(hg)[1]
-        shape = _record(key)
-        if "shape" not in shape:
-            if len(key[0]) != 1:
-                shape["parts"] = [_tree_record(tree) for tree in _trees(key)]
-            shape["shape"] = key
+        trees = rooted_superforest(hg)[1]
+        if len(trees) == 1:
+            shape = _tree_record(trees[0])
+        else:
+            shape = _record(trees)
+            if "parts" not in shape:
+                shape["parts"] = [_tree_record(tree) for tree in trees]
         rec["shape"] = shape
     return shape
 
@@ -410,9 +398,9 @@ def clear_polynomial_cache():
 # -- isomorphism ---------------------------------------------------------
 
 
-def _centre_codes(shape) -> str:
-    """The canonical code of a supertree, from its core shape (see
-    `rooted_superforest`), root 0: the Aho-Hopcroft-Ullman label of its
+def _centre_codes(belows) -> str:
+    """The canonical code of a supertree, from its core shape `belows`
+    (see `rooted_superforest`), root 0: the Aho-Hopcroft-Ullman label of its
     vertex-edge incidence tree, rooted at its centre. A label is its
     node's sorted child labels, concatenated, inside "()" for a vertex
     or "[]" for an edge. Labels are balanced, so the code of a forest,
@@ -431,7 +419,6 @@ def _centre_codes(shape) -> str:
     children's, so a path costs characters quadratic in its height: on a
     2-core x86 machine a code of `loose_path(r, 5000)` takes 20-30 ms.
     """
-    belows = shape[1]
     c = len(belows)
     adj: list = [[] for _ in range(c)]
     for w, below_w in enumerate(belows):

@@ -125,25 +125,24 @@ def _unpack(packed: int, width: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
-def _superforest_counts(shape) -> tuple[int, ...]:
-    """The counts m(H,0..nu) of a supertree from its core shape (see
-    `hypergraph.rooted_superforest`), which they depend on alone. A
+def _superforest_counts(belows) -> tuple[int, ...]:
+    """The counts m(H,0..nu) of a supertree from its core shape `belows`
+    (see `hypergraph.rooted_superforest`), which they depend on alone. A
     slot is as many whole bytes as Z(H), which bounds every count formed,
     so a first pass at zero width sizes the second."""
-    belows = shape[1]
     width = (_count_pass(belows, 0).bit_length() + 7) // 8  # bytes of Z(H)
     return _unpack(_count_pass(belows, 8 * width), width)
 
 
-def _product(trees: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The counts of a superforest from its trees' counts: the product
-    of their polynomials, packed as in `_count_pass` and multiplied as
-    big ints. Every slot of a partial product counts matchings of a
-    union of trees, so it is at most Z(H), the product of the trees'
-    Z, which sizes the slots."""
-    width = (math.prod(map(sum, trees)).bit_length() + 7) // 8  # bytes of Z(H)
+def _product(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The product of count vectors read as polynomials, such as a
+    superforest's counts from its trees': packed as in `_count_pass` and
+    multiplied as big ints. A partial product's coefficients are at most
+    its value at 1, so at most the product of all factors' sums (each
+    >= 1): Z(H) for a superforest. That sizes the slots."""
+    width = (math.prod(map(sum, factors)).bit_length() + 7) // 8  # bytes of Z(H)
     packed = math.prod(
-        int.from_bytes(b"".join(c.to_bytes(width, "little") for c in counts), "little") for counts in trees
+        int.from_bytes(b"".join(c.to_bytes(width, "little") for c in counts), "little") for counts in factors
     )
     return _unpack(packed, width)
 

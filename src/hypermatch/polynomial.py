@@ -164,10 +164,7 @@ class SparsePolynomial:
         return [self._terms.get(e, 0) for e in range(d, -1, -1)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "var": "x",
-            "terms": [{"exp": e, "coef": str(c)} for e, c in self.terms()],
-        }
+        return _json_dict(self.terms())
 
     def __str__(self) -> str:
         if not self._terms:
@@ -196,3 +193,9 @@ def _from_terms(terms: dict[int, int]) -> SparsePolynomial:
     out = SparsePolynomial.__new__(SparsePolynomial)
     out._terms = {e: c for e, c in terms.items() if c}
     return out
+
+
+def _json_dict(terms) -> dict:
+    """The one writer of a polynomial's JSON form, from its nonzero
+    (exponent, coefficient) terms, highest exponent first."""
+    return {"var": "x", "terms": [{"exp": e, "coef": str(c)} for e, c in terms]}

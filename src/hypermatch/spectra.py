@@ -281,9 +281,9 @@ def _tree_top(tree: dict, seed: float | None) -> float:
     return top
 
 
-def _search_radius(shape, seed: float | None) -> float:
+def _search_radius(belows, seed: float | None) -> float:
     """rho^r, the top root of q, of the supertrees with core shape
-    `shape` (see `rooted_superforest`), root 0, at every r; 0.0 when it
+    `belows` (see `rooted_superforest`), root 0, at every r; 0.0 when it
     has no edge.
 
     y > rho^r exactly when every T_w(y) of _tree_pass is positive, as
@@ -311,7 +311,6 @@ def _search_radius(shape, seed: float | None) -> float:
     predicate is monotone in y, the result is the same float with or
     without a seed.
     """
-    belows = shape[1]
     k_max = max(map(len, belows), default=0)
     if not k_max:
         return 0.0
@@ -357,18 +356,17 @@ def _search_radius(shape, seed: float | None) -> float:
             lo = y
 
 
-def _base_forest(shape) -> tuple[int, list[list[int]]] | None:
+def _base_forest(belows) -> tuple[int, list[list[int]]] | tuple[()]:
     """The ordinary tree G with hg = G^(r), as (vertex count, edges) on a
-    compact vertex index, or None unless the supertree hg is a power.
+    compact vertex index, or () unless the supertree hg is a power.
 
-    Read from the shape of hg's core (see `rooted_superforest`), root 0:
-    each edge keeps its vertices of degree >= 2 (those below it, and the
-    one it hangs from unless that is a root of degree 1), padded with
-    its degree-1 vertices up to two. In a supertree two edges meet in at
-    most one vertex, which has degree >= 2 and so is kept, so G has the
-    same edge-intersection graph, hence the same matching counts, as
-    hg."""
-    belows = shape[1]
+    Read from the shape `belows` of hg's core (see `rooted_superforest`),
+    root 0: each edge keeps its vertices of degree >= 2 (those below it,
+    and the one it hangs from unless that is a root of degree 1), padded
+    with its degree-1 vertices up to two. In a supertree two edges meet
+    in at most one vertex, which has degree >= 2 and so is kept, so G
+    has the same edge-intersection graph, hence the same matching
+    counts, as hg."""
     inner = [True] * len(belows)  # of degree >= 2
     inner[0] = len(belows[0]) >= 2
     index = list(accumulate(inner, initial=0))  # G's vertex of each core index of degree >= 2
@@ -380,7 +378,7 @@ def _base_forest(shape) -> tuple[int, list[list[int]]] | None:
             if inner[w]:
                 pair.append(index[w])
             if len(pair) > 2:
-                return None
+                return ()
             while len(pair) < 2:  # a degree-1 vertex of the edge
                 pair.append(size)
                 size += 1
@@ -466,8 +464,8 @@ def _spectrum(hg: UniformHypergraph) -> tuple[tuple[complex, ...], list[float], 
         return _tree_spectrum(rec)
     spectrum = rec.get("spectrum")
     if spectrum is None:
-        trees = [tree for tree in parts if tree["shape"][1][0]]  # those with an edge
-        if all(map(_is_power, trees)):
+        trees = [tree for tree in parts if tree["shape"][0]]  # those with an edge
+        if all(map(_base, trees)):
             spectra = [_tree_spectrum(tree) for tree in trees]
             values = sorted(chain.from_iterable(values for _, values, _, _ in spectra))
             delta = max(delta for _, _, _, delta in spectra)
@@ -478,12 +476,9 @@ def _spectrum(hg: UniformHypergraph) -> tuple[tuple[complex, ...], list[float], 
     return spectrum
 
 
-def _is_power(tree: dict) -> bool:
-    """Whether a tree shape's record is of a power supertree: read from
-    its spectrum when kept (a power's has an error bound), else from its
-    shape."""
-    spectrum = tree.get("spectrum")
-    return _base_forest(tree["shape"]) is not None if spectrum is None else spectrum[3] is not None
+def _base(tree: dict) -> tuple[int, list[list[int]]] | tuple[()]:
+    """`_base_forest` of a tree shape's record, kept there."""
+    return _tree_memo(tree, "base", _base_forest)
 
 
 def _tree_spectrum(tree: dict):
@@ -491,9 +486,8 @@ def _tree_spectrum(tree: dict):
     edge, kept there."""
 
     def compute(shape):
-        counts = _tree_counts(tree)
-        base = _base_forest(shape)
-        return _companion_spectrum(counts) if base is None else _power_spectrum(len(counts) - 1, *base)
+        counts, base = _tree_counts(tree), _base(tree)
+        return _power_spectrum(len(counts) - 1, *base) if base else _companion_spectrum(counts)
 
     return _tree_memo(tree, "spectrum", compute)
 

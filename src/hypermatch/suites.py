@@ -24,6 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import zip_longest
 
 from .families import (
     bridge,
@@ -35,8 +36,8 @@ from .families import (
     random_supertree,
 )
 from .hypergraph import UniformHypergraph, _integer, _shared_edge_size, are_isomorphic, disjoint_union
-from .matching import matching_polynomial
-from .polynomial import SparsePolynomial
+from .matching import _product, _shape_counts, matching_polynomial
+from .polynomial import _json_dict
 from .spectra import (
     DEFAULT_TOL,
     RootFindingError,
@@ -107,13 +108,24 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= 10 * tol
 
 
+def _phi(hg: UniformHypergraph) -> tuple[int, tuple[int, ...]]:
+    """phi of a superforest as (n, its counts m(H,0..nu)): at one r, or
+    with a side edgeless (phi = x^n), equal exactly when phi is."""
+    return hg.n, _shape_counts(hg)
+
+
+def _phi_json(r: int, n: int, counts: tuple[int, ...]) -> dict:
+    """The JSON form of phi = sum_k (-1)^k m(H,k) x^(n - k r)."""
+    return _json_dict((n - k * r, -c if k & 1 else c) for k, c in enumerate(counts))
+
+
 def check_cospectral(
     lhs: UniformHypergraph,
     rhs: UniformHypergraph,
     check_isomorphism: bool = False,
 ) -> dict:
-    """One decided cospectrality case: exact phi comparison plus spectral
-    radius and matching energy computed on each side.
+    """One decided cospectrality case: exact phi comparison (see `_phi`)
+    plus spectral radius and matching energy computed on each side.
 
     "passed" holds when phi is equal and rho and ME each differ by at
     most 10 * tol, an absolute difference, for the tol of default_tol(),
@@ -126,12 +138,11 @@ def check_cospectral(
     """
     r = _shared_edge_size(lhs, rhs)
     tol = default_tol()
-    phi_l = matching_polynomial(lhs)
-    phi_r = matching_polynomial(rhs)
+    phi_l, phi_r = _phi(lhs), _phi(rhs)
     case = {
         "params": {},
-        "lhs_phi": phi_l.to_json_dict(),
-        "rhs_phi": phi_r.to_json_dict(),
+        "lhs_phi": _phi_json(lhs.r, *phi_l),
+        "rhs_phi": _phi_json(rhs.r, *phi_r),
         "phi_equal": phi_l == phi_r,
     }
     errors = []
@@ -149,7 +160,7 @@ def check_cospectral(
     if check_isomorphism:
         case["isomorphic"] = are_isomorphic(lhs, rhs)
     if r == 2:  # chi = phi on a forest, so phi itself is checked too
-        case["char_equal"] = tree_char_poly(lhs) == phi_l == phi_r == tree_char_poly(rhs)
+        case["char_equal"] = tree_char_poly(lhs) == matching_polynomial(lhs) == matching_polynomial(rhs) == tree_char_poly(rhs)
     case["passed"] = (
         case["phi_equal"]
         and case.get("char_equal", True)
@@ -233,7 +244,7 @@ def suite_coalesce(
         h_del = h.delete_vertex(v)
         case = check_cospectral(g, h, check_isomorphism=True)
         case["params"] = {"part": "premise", "r": r}
-        case["deleted_phi_equal"] = matching_polynomial(g_del) == matching_polynomial(h_del)
+        case["deleted_phi_equal"] = _phi(g_del) == _phi(h_del)
         case["deleted_isomorphic"] = are_isomorphic(g_del, h_del)
         case["passed"] = (
             case["passed"]
@@ -275,24 +286,27 @@ def suite_coalesce(
 
 def _bridged_closed_form(
     g: UniformHypergraph, u: int, h: UniformHypergraph, v: int, m_max: int
-) -> list[SparsePolynomial]:
-    """Closed forms for phi of (g bridged to m copies of h) union (m-1)
-    extra copies of g, for m = 1..m_max:
+) -> list[tuple[int, tuple[int, ...]]]:
+    """phi, as (n, counts) (see `_phi`), of bridge(g, u, h, v, m) union
+    m - 1 extra copies of g, for m = 1..m_max.
 
-        x^((m-1)(r-2)) * (phi_g phi_h)^(m-1)
-            * (x^(r-2) phi_g phi_h - m phi_(g-u) phi_(h-v))
-
-    The anchor-deleted sides and the four factors are computed once for
-    all m.
+    The union holds m copies of g and of h, and m joining edges with
+    r - 2 own vertices each: n = m (n_g + n_h + r - 2). Every joining
+    edge holds u, so a matching uses at most one. In
+    mu(H, y) = sum_k m(H,k) y^k, with A = mu(g) mu(h) and
+    D = mu(g - u) mu(h - v) (one `matching._product` each), matchings
+    with none give A^m, and those with the one to copy i give
+    y D A^(m-1), so mu(H, y) = A^(m-1) (A + m y D). At
+    phi(H, x) = x^n mu(H, -x^-r) that is x^((m-1)(r-2)) (phi_g phi_h)^(m-1)
+    (x^(r-2) phi_g phi_h - m phi_(g-u) phi_(h-v)).
     """
-    r = g.r
-    gh = matching_polynomial(g) * matching_polynomial(h)
-    deleted = matching_polynomial(g.delete_vertex(u)) * matching_polynomial(h.delete_vertex(v))
+    a = _product([_shape_counts(g), _shape_counts(h)])
+    d = _product([_shape_counts(g.delete_vertex(u)), _shape_counts(h.delete_vertex(v))])
+    n = g.n + h.n + _shared_edge_size(g, h) - 2
     out = []
-    power = SparsePolynomial.one()  # (phi_g phi_h)^(m-1)
     for m in range(1, m_max + 1):
-        out.append((power * (gh.shift(r - 2) - deleted * m)).shift((m - 1) * (r - 2)))
-        power = power * gh
+        joined = tuple(x + m * y for x, y in zip_longest(a, (0, *d), fillvalue=0))  # A + m y D
+        out.append((m * n, _product([a] * (m - 1) + [joined])))
     return out
 
 
@@ -344,7 +358,7 @@ def suite_bridge(
                     "u": u,
                     "v": v,
                 }
-                case["closed_form_equal"] = matching_polynomial(union_l) == closed_forms[m - 1]
+                case["closed_form_equal"] = _phi(union_l) == closed_forms[m - 1]
                 case["rho_bridged_lhs"] = spectral_radius(bridged_gh)
                 case["rho_bridged_rhs"] = spectral_radius(bridged_hg)
                 case["passed"] = (

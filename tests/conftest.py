@@ -23,7 +23,7 @@ from hypermatch import (
     random_supertree,
     reduce_polynomial,
 )
-from hypermatch.hypergraph import _trees, rooted_superforest
+from hypermatch.hypergraph import rooted_superforest
 from hypermatch.spectra import _base_forest
 
 
@@ -122,24 +122,39 @@ def spider(r: int, legs: int) -> UniformHypergraph:
     return UniformHypergraph(r, n, edges)
 
 
-def tree_shapes(hg: UniformHypergraph) -> list[tuple]:
-    """The core shape of each tree of hg, numbered from 0, in root order:
-    the shapes that hypermatch keeps its records by."""
-    return _trees(rooted_superforest(hg)[1])
-
-
 def base_forest(hg: UniformHypergraph) -> tuple[int, list[list[int]]] | None:
     """The ordinary forest G with hg = G^(r), as (vertex count, edges):
     the base forests of hg's trees, each read from its core shape, side
     by side; None unless every tree has one."""
     size, pairs = 0, []
-    for shape in tree_shapes(hg):
+    for shape in rooted_superforest(hg)[1]:
         base = _base_forest(shape)
-        if base is None:
+        if not base:
             return None
         pairs += [[a + size, b + size] for a, b in base[1]]
         size += base[0]
     return size, pairs
+
+
+def bridged_closed_form(
+    g: UniformHypergraph, u: int, h: UniformHypergraph, v: int, m_max: int
+) -> list[SparsePolynomial]:
+    """The reference for `suites._bridged_closed_form`, on polynomials:
+    phi of (g bridged to m copies of h) union (m-1) extra copies of g,
+    for m = 1..m_max,
+
+        x^((m-1)(r-2)) * (phi_g phi_h)^(m-1)
+            * (x^(r-2) phi_g phi_h - m phi_(g-u) phi_(h-v)).
+    """
+    r = g.r
+    gh = matching_polynomial(g) * matching_polynomial(h)
+    deleted = matching_polynomial(g.delete_vertex(u)) * matching_polynomial(h.delete_vertex(v))
+    out = []
+    power = SparsePolynomial.one()  # (phi_g phi_h)^(m-1)
+    for m in range(1, m_max + 1):
+        out.append((power * (gh.shift(r - 2) - deleted * m)).shift((m - 1) * (r - 2)))
+        power = power * gh
+    return out
 
 
 def edge_cycle_out(hg: UniformHypergraph) -> list[list[int]]:

@@ -13,9 +13,11 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from conftest import base_forest as _base_forest
+from conftest import base_forest as _base_forest, superforests
 from hypermatch import (
     UniformHypergraph,
     are_isomorphic,
@@ -29,7 +31,7 @@ from hypermatch import (
     reduce_polynomial,
     spectral_radius,
 )
-from hypermatch.hypergraph import rooted_superforest
+from hypermatch.hypergraph import HypergraphError, rooted_superforest
 
 
 def relabelled(hg, rng):
@@ -235,35 +237,64 @@ def backtrack_isomorphic(g, h):
 
 
 class TestRooting:
-    """rooted_superforest on compact core indices, mapped back to vertices
-    through the vertex list it returns."""
+    """rooted_superforest on compact core indices, one block per
+    component, mapped back to vertices through the vertex lists it
+    returns."""
 
     def test_order_holds_the_roots_and_the_core(self):
         for label, hg in CORPUS.items():
-            vertices, (roots, belows) = rooted_superforest(hg)
+            vertices, trees = rooted_superforest(hg)
             deg = [hg.degree(v) for v in range(hg.n)]
-            assert len(belows) == len(vertices), label
-            assert sorted(vertices) == sorted({vertices[i] for i in roots} | {v for v in range(hg.n) if deg[v] >= 2}), label
+            assert len(vertices) == len(trees), label
+            roots = [tree[0] for tree in vertices]
+            assert roots == sorted(roots), label  # root order
+            core = [v for tree in vertices for v in tree]
+            assert sorted(core) == sorted(set(roots) | {v for v in range(hg.n) if deg[v] >= 2}), label
             entered = []  # each edge as (its vertices of degree >= 2, its degree-1 count)
-            for w, below_w in enumerate(belows):
-                for below in below_w:
-                    assert all(deg[vertices[u]] >= 2 for u in below), label
-                    assert all(u > w for u in below), label  # parents first
-                    leaves = hg.r - 1 - len(below)
-                    inner = sorted(vertices[u] for u in below + (w,) if deg[vertices[u]] >= 2)
-                    entered.append((inner, leaves + (deg[vertices[w]] == 1)))
+            for tree, belows in zip(vertices, trees):
+                assert len(belows) == len(tree), label
+                for w, below_w in enumerate(belows):
+                    for below in below_w:
+                        assert all(deg[tree[u]] >= 2 for u in below), label
+                        assert all(u > w for u in below), label  # parents first
+                        leaves = hg.r - 1 - len(below)
+                        inner = sorted(tree[u] for u in below + (w,) if deg[tree[u]] >= 2)
+                        entered.append((inner, leaves + (deg[tree[w]] == 1)))
             edges = [([v for v in e if deg[v] >= 2], sum(deg[v] == 1 for v in e)) for e in hg.edges]
             assert sorted(entered) == sorted(edges), label  # each edge once
 
     def test_degree_1_root(self):
         hg = UniformHypergraph(3, 5, [[0, 1, 2], [2, 3, 4]])
-        assert rooted_superforest(hg) == ([0, 2], ((0,), (((1,),), ((),))))
+        assert rooted_superforest(hg) == ([[0, 2]], ((((1,),), ((),)),))
 
     def test_single_edges_and_isolated_vertices(self):
         hg = UniformHypergraph(3, 7, [[1, 2, 3], [4, 5, 6]])
-        vertices, (roots, belows) = rooted_superforest(hg)
-        assert [vertices[i] for i in roots] == vertices == [0, 1, 4]
-        assert belows == ((), ((),), ((),))
+        vertices, trees = rooted_superforest(hg)
+        assert vertices == [[0], [1], [4]]
+        assert trees == (((),), (((),),), (((),),))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_each_component_roots_alone(self, data):
+        g = data.draw(superforests())
+        h = data.draw(superforests(rs=(g.r,)))
+        # each tree shape is the one tree that its component alone roots to
+        trees = rooted_superforest(g)[1]
+        alone = [rooted_superforest(c)[1] for c in g.components()]
+        assert all(len(tree) == 1 for tree in alone)
+        assert trees == tuple(tree for (tree,) in alone)
+        # a disjoint union has g's trees, then h's
+        vertices, union = rooted_superforest(disjoint_union(g, h))
+        assert union == trees + rooted_superforest(h)[1]
+        assert vertices == rooted_superforest(g)[0] + [[v + g.n for v in tree] for tree in rooted_superforest(h)[0]]
+        # a cycle anywhere still raises: three edges in a ring, each with
+        # r - 2 vertices of its own
+        r = g.r
+        pads = [range(3 + i * (r - 2), 3 + (i + 1) * (r - 2)) for i in range(3)]
+        cycle = UniformHypergraph(r, 3 * (r - 1), [(a, b, *pad) for (a, b), pad in zip(((0, 1), (1, 2), (2, 0)), pads)])
+        for hg in (disjoint_union(g, cycle), disjoint_union(cycle, g)):
+            with pytest.raises(HypergraphError, match="cycle"):
+                rooted_superforest(hg)
 
 
 class TestPhiOnTheCore:

@@ -9,10 +9,12 @@ import itertools
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    bridged_closed_form,
     char_poly_reference,
     edge_cycle_out,
     seeded_supertree_corpus,
@@ -43,6 +45,7 @@ from hypermatch import (
     spectral_radius,
     spectral_summary,
 )
+from hypermatch.matching import _shape_counts
 from hypermatch.suites import _bridged_closed_form
 
 
@@ -214,6 +217,23 @@ class TestSuperforestRequirement:
                 are_isomorphic(hg, hg)
 
 
+class TestBridgedClosedForm:
+    """The bridge suite's closed form, on counts, against the same form
+    on polynomials (conftest's reference)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_match_the_polynomial_form(self, data):
+        g, u = data.draw(supertrees_with_vertex(rs=(2, 3, 4, 5), max_edges=4))
+        h, v = data.draw(supertrees_with_vertex(rs=(g.r,), max_edges=4))
+        edge = loose_path(g.r, 1).hg  # one edge: g - u has none
+        for g, u in ((g, u), (edge, u % g.r)):
+            forms = _bridged_closed_form(g, u, h, v, 5)
+            assert len(forms) == 5
+            for (n, counts), phi in zip(forms, bridged_closed_form(g, u, h, v, 5)):
+                assert phi == SparsePolynomial({n - k * g.r: (-1) ** k * c for k, c in enumerate(counts)})
+
+
 class TestLargeInputs:
     """Sizes far beyond the reach of brute force, checked against a
     closed form."""
@@ -226,7 +246,8 @@ class TestLargeInputs:
         padded = bridge(g.hg, u, h.hg, v, m)
         for _ in range(m - 1):
             padded = disjoint_union(padded, g.hg)
-        assert matching_polynomial(padded) == _bridged_closed_form(g.hg, u, h.hg, v, m)[-1]
+        assert _bridged_closed_form(g.hg, u, h.hg, v, m)[-1] == (padded.n, _shape_counts(padded))
+        assert matching_polynomial(padded) == bridged_closed_form(g.hg, u, h.hg, v, m)[-1]
 
     @staticmethod
     def _phi_of_counts(hg, counts):

@@ -18,7 +18,6 @@ from conftest import (
     power_superforests,
     spider,
     supertrees,
-    tree_shapes,
 )
 from hypermatch import (
     HypergraphError,
@@ -61,7 +60,7 @@ def _search(hg, seed=None):
     """rho from _search_radius on the core shape of each tree of hg, the
     largest, with no record; seed is in units of rho^r, the top root of
     q that the search finds."""
-    return max((_search_radius(tree, seed) for tree in tree_shapes(hg)), default=0.0) ** (1.0 / hg.r)
+    return max((_search_radius(tree, seed) for tree in rooted_superforest(hg)[1]), default=0.0) ** (1.0 / hg.r)
 
 
 class TestRoots:
@@ -152,6 +151,20 @@ class TestSpectralRadius:
         e = pendant_edges(hg)[0]
         smaller = UniformHypergraph(hg.r, hg.n, [f for f in hg.edges if f != e])
         assert spectral_radius(smaller) < spectral_radius(hg) - 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="rho depends on the order of the edges below a core vertex")
+    def test_same_float_for_two_labellings_of_one_tree(self):
+        # the two core shapes differ only in the order of the two edges
+        # below core vertex 1, and _tree_pass sums their terms in that
+        # order: 0x1.ee8dd4748bf15p+0 against 0x1.ee8dd4748bf16p+0
+        g = UniformHypergraph(2, 6, [(0, 1), (0, 3), (1, 2), (1, 5), (2, 4)])
+        h = UniformHypergraph(2, 6, [(0, 1), (0, 4), (1, 2), (1, 3), (3, 5)])
+        assert are_isomorphic(g, h)
+        rhos = []
+        for hg in (g, h):
+            clear_polynomial_cache()
+            rhos.append(spectral_radius(hg))
+        assert rhos[0].hex() == rhos[1].hex()
 
 
 def _adjacency_eigenvalues(hg):
@@ -403,7 +416,8 @@ class TestSingularValueRoute:
         from hypermatch.hypergraph import rooted_superforest
         from hypermatch.spectra import _base_forest
 
-        assert (_base_forest(rooted_superforest(hg)[1]) is not None) == on_power_route
+        (tree,) = rooted_superforest(hg)[1]
+        assert bool(_base_forest(tree)) == on_power_route
         clear_polynomial_cache()
         q_roots = spectral_summary(hg).q_roots
         assert list(q_roots) == sorted(q_roots, key=lambda z: (z.real, z.imag))
@@ -482,7 +496,7 @@ class TestSpectralSummary:
 
     def test_any_seed_gives_the_same_rho(self):
         for hg in (spider(3, 2), random_supertree(4, 20, random.Random(4)), loose_path(2, 30).hg):
-            shape = rooted_superforest(hg)[1]
+            (shape,) = rooted_superforest(hg)[1]
             top = _search_radius(shape, None)  # rho^r: the seeds are in its units
             seeds = [top * 1.5, top * 1e6, 1e300, top * (1 + 1e-15), top, top * (1 - 1e-12),
                      top * (1 - 1e-9), top * 0.5, 1e-300, 0.0, -top, math.nan, math.inf, -math.inf]
@@ -547,7 +561,7 @@ class TestSpectralSummary:
         # take about 1000
         calls = self._count_passes(monkeypatch)
         for hg in self._corpus():
-            shape = rooted_superforest(hg)[1]
+            (shape,) = rooted_superforest(hg)[1]
             calls.clear()
             top = _search_radius(shape, None)
             unseeded = len(calls)
@@ -644,9 +658,8 @@ class TestRecord:
         relabelled = UniformHypergraph(3, 9, [[0, 2, 3], [1, 2, 4], [4, 5, 6], [6, 7, 8]])  # 1 and 3 swapped
         others = [loose_path(r, 4).hg for r in (2, 4, 5)]
         assert path != relabelled
-        tree = rooted_superforest(path)[1]
-        assert tree_shapes(path) == [tree]  # a supertree's core shape is its one tree shape
-        assert all(rooted_superforest(hg)[1] == tree for hg in (relabelled, *others))
+        (tree,) = rooted_superforest(path)[1]  # a supertree roots to one tree shape
+        assert all(rooted_superforest(hg)[1] == (tree,) for hg in (relabelled, *others))
         clear_polynomial_cache()
         rho3 = spectral_radius(path)
         assert spectral_radius(relabelled) == rho3
@@ -666,15 +679,17 @@ class TestRecord:
             disjoint_union(loose_path(5, 4).hg, family_w(5, 5).hg),
         ]
         rho_unions = [spectral_radius(union) for union in unions]
-        assert shapes == [tree, rooted_superforest(w)[1], ((0,), ((),))]
+        (w_tree,) = rooted_superforest(w)[1]
+        assert shapes == [tree, w_tree, ((),)]
         forest = hypergraph._shape(unions[0])
-        assert set(forest) == {"shape", "parts", "top_root"}
+        assert forest is hypergraph._CACHE[(w_tree, tree)]  # keyed by its trees' shapes, in root order
+        assert set(forest) == {"parts", "top_root"}
         assert forest["parts"] == [hypergraph._shape(w), rec] and forest["parts"][1] is rec
         assert forest["top_root"] == max(part["top_root"] for part in forest["parts"])
         for hg, rho in ((relabelled, rho3), *zip(others, rhos), *zip(unions, rho_unions)):
             clear_polynomial_cache()
             assert spectral_radius(hg) == rho == _search(hg)
-        assert _search_radius(rooted_superforest(UniformHypergraph(3, 1))[1], None) == 0.0  # one vertex
+        assert _search_radius(rooted_superforest(UniformHypergraph(3, 1))[1][0], None) == 0.0  # one vertex
         assert spectral_radius(UniformHypergraph(3, 4)) == spectral_radius(UniformHypergraph(3, 0)) == 0.0
 
     def test_oracle_kept_per_component(self, monkeypatch):
@@ -983,7 +998,7 @@ class TestTreesOfAForest:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: svds.append(a.shape) or real_svd(a, **kwargs))
         r = 3
         # the 50 sides of the default grid: P(m - 5) next to W(n - 1), m, n in 6..10
-        trees = {rooted_superforest(hg)[1] for t in range(1, 6) for hg in (loose_path(r, t).hg, family_w(r, t + 4).hg)}
+        trees = {rooted_superforest(hg)[1][0] for t in range(1, 6) for hg in (loose_path(r, t).hg, family_w(r, t + 4).hg)}
         assert len(trees) == 10
         clear_polynomial_cache()
         report = run_suite("path-w", r_list=(r,))

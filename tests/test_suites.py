@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import assert_same_report, tree_shapes
+from conftest import assert_same_report
 
 import hypermatch.suites as suites
 from hypermatch import (
@@ -20,12 +20,14 @@ from hypermatch import (
     family_w,
     loose_path,
     matching_energy,
+    matching_polynomial,
     run_suite,
     spectral_radius,
     suite_bridge,
     suite_coalesce,
     suite_path_w,
 )
+from hypermatch.hypergraph import rooted_superforest
 from hypermatch.suites import SUITES, SuiteReport, _finalize
 
 
@@ -57,6 +59,17 @@ class TestCheckCospectral:
         assert case["rho_lhs"] == case["rho_rhs"]
         assert case["passed"] is True
         assert "char_equal" not in case  # only r = 2 has the char-poly oracle
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_phi_differs_by_an_isolated_vertex(self, r):
+        # equal counts, rho and ME: only n tells the two phis apart
+        lhs = loose_path(r, 3).hg
+        rhs = disjoint_union(lhs, UniformHypergraph(r, 1))
+        case = check_cospectral(lhs, rhs)
+        assert case["rho_lhs"] == case["rho_rhs"] and case["me_lhs"] == case["me_rhs"]
+        assert case["lhs_phi"] == matching_polynomial(lhs).to_json_dict()
+        assert case["rhs_phi"] == matching_polynomial(rhs).to_json_dict()
+        assert not case["phi_equal"] and not case["passed"]
 
     def test_numeric_comparison_is_absolute(self):
         # at the default HG_TOL, 10 * HG_TOL = 1e-9 bounds |a - b| whatever
@@ -155,11 +168,11 @@ class TestCheckCospectral:
         clear_polynomial_cache()
         case = check_cospectral(lhs, rhs)
         # each tree of each side is searched once, from its own roots of q
-        assert [shape for shape, _ in seeds] == tree_shapes(lhs) + tree_shapes(rhs)
+        assert [shape for shape, _ in seeds] == [*rooted_superforest(lhs)[1], *rooted_superforest(rhs)[1]]
         for shape, seed in seeds:
             assert seed == pytest.approx(search(shape, None), rel=1e-9)  # the seed is in units of rho^r
         for side, hg in (("rho_lhs", lhs), ("rho_rhs", rhs)):
-            assert case[side] == max(search(shape, None) for shape in tree_shapes(hg)) ** (1.0 / r)
+            assert case[side] == max(search(shape, None) for shape in rooted_superforest(hg)[1]) ** (1.0 / r)
         check_cospectral(rhs, lhs)  # both sides served from their records
         assert len(seeds) == 4
 
