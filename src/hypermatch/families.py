@@ -46,7 +46,7 @@ def loose_path(r: int, t: int) -> Anchored:
     n = t * (r - 1) + 1
     edges = [tuple(range(i * (r - 1), i * (r - 1) + r)) for i in range(t)]
     anchors = {f"v{i + 1}": i * (r - 1) for i in range(t + 1)}
-    return Anchored(UniformHypergraph(r, n, tuple(edges)), anchors)
+    return Anchored(UniformHypergraph._derived(r, n, edges), anchors)
 
 
 def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
@@ -65,9 +65,9 @@ def power(graph_edges: Sequence[Sequence[int]], r: int) -> UniformHypergraph:
     nxt = top + 1
     out = []
     for pair in pairs:
-        out.append((*pair, *range(nxt, nxt + r - 2)))
+        out.append((*sorted(pair), *range(nxt, nxt + r - 2)))
         nxt += r - 2
-    return UniformHypergraph(r, nxt, out)
+    return UniformHypergraph._derived(r, nxt, out)
 
 
 def attach_pendant(hg: UniformHypergraph, v: int) -> UniformHypergraph:
@@ -77,8 +77,8 @@ def attach_pendant(hg: UniformHypergraph, v: int) -> UniformHypergraph:
     used by the families below is the lowest fresh index, hg.n.
     """
     v = hg._check_vertex(v)
-    new_edge = (v, *range(hg.n, hg.n + hg.r - 1))
-    return UniformHypergraph(hg.r, hg.n + hg.r - 1, hg.edges + (tuple(sorted(new_edge)),))
+    new_edge = (v, *range(hg.n, hg.n + hg.r - 1))  # sorted: v < hg.n
+    return UniformHypergraph._derived(hg.r, hg.n + hg.r - 1, hg.edges + (new_edge,))
 
 
 def _with_pendants(r: int, length: int, spots: Sequence[int]) -> Anchored:
@@ -169,8 +169,9 @@ def coalesce(
         else:
             remap[w] = nxt
             nxt += 1
-    edges = list(g.edges) + [tuple(remap[w] for w in e) for e in h.edges]
-    return UniformHypergraph(r, g.n + h.n - 1, tuple(edges))
+    # v's image u is below every other image: an edge through v is sorted again
+    edges = list(g.edges) + [tuple(sorted(remap[w] for w in e)) for e in h.edges]
+    return UniformHypergraph._derived(r, g.n + h.n - 1, edges)
 
 
 def coalesce_power(g: UniformHypergraph, u: int, m: int) -> UniformHypergraph:
@@ -225,9 +226,9 @@ def bridge(
         offset = g.n + i * h.n
         edges.extend(tuple(w + offset for w in e) for e in h.edges)
         internals = range(internal_base + i * (r - 2), internal_base + (i + 1) * (r - 2))
-        edges.append(tuple(sorted((u, v + offset, *internals))))
+        edges.append((u, v + offset, *internals))  # sorted, by the layout
     n = g.n + m * h.n + m * (r - 2)
-    return UniformHypergraph(r, n, tuple(edges))
+    return UniformHypergraph._derived(r, n, edges)
 
 
 def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHypergraph:
@@ -243,5 +244,5 @@ def random_supertree(r: int, num_edges: int, rng: random.Random) -> UniformHyper
         # the same pendant edge attach_pendant adds, without rebuilding
         edges.append((rng.randrange(n), *range(n, n + r - 1)))
         n += r - 1
-    return UniformHypergraph(r, n, tuple(edges))
+    return UniformHypergraph._derived(r, n, edges)
 

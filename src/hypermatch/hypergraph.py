@@ -39,7 +39,9 @@ everything.
 Values are immutable; every operation returns a new hypergraph. Vertices
 of an n-vertex hypergraph are always 0..n-1, and deletions renumber the
 survivors order-preservingly, so structurally identical results compare
-equal as plain values.
+equal as plain values. Outside input is checked once, by the constructor;
+library operations build their results from checked parts through
+`UniformHypergraph._derived`, under its contract, with no check.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def _edge_size(r) -> int:
 class UniformHypergraph:
     """An r-uniform hypergraph on vertices 0..n-1.
 
-    This constructor is the one way to build a hypergraph. `edges` may
+    This constructor is the one public way to build a hypergraph, and
+    checks everything it is given; library operations, whose results
+    are valid by construction, build through `_derived`. `edges` may
     be any iterable of vertex iterables (lists, tuples, generators), in
     any order; they are stored as sorted vertex tuples in one sorted
     tuple, so iteration order is deterministic and instances are
@@ -119,11 +123,27 @@ class UniformHypergraph:
         if len(set(normalized)) != len(normalized):
             dup = [e for e, k in Counter(normalized).items() if k > 1][0]
             raise HypergraphError(f"duplicate edge {list(dup)}")
-        edges = tuple(sorted(normalized))
+        self._store(r, n, normalized)
+
+    def _store(self, r: int, n: int, edges) -> None:
+        """Set the fields, edges as one sorted tuple, and the hash: the
+        last step of both ways to build."""
+        edges = tuple(sorted(edges))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_hash", hash((r, n, edges)))
+
+    @classmethod
+    def _derived(cls, r: int, n: int, edges: Iterable[Edge]) -> "UniformHypergraph":
+        """A hypergraph built by a library operation from checked parts,
+        with no check. The caller's contract: r and n are already-checked
+        ints; each edge is a sorted tuple of r distinct ints in 0..n-1; no
+        edge repeats. Only the sequence of edges is sorted here, so a
+        caller whose map breaks the order inside an edge sorts that edge."""
+        hg = object.__new__(cls)
+        hg._store(r, n, edges)
+        return hg
 
     def __hash__(self) -> int:
         return self._hash
@@ -163,7 +183,7 @@ class UniformHypergraph:
             for e in self.edges
             if gone.isdisjoint(e)
         ]
-        return UniformHypergraph(self.r, self.n - len(gone), tuple(edges))
+        return UniformHypergraph._derived(self.r, self.n - len(gone), edges)
 
     def delete_closed_edge(self, e: Iterable[int]) -> "UniformHypergraph":
         """Remove all r vertices of edge e (and hence every edge meeting them)."""
@@ -201,7 +221,7 @@ class UniformHypergraph:
         edges: dict[int, list[Edge]] = {t: [] for t in members}
         for e in self.edges:
             edges[top[e[0]]].append(tuple(index[v] for v in e))
-        return [UniformHypergraph(self.r, len(members[t]), tuple(edges[t])) for t in members]
+        return [UniformHypergraph._derived(self.r, len(members[t]), edges[t]) for t in members]
 
     def is_supertree(self) -> bool:
         """Connected and acyclic (the vertex-edge incidence graph is a
@@ -243,7 +263,7 @@ def disjoint_union(g: UniformHypergraph, h: UniformHypergraph) -> UniformHypergr
     is the one g and h share (see _shared_edge_size)."""
     r = _shared_edge_size(g, h)
     edges = list(g.edges) + [tuple(v + g.n for v in e) for e in h.edges]
-    return UniformHypergraph(r, g.n + h.n, tuple(edges))
+    return UniformHypergraph._derived(r, g.n + h.n, edges)
 
 
 # -- superforests ---------------------------------------------------------

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import pendant_edges, small_hypergraphs, supertrees, supertrees_with_vertex
+from conftest import pendant_edges, small_hypergraphs, superforests, supertrees, supertrees_with_vertex
 from hypermatch import (
     HypergraphError,
     UniformHypergraph,
@@ -16,13 +16,16 @@ from hypermatch import (
     attach_pendant,
     bridge,
     coalesce,
+    coalesce_mixed,
     coalesce_power,
     disjoint_union,
     family_q,
     family_r,
+    family_t,
     family_w,
     loose_path,
     matching_polynomial,
+    power,
     random_supertree,
 )
 
@@ -191,14 +194,19 @@ class TestBuild:
             assert {hg: "cached"}[other] == "cached"
 
     def test_copies_keep_equality_and_hash(self):
+        """A copy of a checked or a derived hypergraph is the checked
+        rebuild as a cache key."""
         import copy
         import pickle
 
-        hg = UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
-        for again in (pickle.loads(pickle.dumps(hg)), copy.copy(hg), copy.deepcopy(hg)):
-            assert again == hg and hash(again) == hash(hg)
-            assert {hg: "cached"}[again] == "cached"
-        assert hash(hg) != hash(UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [3, 5, 6]]))
+        checked = UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [4, 5, 6]])
+        g = loose_path(3, 2).hg
+        for hg in (checked, loose_path(3, 3).hg, bridge(g, 4, g, 2, 2)):
+            rebuilt = UniformHypergraph(hg.r, hg.n, hg.edges)
+            for again in (hg, pickle.loads(pickle.dumps(hg)), copy.copy(hg), copy.deepcopy(hg)):
+                assert again == rebuilt and hash(again) == hash(rebuilt)
+                assert {rebuilt: "cached"}[again] == "cached"
+        assert hash(checked) != hash(UniformHypergraph(3, 7, [[0, 1, 2], [2, 3, 4], [3, 5, 6]]))
 
     def test_json_edge_that_is_no_list_rejected(self):
         with pytest.raises(HypergraphError, match="list of lists"):
@@ -311,6 +319,72 @@ class TestUnion:
     def test_mismatched_r_rejected(self):
         with pytest.raises(HypergraphError):
             disjoint_union(loose_path(2, 1).hg, loose_path(3, 1).hg)
+
+
+def assert_as_checked(hg):
+    """hg, built by a library operation without the constructor's
+    checks, is what the constructor builds from its fields: the same
+    edge tuple and hash, every edge sorted, and the edges in order."""
+    again = UniformHypergraph(hg.r, hg.n, hg.edges)
+    assert again == hg and again.edges == hg.edges and hash(again) == hash(hg)
+    assert type(hg.r) is int and type(hg.n) is int
+    assert all(list(e) == sorted(e) for e in hg.edges)
+    assert list(hg.edges) == sorted(hg.edges)
+
+
+class TestDerived:
+    """Every library operation builds its result through
+    `UniformHypergraph._derived`, which checks nothing; these hold it
+    to the checked constructor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(lambda r: st.tuples(superforests(rs=(r,)), superforests(rs=(r,)))),
+        st.integers(0, 10**9), st.integers(0, 10**9), st.integers(1, 3),
+    )
+    def test_operations_on_superforests(self, pair, pick_u, pick_v, m):
+        g, h = pair
+        assert_as_checked(disjoint_union(g, h))
+        for part in h.components():
+            assert_as_checked(part)
+        if not (g.n and h.n):
+            return
+        u, v = pick_u % g.n, pick_v % h.n
+        assert_as_checked(h.delete_vertex(v))
+        assert_as_checked(h.delete_vertices(range(v, h.n, 2)))
+        for e in h.edges[:2]:
+            assert_as_checked(h.delete_closed_edge(e))
+        assert_as_checked(attach_pendant(h, v))
+        assert_as_checked(coalesce(g, u, h, v))
+        assert_as_checked(coalesce_power(h, v, m))
+        assert_as_checked(coalesce_mixed(g, u, m, h, v, 2))
+        assert_as_checked(bridge(g, u, h, v, m))
+        assert_as_checked(bridge(h, v, g, u, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 6), st.integers(1, 8), st.integers(0, 10**6))
+    def test_families_and_random_supertrees(self, r, t, m, seed):
+        assert_as_checked(loose_path(r, t).hg)
+        assert_as_checked(family_t(r, 1 + t, m).hg)
+        assert_as_checked(family_r(r, 1, m, 1 + t, 2).hg)
+        assert_as_checked(random_supertree(r, m, random.Random(seed)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(superforests(rs=(2,)), st.integers(2, 5), st.randoms(use_true_random=False))
+    def test_power_of_pairs_given_high_to_low(self, graph, r, rnd):
+        pairs = [[b, a] for a, b in graph.edges]
+        rnd.shuffle(pairs)
+        hg = power(pairs, r)
+        assert_as_checked(hg)
+        assert hg.edges == power([sorted(p) for p in pairs], r).edges
+
+    def test_coalesce_at_a_vertex_inside_an_edge(self):
+        """v = 1, the middle of h's first edge, lands at u = 0, below the
+        images of that edge's other vertices, 3 and 4."""
+        g, h = loose_path(3, 1).hg, loose_path(3, 2).hg
+        hg = coalesce(g, 0, h, 1)
+        assert hg.edges == ((0, 1, 2), (0, 3, 4), (4, 5, 6))
+        assert_as_checked(hg)
 
 
 class TestSupertree:

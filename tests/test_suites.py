@@ -491,6 +491,20 @@ class TestBuildOnce:
         assert report.passed and len(report.cases) == 12
         assert len(calls) == 2 * 4
 
+    @pytest.mark.parametrize("name, kwargs, checked", [
+        ("bridge", {"r_list": (3,), "trials": 3, "m_max": 2}, 0),
+        ("path-w", {"r_list": (3,)}, 0),
+        ("coalesce", {"r_list": (3,), "trials": 3, "m_max": 2}, 1),
+    ])
+    def test_suites_check_no_derived_side(self, monkeypatch, name, kwargs, checked):
+        """Every side is derived from checked parts, so the constructor's
+        checks run only on coalesce's one-vertex gamma of trial 0."""
+        calls = []
+        real = UniformHypergraph.__post_init__
+        monkeypatch.setattr(UniformHypergraph, "__post_init__", lambda hg: calls.append(hg) or real(hg))
+        assert run_suite(name, **kwargs).passed
+        assert len(calls) == checked
+
 
 class TestFailureReporting:
     def test_failing_case_gets_repro_command(self):
