@@ -19,6 +19,7 @@ print text that reads back as the library's float.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -69,6 +70,7 @@ def _int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from exc
 
 
+@functools.cache  # built on the first main call, not at import, and then kept
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hypermatch",
@@ -177,12 +179,9 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

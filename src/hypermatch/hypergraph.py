@@ -6,32 +6,26 @@ superforest isomorphism by one canonical code per core shape.
 
 This module holds the cache, and this is the one statement of what it
 keeps. Every costly result is computed when first asked for and kept
-with what it depends on, in one of four kinds of record, each a dict
-of results by name:
-* an input keeps only what must read its labelled edges: the record of
-  its core shape, and the r = 2 characteristic polynomial (filled by
-  `_memo`);
-* a tree of an r = 2 input keeps its characteristic polynomial (filled
-  by `spectra._forest_char_poly`), keyed by its edge tuple renumbered
-  in vertex order, so the same labelled tree in another input, or
-  shifted by isolated vertices or other trees, pays once;
+with what it depends on. The cache holds three kinds of entry:
 * a tree shape, the core shape of one connected component numbered
-  from 0 (see `rooted_superforest`), keeps what the shape determines:
-  the matching counts, its base forest if it is a power, the spectrum
-  of q, the canonical code and rho^r, the top root of q. None of them
-  depends on r, so one family member at r = 2..5 pays once for each,
-  and neither does it depend on what else an input holds, so a
-  component met again inside another union pays nothing;
-* a forest shape, of an input with no or several components, is keyed
-  by the tuple of its trees' shapes, in root order, and keeps their
-  records under "parts" and what it assembles from them (see
-  `_shape_memo`): the product of their counts, the largest rho^r, the
-  sorted join of their codes, and the spectrum of q.
-No two kinds share a key: an input's is a UniformHypergraph, and equal
-tuples hold their ints at equal depths, 2 in an r = 2 tree's key, 3 in
-a tree shape (per vertex, per edge, the vertices below) and 4 in a
-forest shape; with no int, a tree shape has length 1 and a forest shape
-0 or >= 2.
+  from 0 (see `rooted_superforest`), maps to its record, a dict that
+  keeps what the shape determines: the matching counts, its base forest
+  if it is a power, the spectrum of q, the canonical code and rho^r, the
+  top root of q. None of them depends on r, so one family member at
+  r = 2..5 pays once for each, and neither does it depend on what else
+  an input holds, so a component met again inside another union pays
+  nothing;
+* an input maps to the record of its core shape, so it is rooted once:
+  its one tree's record, or, for a forest (no or several components),
+  a record of its own, whose "parts" are its trees' records and which
+  keeps what it assembles from them (see `_shape_memo`): the product of
+  their counts, the largest rho^r, the sorted join of their codes, and
+  the spectrum of q;
+* the key "char_poly" maps to the table of the r = 2 oracle
+  (`spectra.tree_char_poly`): the characteristic polynomial of each
+  tree met, keyed by its edge tuple renumbered in vertex order, so the
+  same labelled tree in another input, or shifted by isolated vertices
+  or other trees, pays once.
 phi, ME and rho are views of a shape's record, built on each call, so
 a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.
@@ -332,62 +326,39 @@ def rooted_superforest(hg: UniformHypergraph):
     return vertices, tuple(trees)
 
 
-# One record per whole input, one per labelled r = 2 tree, keyed by its
-# edge tuple, and one per tree or forest shape, keyed by the shape itself
-# (see the module docstring). CPython dict setdefault and item stores are
-# atomic, and each result is immutable, so concurrent callers at worst
-# compute a result twice; callers needing full isolation can clear or
-# ignore the cache.
-_CACHE: dict[UniformHypergraph | tuple, dict] = {}
-
-
-def _record(key: UniformHypergraph | tuple) -> dict:
-    """The cache record of an input, a labelled tree or a core shape,
-    created empty on first use."""
-    rec = _CACHE.get(key)
-    return rec if rec is not None else _CACHE.setdefault(key, {})
-
-
-def _memo(hg: UniformHypergraph, name: str, compute):
-    """The result `name` of hg: the one kept in its record, else
-    compute(hg), kept. No result is None. An error that compute raises,
-    such as a cycle, is raised on every call, and nothing is kept."""
-    rec = _record(hg)
-    out = rec.get(name)
-    if out is None:
-        out = rec[name] = compute(hg)
-    return out
+# An input's core-shape record by the input, a tree shape's record by the
+# shape, and the r = 2 oracle's table by "char_poly" (see the module
+# docstring). CPython dict setdefault and item stores are atomic, and
+# each result is immutable, so concurrent callers at worst compute a
+# result twice; callers needing full isolation can clear or ignore the
+# cache.
+_CACHE: dict[UniformHypergraph | tuple | str, dict] = {}
 
 
 def _shape(hg: UniformHypergraph) -> dict:
-    """The record of hg's core shape, kept in hg's record under "shape",
-    so the shape is built and hashed once per input: its one tree's, or
-    its forest shape's, whose "parts" are its trees' records."""
-    rec = _record(hg)
-    shape = rec.get("shape")
-    if shape is None:
+    """The record of hg's core shape, kept under hg, so hg is rooted once:
+    its one tree's record, or, for a forest, a record of hg's own whose
+    "parts" are its trees' records. A cycle raises HypergraphError on
+    every call, and nothing is kept."""
+    rec = _CACHE.get(hg)
+    if rec is None:
         trees = rooted_superforest(hg)[1]
-        if len(trees) == 1:
-            shape = _tree_record(trees[0])
-        else:
-            shape = _record(trees)
-            if "parts" not in shape:
-                shape["parts"] = [_tree_record(tree) for tree in trees]
-        rec["shape"] = shape
-    return shape
+        rec = _tree_record(trees[0]) if len(trees) == 1 else {"parts": [_tree_record(tree) for tree in trees]}
+        rec = _CACHE.setdefault(hg, rec)
+    return rec
 
 
 def _tree_record(tree: tuple) -> dict:
-    """The record of the tree shape `tree`, which keeps it under "shape"."""
-    rec = _record(tree)
-    rec.setdefault("shape", tree)
-    return rec
+    """The record of the tree shape `tree`, created on first use with the
+    shape under "shape"."""
+    rec = _CACHE.get(tree)
+    return rec if rec is not None else _CACHE.setdefault(tree, {"shape": tree})
 
 
 def _tree_memo(tree: dict, name: str, compute):
     """The result `name` of a tree shape's record: the one kept, else
-    compute(shape), kept. As with `_memo`, an error is raised on every
-    call and never kept."""
+    compute(shape), kept. No result is None. An error that compute
+    raises is raised on every call, and nothing is kept."""
     out = tree.get(name)
     if out is None:
         out = tree[name] = compute(tree["shape"])
@@ -396,7 +367,7 @@ def _tree_memo(tree: dict, name: str, compute):
 
 def _shape_memo(hg: UniformHypergraph, name: str, compute, combine):
     """The result `name` of hg's core shape, kept in the shape's record:
-    compute(shape) of a tree shape, and for a forest shape
+    compute(shape) of a tree shape, and for a forest
     combine(results), of its trees' results, each kept in its tree's
     record. compute sees only the shape, so the result is the same
     whichever input of that shape asks first."""
@@ -411,7 +382,7 @@ def _shape_memo(hg: UniformHypergraph, name: str, compute, combine):
 
 
 def clear_polynomial_cache():
-    """Forget every result, per input and per shape."""
+    """Forget every result: per input, per tree shape and the oracle's."""
     _CACHE.clear()
 
 

@@ -153,8 +153,8 @@ def _tree_counts(tree: dict) -> tuple[int, ...]:
 
 
 def _shape_counts(hg: UniformHypergraph) -> tuple[int, ...]:
-    """The counts m(H,0..nu) of a superforest, kept once per tree shape
-    and once per forest shape."""
+    """The counts m(H,0..nu) of a superforest, kept once per tree shape,
+    and their product, for a forest, in the forest's own record."""
     return _shape_memo(hg, "counts", _superforest_counts, _product)
 
 

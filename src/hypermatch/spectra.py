@@ -38,7 +38,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .hypergraph import HypergraphError, UniformHypergraph, _memo, _record, _shape, _tree_memo
+from .hypergraph import _CACHE, HypergraphError, UniformHypergraph, _shape, _tree_memo
 from .matching import _shape_counts, _tree_counts
 from .polynomial import SparsePolynomial, _from_terms
 
@@ -250,7 +250,7 @@ def spectral_radius(hg: UniformHypergraph) -> float:
     A tree's search starts from the largest |mu| of the roots mu of q of
     its own shape when its record has them (from matching_energy or
     spectral_summary of any input of that shape, at any r), else from
-    those of hg's forest shape, else from its own bound: the same float
+    those of hg's forest record, else from its own bound: the same float
     either way. Never computes phi. An edgeless hypergraph has spectral
     radius 0; a hypergraph with a cycle raises HypergraphError. The
     result is accurate to the last bits of a float, so it takes no
@@ -442,12 +442,13 @@ def _companion_spectrum(counts) -> tuple[tuple[complex, ...], list[float], float
 def _spectrum(hg: UniformHypergraph) -> tuple[tuple[complex, ...], list[float], float, float | None]:
     """What the matching energy needs of hg's core shape, at any r:
     (q_roots, values, power, delta), the roots mu of q and values v with
-    ME = r * sum v^(power/r), kept in the shape's record. For a power
-    superforest the values are the positive eigenvalues lam of the base
-    forest (power 2), taken as the singular values of its biadjacency
-    matrix (see `_power_spectrum`), each within delta of the true one;
-    otherwise they are the moduli |mu| of the companion roots of q
-    (power 1), with no error bound (delta None). None of it depends on
+    ME = r * sum v^(power/r), kept in the record of hg's tree shape, or,
+    for a forest, in hg's own record. For a power superforest the values
+    are the positive eigenvalues lam of the base forest (power 2), taken
+    as the singular values of its biadjacency matrix (see
+    `_power_spectrum`), each within delta of the true one; otherwise
+    they are the moduli |mu| of the companion roots of q (power 1), with
+    no error bound (delta None). None of it depends on
     r, and root finding on the degree-nu q is far better conditioned than
     on phi with its zero cluster.
 
@@ -607,15 +608,15 @@ def _char_poly_exact(rows: list[list[int]]) -> SparsePolynomial:
 
 def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     """Adjacency characteristic polynomial of an ordinary forest (r = 2,
-    or no edges at all, whatever r is declared), kept in the record of
-    hg.
+    or no edges at all, whatever r is declared), the product of its
+    trees', each kept in the oracle's table (see `_forest_char_poly`).
 
     Computed independently of the matching machinery, as an exact second
     oracle: for forests it coincides with the matching polynomial.
     """
     if hg.r != 2 and hg.edges:
         raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
-    return _memo(hg, "char_poly", _forest_char_poly)
+    return _forest_char_poly(hg)
 
 
 def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
@@ -623,11 +624,12 @@ def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     characteristic polynomial of each tree of hg, found with its two
     colour classes by one breadth-first walk from its lowest vertex.
 
-    Each tree's polynomial is kept in a record of its own, keyed by its
-    edge tuple renumbered in vertex order, so a tree met again, in hg or
-    in another input, is served from its record. A tree on n vertices
-    is bipartite: with its a vertices of one colour class as the rows of
-    B, A = [[0, B], [B^T, 0]] and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
+    Each tree's polynomial is kept in the oracle's table, the cache entry
+    "char_poly", keyed by the tree's edge tuple renumbered in vertex
+    order, so a tree met again, in hg or in another input, is served
+    from the table. A tree on n vertices is bipartite: with its a
+    vertices of one colour class as the rows of B, A = [[0, B], [B^T, 0]]
+    and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
     C = B B^T counts the common neighbours of two vertices of that class,
     so row v of C lists, for each neighbour w of v, every neighbour of
     w: the rows of a class hold as many entries as the squared degrees
@@ -641,6 +643,7 @@ def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
         neighbours[b].append(a)
     colour = [-1] * hg.n
     at = [0] * hg.n  # a vertex's index in its tree, then in its colour class
+    table = _CACHE.setdefault("char_poly", {})
     out = None
     isolated = 0
     for root in range(hg.n):
@@ -662,8 +665,8 @@ def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
         for i, v in enumerate(tree):
             at[v] = i
         # the tree's sorted edge tuple, renumbered in vertex order
-        rec = _record(tuple((at[a], at[b]) for a in tree for b in neighbours[a] if b > a))
-        chi = rec.get("char_poly")
+        key = tuple((at[a], at[b]) for a in tree for b in neighbours[a] if b > a)
+        chi = table.get(key)
         if chi is None:
             even, odd = ([v for v in tree if colour[v] == c] for c in (0, 1))
             cost = [len(side) ** 2 * sum(len(neighbours[w]) ** 2 for w in other)
@@ -674,7 +677,7 @@ def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
             rows = [[at[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
             shift = len(tree) - 2 * len(side)
             chi = _from_terms({shift + 2 * e: c for e, c in _char_poly_exact(rows).terms()})
-            rec["char_poly"] = chi
+            table[key] = chi
         out = chi if out is None else out * chi
     if out is None:
         return _from_terms({isolated: 1})

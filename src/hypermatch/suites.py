@@ -14,7 +14,8 @@ coalesce's chain share a side, bridge's unions at m = 1 are the bridged
 objects themselves and its unions at m >= 2 hold them as trees, and
 every suite runs each r. The cache of `hypergraph` keeps every result of
 a tree with the tree's core shape, and serves each repeat from its
-record.
+record; a forest's results are assembled from its trees' records, once
+per input.
 """
 
 from __future__ import annotations

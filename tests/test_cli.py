@@ -476,15 +476,20 @@ class TestSuiteCommand:
 
 
 def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
-    def rebuilt():
+    import hypermatch.cli as cli
+
+    parser = cli._build_parser()  # built by the first call, here or in an earlier main, and kept
+
+    def rebuilt(*args, **kwargs):
         raise AssertionError("main rebuilt the parser")
 
-    monkeypatch.setattr("hypermatch.cli._build_parser", rebuilt)
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", rebuilt)
     path = construct_file(tmp_path, capsys, "p1.json", "LoosePath", 4, "1")
     code, out, _ = run(capsys, "rho", str(path))
     assert code == 0 and float(out) == pytest.approx(1.0)
     code, out, _ = run(capsys, "suite", "--name", "path-w", "--r", "3", "--m-range", "6:6", "--n-range", "6:6")
     assert code == 0 and "suite path-w: PASS" in out
+    assert cli._build_parser() is parser
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 
 import hypothesis.strategies as st
@@ -51,9 +52,17 @@ from hypermatch.spectra import _char_poly_exact, _search_radius
 
 TOL = 1e-10
 
-# What an input's record may keep: what must read its labelled edges.
-# Everything else, rho among it, is kept with its core shape.
-KEPT_PER_INPUT = {"shape", "char_poly"}
+
+def _shape_entry(hg) -> dict:
+    """hg's cache entry, checked to be its core shape's record and nothing
+    of its own: its one tree's record, kept under the tree shape too, or a
+    forest's record, whose "parts" are its trees' records."""
+    import hypermatch.hypergraph as hypergraph
+
+    rec = hypergraph._CACHE[hg]
+    for tree in rec.get("parts", (rec,)):
+        assert hypergraph._CACHE[tree["shape"]] is tree
+    return rec
 
 
 def _search(hg, seed=None):
@@ -263,8 +272,6 @@ class TestMatchingEnergy:
         )
 
     def test_overflow_raises_root_finding_error(self):
-        import hypermatch.hypergraph as hypergraph
-
         # no power of a forest, so q of degree 501 goes to the companion
         # roots, and overflows a float in the residual guard: on every
         # call, at either r of the one core shape, and nothing is kept
@@ -274,8 +281,7 @@ class TestMatchingEnergy:
             with pytest.raises(RootFindingError, match="overflows") as info:
                 matching_energy(hg)
             assert isinstance(info.value.__cause__, OverflowError)
-            assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT
-            assert "spectrum" not in hypergraph._shape(hg)
+            assert "spectrum" not in _shape_entry(hg)
 
     def test_agrees_with_full_root_sum(self):
         rng = random.Random(17)
@@ -591,10 +597,11 @@ class TestSpectralSummary:
 
 
 class TestRecord:
-    """Each input keeps one record of what must read its labelled edges:
-    its core shape's record and the r = 2 characteristic polynomial,
-    filled field by field. rho^r is kept in the shape's record once for
-    every r, and phi and ME are views of that record, built on each call."""
+    """The cache holds three kinds of entry: an input's is its core
+    shape's record, a tree shape's is its record, filled field by field,
+    and "char_poly" holds the r = 2 oracle's table. rho^r is kept in the
+    shape's record once for every r, and phi and ME are views of that
+    record, built on each call."""
 
     @staticmethod
     def _count(monkeypatch, module, name, calls):
@@ -682,9 +689,11 @@ class TestRecord:
         (w_tree,) = rooted_superforest(w)[1]
         assert shapes == [tree, w_tree, ((),)]
         forest = hypergraph._shape(unions[0])
-        assert forest is hypergraph._CACHE[(w_tree, tree)]  # keyed by its trees' shapes, in root order
+        assert forest is hypergraph._CACHE[unions[0]]  # the union's own record
+        assert (w_tree, tree) not in hypergraph._CACHE  # with no key of its trees' shapes
         assert set(forest) == {"parts", "top_root"}
-        assert forest["parts"] == [hypergraph._shape(w), rec] and forest["parts"][1] is rec
+        assert forest["parts"] == [hypergraph._shape(w), rec]
+        assert forest["parts"][0] is hypergraph._CACHE[w_tree] and forest["parts"][1] is rec
         assert forest["top_root"] == max(part["top_root"] for part in forest["parts"])
         for hg, rho in ((relabelled, rho3), *zip(others, rhos), *zip(unions, rho_unions)):
             clear_polynomial_cache()
@@ -728,18 +737,90 @@ class TestRecord:
         clear_polynomial_cache()
         assert tree_char_poly(hg) == matching_polynomial(hg)
         assert tree_char_poly(hg) == matching_polynomial(hg)
-        assert calls == ["_forest_char_poly", "_char_poly_exact"]
-        # the tree's record is keyed by its edge tuple, which is no core
-        # shape's key, not even for two edges, a pair like a shape
-        assert hypergraph._CACHE[hg.edges] == {"char_poly": tree_char_poly(hg)}
+        # the second call walks hg again, and its one tree is served from the table
+        assert calls == ["_forest_char_poly", "_char_poly_exact", "_forest_char_poly"]
+        # the tree's entry in the oracle's table is keyed by its edge tuple
+        assert hypergraph._CACHE["char_poly"] == {hg.edges: tree_char_poly(hg)}
+        assert hg.edges not in hypergraph._CACHE and "char_poly" not in _shape_entry(hg)
         path = loose_path(2, 2).hg
         assert spectral_radius(path) == pytest.approx(math.sqrt(2)) and tree_char_poly(path) == matching_polynomial(path)
-        assert hypergraph._CACHE[path.edges] == {"char_poly": tree_char_poly(path)}
-        assert "char_poly" not in hypergraph._shape(path)
+        assert hypergraph._CACHE["char_poly"][path.edges] == tree_char_poly(path)
+        assert path.edges not in hypergraph._CACHE and "char_poly" not in _shape_entry(path)
         clear_polynomial_cache()
         calls.clear()
         assert tree_char_poly(hg) == matching_polynomial(hg)
         assert calls == ["_forest_char_poly", "_char_poly_exact"]
+
+    def test_clearing_empties_the_oracle_table(self, monkeypatch):
+        import hypermatch.hypergraph as hypergraph
+        import hypermatch.spectra as spectra
+
+        calls = []
+        self._count(monkeypatch, spectra, "_char_poly_exact", calls)
+        hg = loose_path(2, 5).hg
+        clear_polynomial_cache()
+        chi = tree_char_poly(hg)
+        assert hypergraph._CACHE["char_poly"] == {hg.edges: chi}
+        clear_polynomial_cache()
+        assert "char_poly" not in hypergraph._CACHE
+        assert tree_char_poly(hg) == chi and len(calls) == 2
+
+    def test_keys_are_inputs_tree_shapes_and_the_oracle_table(self):
+        import hypermatch.hypergraph as hypergraph
+
+        clear_polynomial_cache()
+        assert run_suite("bridge", r_list=(2, 3), trials=3, m_max=2).passed
+        table = hypergraph._CACHE["char_poly"]
+        assert table and all(isinstance(chi, SparsePolynomial) for chi in table.values())
+        forests = 0
+        for key, rec in hypergraph._CACHE.items():
+            if isinstance(key, UniformHypergraph):
+                forests += "parts" in _shape_entry(key)
+            elif isinstance(key, tuple):  # per core index, per edge below it, the indices below
+                assert rec["shape"] == key
+                assert all(isinstance(u, int) for below_w in key for below in below_w for u in below)
+            else:
+                assert key == "char_poly"
+            assert key == "char_poly" or "char_poly" not in rec
+        assert forests  # the unions at m = 2
+
+    @pytest.mark.parametrize("power", [True, False])
+    def test_one_forest_at_two_edge_sizes_shares_its_trees(self, monkeypatch, power):
+        import hypermatch.hypergraph as hypergraph
+        import hypermatch.matching as matching
+        import hypermatch.spectra as spectra
+
+        # W(5) or a spider beside a loose path, at r = 3 and 5: one forest's trees in two inputs
+        first = (lambda r: family_w(r, 5).hg) if power else (lambda r: spider(r, 2))
+        forests = [disjoint_union(first(r), loose_path(r, 3).hg) for r in (3, 5)]
+
+        def results(hg):
+            assert are_isomorphic(hg, hg)
+            rho = spectral_radius(hg)
+            rec = hypergraph._shape(hg)
+            return matching._shape_counts(hg), rho, rec["top_root"], rec["code"], matching_energy(hg)
+
+        cold = []
+        for hg in forests:
+            clear_polynomial_cache()
+            cold.append(results(hg))
+        calls = []
+        for module, name in ((spectra, "_search_radius"), (spectra, "_power_spectrum"), (spectra, "roots"),
+                             (matching, "_superforest_counts"), (hypergraph, "_centre_codes")):
+            self._count(monkeypatch, module, name, calls)
+        clear_polynomial_cache()
+        assert [results(hg) for hg in forests] == cold
+        records = [_shape_entry(hg) for hg in forests]
+        assert records[0] is not records[1]  # a forest record per input
+        assert len(records[0]["parts"]) == 2 and all(map(operator.is_, *(rec["parts"] for rec in records)))
+        # each tree is searched, counted and coded once; a power forest
+        # merges its trees' singular values, each tree's found once, and
+        # any other forest takes the companion roots of its whole q, once
+        # per input
+        assert sorted(calls) == sorted(
+            ["_search_radius", "_superforest_counts", "_centre_codes"] * 2
+            + ["_power_spectrum" if power else "roots"] * 2
+        )
 
     def test_cycle_in_a_later_component_keeps_nothing(self):
         import hypermatch.hypergraph as hypergraph
@@ -750,7 +831,7 @@ class TestRecord:
         for _ in range(2):  # raised on every call
             with pytest.raises(HypergraphError, match="cycle"):
                 tree_char_poly(hg)
-        assert "char_poly" not in hypergraph._CACHE.get(hg, {})
+        assert hg not in hypergraph._CACHE
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("n", [0, 1, 6])
@@ -802,8 +883,6 @@ class TestRecord:
         assert spectral_radius(hg) == _search(hg)
 
     def test_eigenvalue_within_its_error_bound_raises_every_time(self, monkeypatch):
-        import hypermatch.hypergraph as hypergraph
-
         real_svd = np.linalg.svd
 
         def svd(a, **kwargs):  # the smallest positive singular value reads 1e-15
@@ -818,8 +897,7 @@ class TestRecord:
             for fn in (matching_energy, matching_energy, spectral_summary):
                 with pytest.raises(RootFindingError, match="within twice its error bound"):
                     fn(hg)
-            assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT
-            assert "spectrum" not in hypergraph._shape(hg)
+            assert "spectrum" not in _shape_entry(hg)
         monkeypatch.undo()
         for hg in members:
             assert matching_energy(hg) == pytest.approx(edge_cycle_energy(hg), rel=TOL)
@@ -878,8 +956,7 @@ class TestRecord:
             for fn in entry_points:
                 with pytest.raises(HypergraphError, match="has a cycle"):
                     fn(cyclic)
-        assert "shape" not in hypergraph._record(cyclic)
-        assert "code" not in hypergraph._record(cyclic)
+        assert cyclic not in hypergraph._CACHE
         # are_isomorphic roots `other` once; every other call roots `cyclic` again
         assert len(calls) == 2 * len(entry_points) + 1
 
@@ -913,7 +990,7 @@ class TestRecord:
                 cores.clear()
                 got = {name: requests[name](hg) for name in order}
                 assert cores == [hg], order  # one core per input, whoever asks first
-                assert set(hypergraph._record(hg)) <= KEPT_PER_INPUT, order
+                _shape_entry(hg)
                 case = got["check"]
                 results.add((
                     case["rho_lhs"], case["rho_rhs"], case["me_lhs"], case["me_rhs"],

@@ -283,7 +283,7 @@ class TestSuites:
     def test_integer_seeds_give_repro_lines_the_cli_reads(self, suite):
         import numpy as np
 
-        from hypermatch.cli import _PARSER
+        from hypermatch.cli import _build_parser
 
         for seed, text in ((np.int64(3), "3"), (-1, "-1")):
             report = suite(r_list=(3,), trials=2, m_max=1, seed=seed)
@@ -293,7 +293,7 @@ class TestSuites:
             for case in failing:
                 argv = case["repro"].split(" # ")[0].split()
                 assert argv[0] == "hypermatch" and argv[argv.index("--seed") + 1] == text
-                assert _PARSER.parse_args(argv[1:]).seed == int(text)
+                assert _build_parser().parse_args(argv[1:]).seed == int(text)
 
     @pytest.mark.parametrize("grid, name", [
         ({"m_range": (5, 6)}, "m_range"),
