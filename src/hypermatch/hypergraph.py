@@ -9,18 +9,19 @@ keeps. Every costly result is computed when first asked for and kept
 with what it depends on. The cache holds three kinds of entry:
 * a tree shape, the core shape of one connected component numbered
   from 0 (see `rooted_superforest`), maps to its record, a dict that
-  keeps what the shape determines: the matching counts, its base forest
-  if it is a power, the spectrum of q, the canonical code and rho^r, the
-  top root of q. None of them depends on r, so one family member at
-  r = 2..5 pays once for each, and neither does it depend on what else
-  an input holds, so a component met again inside another union pays
-  nothing;
+  keeps what the shape determines: the matching counts, the canonical
+  code, rho^r (the top root of q) and the spectrum of q. None of them
+  depends on r, so one family member at r = 2..5 pays once for each,
+  and neither does it depend on what else an input holds, so a
+  component met again inside another union pays nothing;
 * an input maps to the record of its core shape, so it is rooted once:
   its one tree's record, or, for a forest (no or several components),
-  a record of its own, whose "parts" are its trees' records and which
-  keeps what it assembles from them (see `_shape_memo`): the product of
-  their counts, the largest rho^r, the sorted join of their codes, and
-  the spectrum of q;
+  a record of its own, whose "parts" are its trees' records. Every
+  result follows one rule (see `_shape_memo`): computed per tree, kept
+  in the tree's record, and combined per forest, kept in the forest's:
+  the product of the counts, the sorted join of the codes, the largest
+  rho^r, and the spectrum of q, the trees' merged when each is a
+  power's, else the companion roots of the forest's whole q;
 * the key "char_poly" maps to the table of the r = 2 oracle
   (`spectra.tree_char_poly`): the characteristic polynomial of each
   tree met, keyed by its edge tuple renumbered in vertex order, so the
@@ -363,6 +364,14 @@ def _tree_memo(tree: dict, name: str, compute):
     if out is None:
         out = tree[name] = compute(tree["shape"])
     return out
+
+
+def _tree_result(shape: tuple, name: str, compute=None):
+    """The result `name` of the tree shape `shape`, by `_tree_memo`, or,
+    with no compute, the one kept or None: for a compute of
+    `_shape_memo` that needs another result of its shape."""
+    tree = _tree_record(shape)
+    return tree.get(name) if compute is None else _tree_memo(tree, name, compute)
 
 
 def _shape_memo(hg: UniformHypergraph, name: str, compute, combine):

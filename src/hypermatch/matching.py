@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import UniformHypergraph, _shape_memo, _tree_memo
+from .hypergraph import UniformHypergraph, _shape_memo, _tree_result
 from .polynomial import PolynomialShapeError, SparsePolynomial, _from_terms
 
 
@@ -147,9 +147,9 @@ def _product(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
     return _unpack(packed, width)
 
 
-def _tree_counts(tree: dict) -> tuple[int, ...]:
-    """The counts m(H,0..nu) kept in a tree shape's record."""
-    return _tree_memo(tree, "counts", _superforest_counts)
+def _tree_counts(shape: tuple) -> tuple[int, ...]:
+    """The counts m(H,0..nu) of a tree shape, kept in its record."""
+    return _tree_result(shape, "counts", _superforest_counts)
 
 
 def _shape_counts(hg: UniformHypergraph) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .hypergraph import _CACHE, HypergraphError, UniformHypergraph, _shape, _tree_memo
+from .hypergraph import _CACHE, HypergraphError, UniformHypergraph, _shape_memo, _tree_result
 from .matching import _shape_counts, _tree_counts
 from .polynomial import SparsePolynomial, _from_terms
 
@@ -244,41 +244,32 @@ def spectral_radius(hg: UniformHypergraph) -> float:
     on the core shape alone. For each tree of hg, `top` of its core shape
     is found by _search_radius and kept in that tree shape's record under
     "top_root", once for every r and for every union that holds the
-    tree; hg's is the largest of them. The ** (1/r), by the C library's
-    pow, is the one place where r meets rho.
+    tree; hg's is the largest of them (see `_shape_memo`). The ** (1/r),
+    by the C library's pow, is the one place where r meets rho.
 
     A tree's search starts from the largest |mu| of the roots mu of q of
     its own shape when its record has them (from matching_energy or
-    spectral_summary of any input of that shape, at any r), else from
-    those of hg's forest record, else from its own bound: the same float
-    either way. Never computes phi. An edgeless hypergraph has spectral
-    radius 0; a hypergraph with a cycle raises HypergraphError. The
-    result is accurate to the last bits of a float, so it takes no
-    tolerance.
+    spectral_summary of any input that holds that tree, at any r), else
+    from its own bound: the same float either way. Never computes phi.
+    An edgeless hypergraph has spectral radius 0; a hypergraph with a
+    cycle raises HypergraphError. The result takes no tolerance: it is
+    within one ulp of the correctly rounded rho, but not always that
+    float, and two labellings of one tree can give values one ulp apart
+    (ROADMAP item 16).
     """
-    rec = _shape(hg)
-    top = rec.get("top_root")
-    if top is None:
-        seed = _top_mu(rec)
-        top = rec["top_root"] = max((_tree_top(tree, seed) for tree in rec.get("parts", (rec,))), default=0.0)
-    return top ** (1.0 / hg.r)
+    return _shape_memo(hg, "top_root", _tree_top, _largest) ** (1.0 / hg.r)
 
 
-def _top_mu(rec: dict) -> float | None:
-    """The largest |mu| of the roots mu of q kept in a shape's record, or
-    None: an estimate of rho^r."""
-    spectrum = rec.get("spectrum")
-    return None if spectrum is None else max(map(abs, spectrum[0]), default=None)
+def _largest(tops: list[float]) -> float:
+    """rho^r of a forest from its trees': the largest, 0.0 for none."""
+    return max(tops, default=0.0)
 
 
-def _tree_top(tree: dict, seed: float | None) -> float:
-    """rho^r of a tree shape's record, kept there, searched from its own
-    spectrum's largest |mu| when the record has one, else from seed."""
-    top = tree.get("top_root")
-    if top is None:
-        own = _top_mu(tree)
-        top = tree["top_root"] = _search_radius(tree["shape"], seed if own is None else own)
-    return top
+def _tree_top(belows) -> float:
+    """rho^r of a tree shape, searched from the largest |mu| of the roots
+    of q in its own kept spectrum when it has one."""
+    spectrum = _tree_result(belows, "spectrum")
+    return _search_radius(belows, None if spectrum is None else max(map(abs, spectrum[0]), default=None))
 
 
 def _search_radius(belows, seed: float | None) -> float:
@@ -443,54 +434,42 @@ def _spectrum(hg: UniformHypergraph) -> tuple[tuple[complex, ...], list[float], 
     """What the matching energy needs of hg's core shape, at any r:
     (q_roots, values, power, delta), the roots mu of q and values v with
     ME = r * sum v^(power/r), kept in the record of hg's tree shape, or,
-    for a forest, in hg's own record. For a power superforest the values
-    are the positive eigenvalues lam of the base forest (power 2), taken
-    as the singular values of its biadjacency matrix (see
-    `_power_spectrum`), each within delta of the true one; otherwise
-    they are the moduli |mu| of the companion roots of q (power 1), with
-    no error bound (delta None). None of it depends on
+    for a forest, in hg's own record (see `_shape_memo`). For a power
+    superforest the values are the positive eigenvalues lam of the base
+    forest (power 2), taken as the singular values of its biadjacency
+    matrix (see `_power_spectrum`), each within delta of the true one;
+    otherwise they are the moduli |mu| of the companion roots of q
+    (power 1), with no error bound (delta None). None of it depends on
     r, and root finding on the degree-nu q is far better conditioned than
     on phi with its zero cluster.
 
-    A forest whose trees are all powers merges their spectra, each kept
-    in its tree's record, with the largest delta: the eigenvalues of a
-    forest are its trees'. Any other forest takes the companion roots of
-    its whole q, as one input: companion roots carry no bound, and
-    found per tree instead they move the ME of one side of a suite
-    case against the other's, past the suites' tolerance in some bridge
-    cases at the CLI defaults (ROADMAP item 1)."""
-    rec = _shape(hg)
-    parts = rec.get("parts")
-    if parts is None:
-        return _tree_spectrum(rec)
-    spectrum = rec.get("spectrum")
-    if spectrum is None:
-        trees = [tree for tree in parts if tree["shape"][0]]  # those with an edge
-        if all(map(_base, trees)):
-            spectra = [_tree_spectrum(tree) for tree in trees]
+    A forest whose trees' spectra are all powers' merges them, with the
+    largest delta: the eigenvalues of a forest are its trees'. Any other
+    forest takes the companion roots of its whole q, as one input:
+    companion roots carry no bound, and merged from its trees instead
+    they move the ME of one side of a suite case against the other's,
+    past the suites' tolerance in some bridge cases at the CLI defaults
+    (ROADMAP item 1). Its trees' own spectra then only seed their rho
+    searches (see `spectral_radius`)."""
+
+    def combine(spectra):
+        if all(power == 2.0 for _, _, power, _ in spectra):
             values = sorted(chain.from_iterable(values for _, values, _, _ in spectra))
             delta = max(delta for _, _, _, delta in spectra)
-            spectrum = tuple(complex(x * x) for x in values), values, 2.0, delta
-        else:
-            spectrum = _companion_spectrum(_shape_counts(hg))
-        rec["spectrum"] = spectrum
-    return spectrum
+            return tuple(complex(x * x) for x in values), values, 2.0, delta
+        return _companion_spectrum(_shape_counts(hg))
+
+    return _shape_memo(hg, "spectrum", _tree_spectrum, combine)
 
 
-def _base(tree: dict) -> tuple[int, list[list[int]]] | tuple[()]:
-    """`_base_forest` of a tree shape's record, kept there."""
-    return _tree_memo(tree, "base", _base_forest)
-
-
-def _tree_spectrum(tree: dict):
-    """The spectrum (see `_spectrum`) of a tree shape's record with an
-    edge, kept there."""
-
-    def compute(shape):
-        counts, base = _tree_counts(tree), _base(tree)
-        return _power_spectrum(len(counts) - 1, *base) if base else _companion_spectrum(counts)
-
-    return _tree_memo(tree, "spectrum", compute)
+def _tree_spectrum(belows):
+    """The spectrum (see `_spectrum`) of a tree shape: from its base
+    forest if it is a power, else the companion roots of its q; an
+    empty power spectrum, with delta 0, for the one with no edge."""
+    if not belows[0]:
+        return (), [], 2.0, 0.0
+    counts, base = _tree_counts(belows), _base_forest(belows)
+    return _power_spectrum(len(counts) - 1, *base) if base else _companion_spectrum(counts)
 
 
 def _energy(hg: UniformHypergraph, tol: float) -> tuple[tuple[complex, ...], float]:
@@ -549,8 +528,10 @@ class SpectralSummary:
 def spectral_summary(hg: UniformHypergraph) -> SpectralSummary:
     """The roots of q once, for ME (as lam^2 for the singular values lam
     of the base forest of a power superforest), then rho from the tree
-    recursion, whose search starts from those roots. The roots change
-    where the search starts, not its result: rho is the same float that
+    recursion. Each tree's search starts from the roots of that tree's
+    own q, which its spectrum holds by then even when a forest's ME
+    takes the companion roots of the whole q. The roots change where
+    the search starts, not its result: rho is the same float that
     spectral_radius(hg) returns on its own."""
     tol = default_tol()
     q_roots, me = _energy(hg, tol)

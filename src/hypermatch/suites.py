@@ -147,7 +147,7 @@ def check_cospectral(
         "phi_equal": phi_l == phi_r,
     }
     errors = []
-    # ME first: its roots of q start each side's rho search
+    # ME first: it keeps each tree's roots of q, which start that tree's rho search
     for side, hg in (("me_lhs", lhs), ("me_rhs", rhs)):
         try:
             case[side] = _energy(hg, tol)[1]

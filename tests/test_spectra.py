@@ -813,13 +813,14 @@ class TestRecord:
         records = [_shape_entry(hg) for hg in forests]
         assert records[0] is not records[1]  # a forest record per input
         assert len(records[0]["parts"]) == 2 and all(map(operator.is_, *(rec["parts"] for rec in records)))
-        # each tree is searched, counted and coded once; a power forest
-        # merges its trees' singular values, each tree's found once, and
+        # each tree is searched, counted, coded and given its own spectrum
+        # once: the spider's the companion roots of its q, the path's its
+        # singular values; a power forest merges its trees' spectra, and
         # any other forest takes the companion roots of its whole q, once
         # per input
         assert sorted(calls) == sorted(
             ["_search_radius", "_superforest_counts", "_centre_codes"] * 2
-            + ["_power_spectrum" if power else "roots"] * 2
+            + (["_power_spectrum"] * 2 if power else ["roots", "_power_spectrum"] + ["roots"] * 2)
         )
 
     def test_cycle_in_a_later_component_keeps_nothing(self):

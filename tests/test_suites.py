@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import assert_same_report
+from conftest import assert_same_report, spider
 
 import hypermatch.suites as suites
 from hypermatch import (
@@ -175,6 +175,29 @@ class TestCheckCospectral:
             assert case[side] == max(search(shape, None) for shape in rooted_superforest(hg)[1]) ** (1.0 / r)
         check_cospectral(rhs, lhs)  # both sides served from their records
         assert len(seeds) == 4
+
+    def test_each_tree_of_a_non_power_side_searches_rho_from_its_own_roots(self, monkeypatch):
+        # ME of a side that is no power forest takes the companion roots of
+        # its whole q, and still each tree's search starts from the roots of
+        # that tree's own q: the path's at 2.0, not the spider's 3.1479
+        import hypermatch.spectra as spectra
+
+        seeds = []
+        search = spectra._search_radius
+        monkeypatch.setattr(
+            spectra, "_search_radius",
+            lambda shape, seed: seeds.append((shape, seed)) or search(shape, seed),
+        )
+        lhs = disjoint_union(spider(3, 1), loose_path(3, 2).hg)
+        rhs = disjoint_union(loose_path(3, 2).hg, spider(3, 1))
+        clear_polynomial_cache()
+        case = check_cospectral(lhs, rhs)
+        assert case["passed"]
+        assert sorted(shape for shape, _ in seeds) == sorted(rooted_superforest(lhs)[1])  # rhs's are served
+        tops = sorted(search(shape, None) for shape, _ in seeds)
+        assert tops == [pytest.approx(2.0), pytest.approx(3.1479, abs=1e-4)]
+        for shape, seed in seeds:
+            assert seed == pytest.approx(search(shape, None), rel=0, abs=1e-9)
 
 
 class TestSuites:
