@@ -27,7 +27,7 @@ import sys
 
 from .families import _FAMILIES
 from .hypergraph import HypergraphError, UniformHypergraph, _shared_edge_size
-from .matching import matching_polynomial, matching_polynomial_oracle
+from .matching import _phi, matching_polynomial, matching_polynomial_oracle
 from .spectra import RootFindingError, matching_energy, spectral_radius, spectral_summary
 from .suites import SUITES, run_suite
 
@@ -164,7 +164,7 @@ def _cmd_cospectral(args) -> int:
     lhs = _load_hypergraph(args.lhs)
     rhs = _load_hypergraph(args.rhs)
     _shared_edge_size(lhs, rhs)  # raises HypergraphError if the edge sizes differ
-    equal = matching_polynomial(lhs) == matching_polynomial(rhs)
+    equal = _phi(lhs) == _phi(rhs)
     print("cospectral: matching polynomials are "
           + ("identical" if equal else "different"))
     return 0 if equal else 1

@@ -11,6 +11,8 @@ phi(H, x) = sum_k (-1)^k m(H,k) x^(n - k r):
   core shape at the exponents n - k r: those of each tree, found by one
   bottom-up pass (see `_count_pass`), multiplied (see `_product`).
 
+Both write phi through `_phi_terms`, the one map from the counts to
+phi's terms, and phi is compared on `_phi`, (n, counts).
 `reduce_polynomial` makes the factorization phi(x) = x^z q(x^r)
 explicit, with shape checks.
 """
@@ -47,12 +49,23 @@ def matching_counts(hg: UniformHypergraph) -> list[int]:
     return counts
 
 
+def _phi_terms(n: int, r: int, counts) -> dict[int, int]:
+    """phi's terms (-1)^k m(H,k) x^(n - k r), exponent to coefficient,
+    highest first, from the counts m(H,0..nu); at n = nu and r = 1, q's
+    (phi = x^z q(x^r)). Every view of phi is written from these."""
+    return {n - k * r: -c if k & 1 else c for k, c in enumerate(counts)}
+
+
+def _phi(hg: UniformHypergraph) -> tuple[int, tuple[int, ...]]:
+    """phi of a superforest as (n, its counts m(H,0..nu)), the key on
+    which phi is compared: for two sides at one r, or with a side
+    edgeless (phi = x^n), equal exactly when phi is."""
+    return hg.n, _shape_counts(hg)
+
+
 def matching_polynomial_oracle(hg: UniformHypergraph) -> SparsePolynomial:
     """phi by brute-force matching enumeration. Intended for small inputs."""
-    counts = matching_counts(hg)
-    return SparsePolynomial(
-        {hg.n - k * hg.r: (-1) ** k * c for k, c in enumerate(counts)}
-    )
+    return _from_terms(_phi_terms(hg.n, hg.r, matching_counts(hg)))
 
 
 def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
@@ -63,8 +76,7 @@ def matching_polynomial(hg: UniformHypergraph) -> SparsePolynomial:
     Raises HypergraphError if hg has a cycle. Agrees exactly with
     matching_polynomial_oracle on every superforest.
     """
-    n, r = hg.n, hg.r
-    return _from_terms({n - k * r: -c if k & 1 else c for k, c in enumerate(_shape_counts(hg))})
+    return _from_terms(_phi_terms(hg.n, hg.r, _shape_counts(hg)))
 
 
 def _count_pass(belows, bits: int) -> int:

@@ -39,7 +39,7 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .hypergraph import _CACHE, HypergraphError, UniformHypergraph, _shape_memo, _tree_result
-from .matching import _shape_counts, _tree_counts
+from .matching import _phi_terms, _shape_counts, _tree_counts
 from .polynomial import SparsePolynomial, _from_terms
 
 DEFAULT_TOL = 1e-10
@@ -424,9 +424,9 @@ def _power_spectrum(nu: int, size: int, pairs) -> tuple[tuple[complex, ...], lis
 def _companion_spectrum(counts) -> tuple[tuple[complex, ...], list[float], float, None]:
     """The spectrum (see `_spectrum`) of a superforest with matching
     counts `counts` that is no power of a forest: the companion roots of
-    q, with no error bound."""
-    # q's coefficients, highest degree first, are phi's: (-1)^k m(H,k)
-    q_roots = tuple(roots([-c if k & 1 else c for k, c in enumerate(counts)]))
+    q, with no error bound. q's coefficients, highest degree first, are
+    phi's, written by `_phi_terms` at n = nu and r = 1."""
+    q_roots = tuple(roots(list(_phi_terms(len(counts) - 1, 1, counts).values())))
     return q_roots, [abs(mu) for mu in q_roots], 1.0, None
 
 
@@ -589,21 +589,13 @@ def _char_poly_exact(rows: list[list[int]]) -> SparsePolynomial:
 
 def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     """Adjacency characteristic polynomial of an ordinary forest (r = 2,
-    or no edges at all, whatever r is declared), the product of its
-    trees', each kept in the oracle's table (see `_forest_char_poly`).
+    or no edges at all, whatever r is declared): the product of x^i, for
+    the i isolated vertices, and the characteristic polynomial of each
+    tree, found with its two colour classes by one breadth-first walk
+    from its lowest vertex.
 
     Computed independently of the matching machinery, as an exact second
     oracle: for forests it coincides with the matching polynomial.
-    """
-    if hg.r != 2 and hg.edges:
-        raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
-    return _forest_char_poly(hg)
-
-
-def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
-    """The product of x^i, for the i isolated vertices, and the
-    characteristic polynomial of each tree of hg, found with its two
-    colour classes by one breadth-first walk from its lowest vertex.
 
     Each tree's polynomial is kept in the oracle's table, the cache entry
     "char_poly", keyed by the tree's edge tuple renumbered in vertex
@@ -618,6 +610,8 @@ def _forest_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     each a times that many, so it runs on the class where a squared
     times that sum is smaller (the smaller class on a tie, and the class
     of the tree's lowest vertex if the sizes tie too)."""
+    if hg.r != 2 and hg.edges:
+        raise HypergraphError(f"characteristic-polynomial bridge needs r = 2, got r = {hg.r}")
     neighbours: list[list[int]] = [[] for _ in range(hg.n)]
     for a, b in hg.edges:  # sorted: a vertex's lower neighbours come first, each part ascending
         neighbours[a].append(b)

@@ -37,7 +37,7 @@ from .families import (
     random_supertree,
 )
 from .hypergraph import UniformHypergraph, _integer, _shared_edge_size, are_isomorphic, disjoint_union
-from .matching import _product, _shape_counts, matching_polynomial
+from .matching import _phi, _phi_terms, _product, _shape_counts, matching_polynomial
 from .polynomial import _json_dict
 from .spectra import (
     DEFAULT_TOL,
@@ -109,24 +109,10 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= 10 * tol
 
 
-def _phi(hg: UniformHypergraph) -> tuple[int, tuple[int, ...]]:
-    """phi of a superforest as (n, its counts m(H,0..nu)): at one r, or
-    with a side edgeless (phi = x^n), equal exactly when phi is."""
-    return hg.n, _shape_counts(hg)
-
-
-def _phi_json(r: int, n: int, counts: tuple[int, ...]) -> dict:
-    """The JSON form of phi = sum_k (-1)^k m(H,k) x^(n - k r)."""
-    return _json_dict((n - k * r, -c if k & 1 else c) for k, c in enumerate(counts))
-
-
-def check_cospectral(
-    lhs: UniformHypergraph,
-    rhs: UniformHypergraph,
-    check_isomorphism: bool = False,
-) -> dict:
-    """One decided cospectrality case: exact phi comparison (see `_phi`)
-    plus spectral radius and matching energy computed on each side.
+def check_cospectral(lhs: UniformHypergraph, rhs: UniformHypergraph) -> dict:
+    """One decided cospectrality case: exact phi comparison (see
+    `matching._phi`) plus spectral radius and matching energy computed
+    on each side.
 
     "passed" holds when phi is equal and rho and ME each differ by at
     most 10 * tol, an absolute difference, for the tol of default_tol(),
@@ -135,15 +121,16 @@ def check_cospectral(
     phi, and the phis each other, as "char_equal": a phi wrong alike on
     both sides fails there. A side whose matching energy raises
     RootFindingError gets ME None and fails the case, with the message
-    under "error". Callers AND their own conditions into "passed".
+    under "error". Callers AND their own conditions into "passed", such
+    as "isomorphic" where a suite reports it.
     """
     r = _shared_edge_size(lhs, rhs)
     tol = default_tol()
     phi_l, phi_r = _phi(lhs), _phi(rhs)
     case = {
         "params": {},
-        "lhs_phi": _phi_json(lhs.r, *phi_l),
-        "rhs_phi": _phi_json(rhs.r, *phi_r),
+        "lhs_phi": _json_dict(_phi_terms(lhs.n, lhs.r, phi_l[1]).items()),
+        "rhs_phi": _json_dict(_phi_terms(rhs.n, rhs.r, phi_r[1]).items()),
         "phi_equal": phi_l == phi_r,
     }
     errors = []
@@ -158,10 +145,8 @@ def check_cospectral(
     case["rho_rhs"] = spectral_radius(rhs)
     if errors:
         case["error"] = "; ".join(errors)
-    if check_isomorphism:
-        case["isomorphic"] = are_isomorphic(lhs, rhs)
-    if r == 2:  # chi = phi on a forest, so phi itself is checked too
-        case["char_equal"] = tree_char_poly(lhs) == matching_polynomial(lhs) == matching_polynomial(rhs) == tree_char_poly(rhs)
+    if r == 2:  # chi = phi on a forest, so each side's phi is checked too
+        case["char_equal"] = all(tree_char_poly(hg) == matching_polynomial(hg) for hg in (lhs, rhs)) and case["phi_equal"]
     case["passed"] = (
         case["phi_equal"]
         and case.get("char_equal", True)
@@ -243,8 +228,9 @@ def suite_coalesce(
         g, u, h, v = _premise_pair(r)
         g_del = g.delete_vertex(u)
         h_del = h.delete_vertex(v)
-        case = check_cospectral(g, h, check_isomorphism=True)
+        case = check_cospectral(g, h)
         case["params"] = {"part": "premise", "r": r}
+        case["isomorphic"] = are_isomorphic(g, h)
         case["deleted_phi_equal"] = _phi(g_del) == _phi(h_del)
         case["deleted_isomorphic"] = are_isomorphic(g_del, h_del)
         case["passed"] = (
@@ -288,8 +274,8 @@ def suite_coalesce(
 def _bridged_closed_form(
     g: UniformHypergraph, u: int, h: UniformHypergraph, v: int, m_max: int
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """phi, as (n, counts) (see `_phi`), of bridge(g, u, h, v, m) union
-    m - 1 extra copies of g, for m = 1..m_max.
+    """phi, as (n, counts) (see `matching._phi`), of bridge(g, u, h, v, m)
+    union m - 1 extra copies of g, for m = 1..m_max.
 
     The union holds m copies of g and of h, and m joining edges with
     r - 2 own vertices each: n = m (n_g + n_h + r - 2). Every joining
@@ -418,8 +404,9 @@ def suite_path_w(
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
                 lhs, rhs = side(m, n), side(n, m)
-                case = check_cospectral(lhs, rhs, check_isomorphism=True)
+                case = check_cospectral(lhs, rhs)
                 case["params"] = {"part": "swap", "r": r, "m": m, "n": n}
+                case["isomorphic"] = are_isomorphic(lhs, rhs)
                 case["passed"] = case["passed"] and case["isomorphic"] == (m == n)
                 report.cases.append(case)
 

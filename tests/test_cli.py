@@ -289,6 +289,30 @@ class TestCospectral:
         assert code == 1
         assert "different" in out
 
+    @staticmethod
+    def write(tmp_path, name, hg):
+        path = tmp_path / name
+        path.write_text(json.dumps(hg.to_json_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equal_counts_with_an_isolated_vertex_exit_1(self, tmp_path, capsys, r):
+        # the counts agree, so only n tells the two phis apart
+        path = loose_path(r, 3).hg
+        a = self.write(tmp_path, "a.json", path)
+        b = self.write(tmp_path, "b.json", UniformHypergraph(r, path.n + 1, path.edges))
+        code, out, _ = run(capsys, "cospectral", a, b)
+        assert code == 1
+        assert out == "cospectral: matching polynomials are different\n"
+
+    def test_edgeless_sides_at_two_edge_sizes_exit_0(self, tmp_path, capsys):
+        # phi = x^4 on both sides, whatever r each file declares
+        a = self.write(tmp_path, "a.json", UniformHypergraph(2, 4))
+        b = self.write(tmp_path, "b.json", UniformHypergraph(3, 4))
+        code, out, _ = run(capsys, "cospectral", a, b)
+        assert code == 0
+        assert out == "cospectral: matching polynomials are identical\n"
+
     def test_mismatched_r_exits_2(self, tmp_path, capsys):
         a = construct_file(tmp_path, capsys, "a.json", "LoosePath", 2, "1")
         b = construct_file(tmp_path, capsys, "b.json", "LoosePath", 3, "1")

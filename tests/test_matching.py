@@ -8,12 +8,15 @@ with it.
 import itertools
 import math
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hypermatch.spectra as spectra
 from conftest import (
+    base_forest,
     bridged_closed_form,
     char_poly_reference,
     edge_cycle_out,
@@ -30,6 +33,8 @@ from hypermatch import (
     SparsePolynomial,
     UniformHypergraph,
     bridge,
+    check_cospectral,
+    clear_polynomial_cache,
     coalesce,
     coalesce_power,
     disjoint_union,
@@ -38,6 +43,7 @@ from hypermatch import (
     family_z,
     loose_path,
     matching_counts,
+    matching_energy,
     matching_polynomial,
     matching_polynomial_oracle,
     random_supertree,
@@ -463,3 +469,28 @@ class TestReduction:
     def test_r_below_one_is_a_shape_error(self, r):
         with pytest.raises(PolynomialShapeError, match=f"r must be >= 1, got {r}"):
             reduce_polynomial(SparsePolynomial({3: 1, 1: -1}), r, 3)
+
+class TestViewsOfPhi:
+    """The suites' JSON, the polynomial and the companion matrix's q all
+    write phi from the same terms (`matching._phi_terms`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(superforests())
+    def test_suite_json_is_the_polynomial_json(self, hg):
+        case = check_cospectral(hg, hg)
+        assert case["lhs_phi"] == case["rhs_phi"] == matching_polynomial(hg).to_json_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(superforests())
+    def test_companion_roots_take_the_coefficients_of_q(self, hg):
+        real = spectra.roots
+        for side in [hg, *hg.components()]:
+            if not side.edges or base_forest(side) is not None:  # no q, or the power route
+                continue
+            calls = []
+            clear_polynomial_cache()
+            with mock.patch.object(spectra, "roots", lambda q: calls.append(q) or real(q)):
+                matching_energy(side)
+            # a forest's whole q comes last, after those of its trees that are no power
+            assert calls[-1] == reduce_polynomial(matching_polynomial(side), side.r, side.n).q.to_dense()
+            assert len(calls) == 1 or len(side.components()) > 1

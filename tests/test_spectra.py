@@ -731,14 +731,13 @@ class TestRecord:
         import hypermatch.spectra as spectra
 
         calls = []
-        for name in ("_forest_char_poly", "_char_poly_exact"):
-            self._count(monkeypatch, spectra, name, calls)
+        self._count(monkeypatch, spectra, "_char_poly_exact", calls)
         hg = random_supertree(2, 12, random.Random(3))
         clear_polynomial_cache()
         assert tree_char_poly(hg) == matching_polynomial(hg)
         assert tree_char_poly(hg) == matching_polynomial(hg)
-        # the second call walks hg again, and its one tree is served from the table
-        assert calls == ["_forest_char_poly", "_char_poly_exact", "_forest_char_poly"]
+        # the second call's one tree is served from the table
+        assert calls == ["_char_poly_exact"]
         # the tree's entry in the oracle's table is keyed by its edge tuple
         assert hypergraph._CACHE["char_poly"] == {hg.edges: tree_char_poly(hg)}
         assert hg.edges not in hypergraph._CACHE and "char_poly" not in _shape_entry(hg)
@@ -749,7 +748,7 @@ class TestRecord:
         clear_polynomial_cache()
         calls.clear()
         assert tree_char_poly(hg) == matching_polynomial(hg)
-        assert calls == ["_forest_char_poly", "_char_poly_exact"]
+        assert calls == ["_char_poly_exact"]
 
     def test_clearing_empties_the_oracle_table(self, monkeypatch):
         import hypermatch.hypergraph as hypergraph

@@ -14,6 +14,7 @@ from hypermatch import (
     HypergraphError,
     SparsePolynomial,
     UniformHypergraph,
+    are_isomorphic,
     check_cospectral,
     clear_polynomial_cache,
     disjoint_union,
@@ -53,9 +54,9 @@ def disagreeing_char_poly(monkeypatch):
 class TestCheckCospectral:
     def test_self_comparison(self):
         hg = family_w(3, 5).hg
-        case = check_cospectral(hg, hg, check_isomorphism=True)
+        case = check_cospectral(hg, hg)
         assert case["phi_equal"]
-        assert case["isomorphic"]
+        assert "isomorphic" not in case  # callers that report it ask are_isomorphic
         assert case["rho_lhs"] == case["rho_rhs"]
         assert case["passed"] is True
         assert "char_equal" not in case  # only r = 2 has the char-poly oracle
@@ -93,7 +94,7 @@ class TestCheckCospectral:
         lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
         rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
         clear_polynomial_cache()
-        assert check_cospectral(lhs, rhs, check_isomorphism=True)["passed"]
+        assert check_cospectral(lhs, rhs)["passed"]
         assert len(tol_reads) == 1
         assert check_cospectral(rhs, lhs)["passed"]  # warm records read it once too
         assert len(tol_reads) == 2
@@ -112,9 +113,9 @@ class TestCheckCospectral:
         r = 3
         lhs = disjoint_union(loose_path(r, 1).hg, family_w(r, 6).hg)
         rhs = disjoint_union(loose_path(r, 2).hg, family_w(r, 5).hg)
-        case = check_cospectral(lhs, rhs, check_isomorphism=True)
+        case = check_cospectral(lhs, rhs)
         assert case["phi_equal"]
-        assert not case["isomorphic"]
+        assert not are_isomorphic(lhs, rhs)
         assert abs(case["rho_lhs"] - case["rho_rhs"]) < 1e-9
         assert abs(case["me_lhs"] - case["me_rhs"]) < 1e-9
         assert case["passed"]
