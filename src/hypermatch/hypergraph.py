@@ -24,9 +24,9 @@ with what it depends on. The cache holds three kinds of entry:
   power's, else the companion roots of the forest's whole q;
 * the key "char_poly" maps to the table of the r = 2 oracle
   (`spectra.tree_char_poly`): the characteristic polynomial of each
-  tree met, keyed by its edge tuple renumbered in vertex order, so the
-  same labelled tree in another input, or shifted by isolated vertices
-  or other trees, pays once.
+  tree met, keyed by its edges as the oracle's walk numbers them, so
+  a tree walked the same way, in another input, relabelled or shifted
+  by isolated vertices or other trees, pays once.
 phi, ME and rho are views of a shape's record, built on each call, so
 a changed HG_TOL applies at once. `clear_polynomial_cache()` forgets
 everything.

@@ -3,10 +3,11 @@ and the exact characteristic-polynomial bridge for ordinary forests.
 What each result is kept with is stated in `hypergraph`'s module
 docstring, and how it is computed in the docstring of the function
 that computes it: `_search_radius` for rho, `_energy` for ME. The
-exact bridge, `tree_char_poly`, finds every tree of a forest and its two
-colour classes in one breadth-first walk, and runs the Faddeev-LeVerrier
-recurrence on B B^T, for B the biadjacency matrix of one class of each
-tree, on rows packed into big integers (see `_char_poly_exact`).
+exact bridge, `tree_char_poly`, finds every tree of a forest, its two
+colour classes and its table key in one breadth-first walk, and runs
+the Faddeev-LeVerrier recurrence on B B^T, for B the biadjacency matrix
+of one class of each tree, on rows packed into big integers (see
+`_char_poly_exact`).
 
 This is the only module that imports numpy. When that import is the one
 that loads numpy, and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
@@ -591,18 +592,18 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
     """Adjacency characteristic polynomial of an ordinary forest (r = 2,
     or no edges at all, whatever r is declared): the product of x^i, for
     the i isolated vertices, and the characteristic polynomial of each
-    tree, found with its two colour classes by one breadth-first walk
-    from its lowest vertex.
+    tree. Computed independently of the matching machinery, as an exact
+    second oracle: for forests it coincides with the matching polynomial.
 
-    Computed independently of the matching machinery, as an exact second
-    oracle: for forests it coincides with the matching polynomial.
-
-    Each tree's polynomial is kept in the oracle's table, the cache entry
-    "char_poly", keyed by the tree's edge tuple renumbered in vertex
-    order, so a tree met again, in hg or in another input, is served
-    from the table. A tree on n vertices is bipartite: with its a
-    vertices of one colour class as the rows of B, A = [[0, B], [B^T, 0]]
-    and det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
+    One breadth-first walk from each tree's lowest vertex finds the tree
+    and does all its per-tree work. The tree's polynomial is kept in the
+    oracle's table, the cache entry "char_poly", keyed by its edges as
+    (parent, child) by walk index, in the order the walk meets them.
+    Equal keys rebuild the same tree up to relabelling, so a tree walked
+    the same way, in hg or in another input, is served from the table.
+    A tree on n vertices is bipartite: with its a vertices of one colour
+    class as the rows of B, A = [[0, B], [B^T, 0]] and
+    det(xI - A) = x^(n-2a) det(x^2 I - B B^T).
     C = B B^T counts the common neighbours of two vertices of that class,
     so row v of C lists, for each neighbour w of v, every neighbour of
     w: the rows of a class hold as many entries as the squared degrees
@@ -617,7 +618,7 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
         neighbours[a].append(b)
         neighbours[b].append(a)
     colour = [-1] * hg.n
-    at = [0] * hg.n  # a vertex's index in its tree, then in its colour class
+    at = [0] * hg.n  # a vertex's index in its colour class: a root's stays 0
     table = _CACHE.setdefault("char_poly", {})
     out = None
     isolated = 0
@@ -628,29 +629,26 @@ def tree_char_poly(hg: UniformHypergraph) -> SparsePolynomial:
         if not neighbours[root]:
             isolated += 1
             continue
-        tree = [root]
-        for v in tree:  # breadth first: the list grows as it is read
+        tree, key = [root], []  # the key: the tree's edges as (parent, child) by walk index
+        size, squares, degrees = [1, 0], [0, 0], 0  # per colour class: its size, its sum of squared degrees
+        for i, v in enumerate(tree):  # breadth first: the list grows as it is read
+            c = colour[v]
+            degrees += len(neighbours[v])
+            squares[c] += len(neighbours[v]) ** 2
             for w in neighbours[v]:
                 if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
+                    colour[w] = 1 - c
+                    at[w] = size[1 - c]
+                    size[1 - c] += 1
+                    key.append((i, len(tree)))
                     tree.append(w)
-        if sum(len(neighbours[v]) for v in tree) != 2 * (len(tree) - 1):
+        if degrees != 2 * len(key):
             raise HypergraphError("not a forest: a component has a cycle")
-        tree.sort()
-        for i, v in enumerate(tree):
-            at[v] = i
-        # the tree's sorted edge tuple, renumbered in vertex order
-        key = tuple((at[a], at[b]) for a in tree for b in neighbours[a] if b > a)
-        chi = table.get(key)
+        chi = table.get(key := tuple(key))
         if chi is None:
-            even, odd = ([v for v in tree if colour[v] == c] for c in (0, 1))
-            cost = [len(side) ** 2 * sum(len(neighbours[w]) ** 2 for w in other)
-                    for side, other in ((even, odd), (odd, even))]
-            side = even if (cost[0], len(even)) <= (cost[1], len(odd)) else odd
-            for i, v in enumerate(side):
-                at[v] = i
-            rows = [[at[u] for w in neighbours[v] for u in neighbours[w]] for v in side]
-            shift = len(tree) - 2 * len(side)
+            side = 0 if (size[0] ** 2 * squares[1], size[0]) <= (size[1] ** 2 * squares[0], size[1]) else 1
+            rows = [[at[u] for w in neighbours[v] for u in neighbours[w]] for v in tree if colour[v] == side]
+            shift = len(tree) - 2 * size[side]
             chi = _from_terms({shift + 2 * e: c for e, c in _char_poly_exact(rows).terms()})
             table[key] = chi
         out = chi if out is None else out * chi

@@ -89,6 +89,9 @@ class TestConstruct:
     def test_bad_flags_exit_2(self, capsys):
         assert run(capsys, "construct", "--family", "W")[0] == 2
         assert run(capsys, "frobnicate")[0] == 2
+        code, out, err = run(capsys, "suite", "--name", "path-w", "--m-range", "6-10")
+        assert (code, out) == (2, "")
+        assert "expected lo:hi, got '6-10'" in err
 
     @pytest.mark.parametrize("params", ["1,,2", "1,2,", ",1,2", "1, ,2"])
     def test_empty_param_item_exits_2(self, capsys, params):
@@ -126,6 +129,10 @@ class TestMatchpoly:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(capsys, "matchpoly", str(bad))[0] == 2
+        bad.write_text(json.dumps([[0, 1], [1, 2]]))  # valid JSON, but no object
+        code, out, err = run(capsys, "rho", str(bad))
+        assert (code, out) == (2, "")
+        assert "expected a JSON object" in err
 
     def test_invalid_hypergraph_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -169,6 +169,15 @@ class TestNamedFamilies:
             family_w(3, 4)
         with pytest.raises(HypergraphError):
             family_z(3, 1)
+        for r in (2, 3):
+            with pytest.raises(HypergraphError, match="path length must be >= 0"):
+                loose_path(r, -1)
+            with pytest.raises(HypergraphError, match=r"family T needs a >= 1, b >= 0, got \(0, 1\)"):
+                family_t(r, 0, 1)
+            with pytest.raises(HypergraphError, match=r"family R needs a,b,c,d >= 1, got \(1, 1, 0, 1\)"):
+                family_r(r, 1, 1, 0, 1)
+            with pytest.raises(HypergraphError, match="need at least one edge"):
+                random_supertree(r, 0, random.Random(0))
 
 
 _G = loose_path(3, 2).hg
@@ -290,6 +299,9 @@ class TestCoalescePower:
         both = coalesce_mixed(g, 0, 2, h, 2, 1)
         assert both.num_edges == 2 * g.num_edges + h.num_edges
         assert both.n == 2 * (g.n - 1) + (h.n - 1) + 1
+        # with no copy of g, the shared vertex stays at v
+        for k in (1, 3):
+            assert coalesce_mixed(g, 0, 0, h, 2, k) == coalesce_power(h, 2, k)
 
 
 class TestBridge:

@@ -131,6 +131,10 @@ class TestBuild:
         with pytest.raises(HypergraphError):
             UniformHypergraph(1, 3, [])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(HypergraphError, match="vertex count must be >= 0"):
+            UniformHypergraph(3, -1)
+
     def test_edges_sorted_deterministically(self):
         hg = UniformHypergraph(2, 4, [[3, 2], [1, 0]])
         assert hg.edges == ((0, 1), (2, 3))

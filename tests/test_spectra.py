@@ -18,6 +18,7 @@ from conftest import (
     pendant_edges,
     power_superforests,
     spider,
+    superforests,
     supertrees,
 )
 from hypermatch import (
@@ -716,10 +717,15 @@ class TestRecord:
         assert len(calls) == 3
         assert tree_char_poly(p) == matching_polynomial(p)
         assert len(calls) == 3
-        # the record is per labelled tree: P with its ends swapped inward is another
+        # the record is per walk: P with its ends swapped inward, walked
+        # 0, 2, 1, 3, 4, has P's key, so it is served too
         relabelled = UniformHypergraph(2, 5, [[0, 2], [1, 2], [1, 3], [3, 4]])
-        assert are_isomorphic(relabelled, p)
         assert tree_char_poly(relabelled) == tree_char_poly(p)
+        assert len(calls) == 3
+        # P walked from an end's neighbour is another entry
+        inner = UniformHypergraph(2, 5, [[0, 1], [0, 2], [2, 3], [3, 4]])
+        assert are_isomorphic(inner, p)
+        assert tree_char_poly(inner) == tree_char_poly(p)
         assert len(calls) == 4
         # isolated vertices run no kernel, wherever they sit
         spread = UniformHypergraph(2, 8, [[1, 3], [3, 4], [4, 6], [6, 7]])  # P on 1, 3, 4, 6, 7
@@ -738,11 +744,13 @@ class TestRecord:
         assert tree_char_poly(hg) == matching_polynomial(hg)
         # the second call's one tree is served from the table
         assert calls == ["_char_poly_exact"]
-        # the tree's entry in the oracle's table is keyed by its edge tuple
-        assert hypergraph._CACHE["char_poly"] == {hg.edges: tree_char_poly(hg)}
+        # the tree's entry in the oracle's table is keyed by its walk
+        assert _walk_key(hg) != hg.edges
+        assert hypergraph._CACHE["char_poly"] == {_walk_key(hg): tree_char_poly(hg)}
         assert hg.edges not in hypergraph._CACHE and "char_poly" not in _shape_entry(hg)
         path = loose_path(2, 2).hg
         assert spectral_radius(path) == pytest.approx(math.sqrt(2)) and tree_char_poly(path) == matching_polynomial(path)
+        assert _walk_key(path) == path.edges  # a path walked from an end
         assert hypergraph._CACHE["char_poly"][path.edges] == tree_char_poly(path)
         assert path.edges not in hypergraph._CACHE and "char_poly" not in _shape_entry(path)
         clear_polynomial_cache()
@@ -1254,6 +1262,17 @@ class TestTreeCharPoly:
     def test_bbt_route_on_large_trees(self, n):
         self._assert_oracles_agree(random_supertree(2, n - 1, random.Random(n)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(superforests(rs=(2,)), st.data())
+    def test_relabelled_forest_against_a_warm_table(self, hg, data):
+        # a tree whose walk matches one met before is served that tree's
+        # entry: the key must hold the tree up to relabelling
+        perm = data.draw(st.permutations(range(hg.n)))
+        relabelled = UniformHypergraph(2, hg.n, [[perm[v] for v in e] for e in hg.edges])
+        clear_polynomial_cache()
+        assert tree_char_poly(hg) == matching_polynomial(hg)
+        assert tree_char_poly(relabelled) == matching_polynomial(relabelled)
+
     def test_runs_on_the_cheaper_colour_class(self, monkeypatch):
         # a spider with 60 legs of length 2: the 60 middle vertices have rows
         # of 61 entries each in B B^T, the centre and the tips 240 in all
@@ -1286,6 +1305,19 @@ class TestTreeCharPoly:
         star = UniformHypergraph(2, 61, [[0, v] for v in range(1, 61)])
         clear_polynomial_cache()
         assert tree_char_poly(star) == matching_polynomial(star) == SparsePolynomial({61: 1, 59: -60})
+
+
+def _walk_key(tree: UniformHypergraph) -> tuple:
+    """The r = 2 oracle's table key for a tree on 0..n-1: its edges as
+    (parent, child), both by walk index, in the order that the
+    breadth-first walk from vertex 0, reading each vertex's neighbours in
+    ascending order, meets them."""
+    order, key = [0], []
+    for i, v in enumerate(order):
+        for w in sorted({u for e in tree.edges if v in e for u in e} - set(order)):
+            key.append((i, len(order)))
+            order.append(w)
+    return tuple(key)
 
 
 def _gram_rows(forest: UniformHypergraph, colour: int) -> list[list[int]]:
